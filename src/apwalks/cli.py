@@ -69,23 +69,14 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, time_flags: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, source: bool = True) -> None:
     parser.add_argument("-g", "--generation", type=int, default=None,
                         help="network generation (required unless APWALKS_GENERATION is set)")
-    parser.add_argument("-s", "--source", type=int, default=None,
-                        help="source node, 1-based (default: central node)")
+    if source:
+        parser.add_argument("-s", "--source", type=int, default=None,
+                            help="source node, 1-based (default: central node)")
     parser.add_argument("-o", "--output", default=None,
                         help="output path (default: stdout)")
-    parser.add_argument("--tol-degeneracy", type=float, default=None,
-                        help="eigenvalue gap below which eigenvalues are degenerate")
-    parser.add_argument("--tol-cluster", type=float, default=None,
-                        help="gap below which limiting probabilities are equal (default 1e-9)")
-    if time_flags:
-        parser.add_argument("--t-min", type=float, default=None, help="first sample time (default 0.01)")
-        parser.add_argument("--t-max", type=float, default=None, help="last sample time (default 100)")
-        parser.add_argument("--t-steps", type=int, default=None, help="number of sample times (default 2000)")
-        parser.add_argument("--t-scale", choices=("lin", "log"), default=None,
-                            help="sample spacing (default log)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,17 +87,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit the network as an edge list or JSON")
-    _add_common(p)
+    _add_common(p, source=False)
     p.add_argument("--format", choices=("edgelist", "json"), default=None)
 
     p = sub.add_parser("spectrum", help="emit eigenvalues (and optionally eigenvectors)")
-    _add_common(p)
+    _add_common(p, source=False)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--eigenvectors", default=None, metavar="PATH",
                    help="also write the eigenvector matrix to PATH")
 
     p = sub.add_parser("evolve", help="emit a transition-probability time series")
-    _add_common(p, time_flags=True)
+    _add_common(p)
+    p.add_argument("--t-min", type=float, default=None, help="first sample time (default 0.01)")
+    p.add_argument("--t-max", type=float, default=None, help="last sample time (default 100)")
+    p.add_argument("--t-steps", type=int, default=None, help="number of sample times (default 2000)")
+    p.add_argument("--t-scale", choices=("lin", "log"), default=None,
+                   help="sample spacing (default log)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--kind", choices=("classical", "quantum", "both"), default=None)
     p.add_argument("--wide", action="store_true",
@@ -114,6 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="long-time limiting probabilities and value clusters")
     _add_common(p)
+    p.add_argument("--tol-degeneracy", type=float, default=None,
+                   help="eigenvalue gap below which eigenvalues are degenerate")
+    p.add_argument("--tol-cluster", type=float, default=None,
+                   help="gap below which limiting probabilities are equal (default 1e-9)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write the cluster report JSON to PATH (default: stdout)")

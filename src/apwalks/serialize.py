@@ -30,6 +30,41 @@ def format_probability(x: float) -> str:
     return format_float(x)
 
 
+def _format_rows(
+    labels: list[str], values: np.ndarray, *, long: bool, probability: bool
+) -> str:
+    """CSV body for a 2-D array, one ``"%"`` operation per row.
+
+    Wide layout: one line ``label,v_1,...,v_n`` per row. Long layout: one line
+    ``label,k,v_k`` per entry, row-major. Every value prints exactly as
+    ``format_probability`` (``probability=True``) or ``format_float`` would
+    print it: ``"%.17g"`` matches them except that it keeps the sign of
+    ``-0.0``, so zero and, for probabilities, the clamp band become ``0.0``
+    before formatting.
+    """
+    values = np.asarray(values, dtype=float)
+    zero = (values >= -1e-12) & (values <= 0.0) if probability else values == 0.0
+    values = np.where(zero, 0.0, values)
+    n = values.shape[1]
+    lines = []
+    if long:
+        template = "\n".join(f"%s,{k},%.17g" for k in range(1, n + 1))
+        args: list = [None] * (2 * n)
+        for label, row in zip(labels, values):
+            args[0::2] = [label] * n
+            args[1::2] = row.tolist()
+            lines.append(template % tuple(args))
+    else:
+        template = "%s" + ",%.17g" * n
+        for label, row in zip(labels, values):
+            lines.append(template % (label, *row.tolist()))
+    return "\n".join(lines)
+
+
+def _node_labels(n: int) -> list[str]:
+    return [str(k) for k in range(1, n + 1)]
+
+
 # -- network ---------------------------------------------------------------
 
 def network_to_edge_list(net: Network) -> str:
@@ -115,11 +150,9 @@ def eigenvalues_from_csv(text: str) -> np.ndarray:
 
 def eigenvectors_to_csv(s: Spectrum) -> str:
     n = s.order
-    lines = ["node," + ",".join(f"q_{m}" for m in range(1, n + 1))]
-    for k in range(n):
-        row = ",".join(format_float(v) for v in s.eigenvectors[k, :])
-        lines.append(f"{k + 1},{row}")
-    return "\n".join(lines) + "\n"
+    header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1))
+    body = _format_rows(_node_labels(n), s.eigenvectors, long=False, probability=False)
+    return f"{header}\n{body}\n"
 
 
 def eigenvectors_from_csv(text: str) -> np.ndarray:
@@ -137,19 +170,14 @@ def series_to_csv(snapshots: list[TransitionSnapshot], wide: bool = False) -> st
     if not snapshots:
         raise ValueError("cannot serialize an empty series")
     n = len(snapshots[0].values)
-    lines = []
     if wide:
-        lines.append("t," + ",".join(f"p_{k}" for k in range(1, n + 1)))
-        for snap in snapshots:
-            row = ",".join(format_probability(v) for v in snap.values)
-            lines.append(f"{format_float(snap.time)},{row}")
+        header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1))
     else:
-        lines.append("t,k,probability")
-        for snap in snapshots:
-            t = format_float(snap.time)
-            for k in range(1, n + 1):
-                lines.append(f"{t},{k},{format_probability(snap.values[k - 1])}")
-    return "\n".join(lines) + "\n"
+        header = "t,k,probability"
+    labels = [format_float(snap.time) for snap in snapshots]
+    values = np.array([snap.values for snap in snapshots])
+    body = _format_rows(labels, values, long=not wide, probability=True)
+    return f"{header}\n{body}\n"
 
 
 def series_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +231,11 @@ def series_from_json(text: str) -> tuple[int, str, np.ndarray, np.ndarray]:
 # -- limiting matrix ---------------------------------------------------------
 
 def limiting_matrix_to_csv(chi: LimitingMatrix) -> str:
-    lines = ["j,k,chi"]
-    n = chi.order
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            lines.append(f"{j},{k},{format_probability(chi.value(k, j))}")
-    return "\n".join(lines) + "\n"
+    # Source-major: the row for source j is column j of the matrix.
+    body = _format_rows(
+        _node_labels(chi.order), chi.entries.T, long=True, probability=True
+    )
+    return f"j,k,chi\n{body}\n"
 
 
 def limiting_matrix_from_csv(text: str) -> np.ndarray:

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    TimeGrid,
     classical_probability,
     closed_form_g1,
     closed_form_g2,
     default_revival_window,
+    evolve_series,
     finite_time_average,
     limiting_matrix,
     max_return_probability,
@@ -96,19 +98,18 @@ def _closed_form_errors(pipe: _Pipeline, g: int) -> float:
     """Max abs deviation of the coherent numerics from the closed form."""
     s = pipe.spectrum(g)
     n = s.order
-    times = np.linspace(0.0, 4.0 * math.pi, 1000)
+    grid = TimeGrid(0.0, 4.0 * math.pi, 1000, "linear")
+    times = grid.times()
     worst = 0.0
     sources = range(1, n + 1) if g == 1 else (4,)
     for j in sources:
-        for t in times:
-            snap = quantum_probability(s, j, float(t))
-            for k in range(1, n + 1):
-                expected = (
-                    closed_form_g1(j, k, float(t))
-                    if g == 1
-                    else closed_form_g2(k, float(t))
-                )
-                worst = max(worst, abs(snap.value_at(k) - expected))
+        series = evolve_series(s, j, "quantum", grid)
+        numeric = np.array([snap.values for snap in series])
+        expected = np.column_stack([
+            closed_form_g1(j, k, times) if g == 1 else closed_form_g2(k, times)
+            for k in range(1, n + 1)
+        ])
+        worst = max(worst, float(np.abs(numeric - expected).max()))
     return worst
 
 

@@ -136,6 +136,28 @@ def test_evolve_source_zero_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("evolve", "-g", "2", "--tol-cluster", "1e-3"),
+    ("evolve", "-g", "2", "--tol-degeneracy", "1e-3"),
+    ("generate", "-g", "2", "-s", "1"),
+    ("spectrum", "-g", "2", "--source", "1"),
+    ("orbits", "-g", "2", "--tol-cluster", "1e-3"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    assert run(*argv) == 2
+
+
+@pytest.mark.parametrize("grid", [
+    ("--t-max", "inf", "--t-steps", "5", "--t-scale", "lin"),
+    ("--t-min", "nan", "--t-steps", "1"),
+])
+def test_evolve_non_finite_grid_is_usage_error(tmp_path, grid, capsys):
+    out = tmp_path / "series.csv"
+    assert run("evolve", "-g", "2", *grid, "-o", str(out)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_json(tmp_path):
     out = tmp_path / "series.json"
     assert run("evolve", "-g", "1", "--format", "json", "--t-steps", "4",

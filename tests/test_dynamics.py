@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apwalks import dynamics
 from apwalks.dynamics import (
     LimitingMatrix,
     TimeGrid,
@@ -14,7 +15,6 @@ from apwalks.dynamics import (
     limiting_matrix,
     limiting_probability,
     max_return_probability,
-    quantum_amplitude,
     quantum_probability,
 )
 from apwalks.network import corner_group, laplacian
@@ -72,6 +72,8 @@ def test_classical_equipartition_g3(pipe):
 def test_classical_rejects_negative_time(pipe):
     with pytest.raises(ValueError):
         classical_probability(pipe.spectrum(1), 1, -0.5)
+    with pytest.raises(ValueError):
+        classical_probability(pipe.spectrum(1), 1, float("nan"))
 
 
 def test_classical_matches_series_oracle(pipe):
@@ -101,8 +103,9 @@ def test_classical_spectral_relaxation_bound(pipe, rng):
 
 def test_amplitude_at_t0(pipe):
     s = pipe.spectrum(2)
-    assert quantum_amplitude(s, 3, 3, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert quantum_amplitude(s, 3, 5, 0.0) == pytest.approx(0.0, abs=1e-12)
+    snap = quantum_probability(s, 3, 0.0)
+    assert snap.value_at(3) == pytest.approx(1.0, abs=1e-12)
+    assert snap.value_at(5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_amplitude_squares_to_probability(pipe, rng):
@@ -111,7 +114,9 @@ def test_amplitude_squares_to_probability(pipe, rng):
         j, k = (int(v) for v in rng.integers(1, 17, size=2))
         t = float(rng.uniform(0.0, 10.0))
         snap = quantum_probability(s, j, t)
-        assert abs(abs(quantum_amplitude(s, j, k, t)) ** 2 - snap.value_at(k)) <= 1e-12
+        phases = np.exp(-1j * t * s.eigenvalues)
+        amplitude = np.sum(phases * s.eigenvectors[j - 1, :] * s.eigenvectors[k - 1, :])
+        assert abs(abs(amplitude) ** 2 - snap.value_at(k)) <= 1e-12
 
 
 def test_quantum_indicator_at_t0(pipe):
@@ -167,7 +172,7 @@ def test_quantum_rejects_bad_node(pipe):
     with pytest.raises(ValueError):
         quantum_probability(pipe.spectrum(1), 5, 1.0)
     with pytest.raises(ValueError):
-        quantum_amplitude(pipe.spectrum(1), 1, 0, 1.0)
+        quantum_probability(pipe.spectrum(1), 0, 1.0)
 
 
 # -- snapshots as values --------------------------------------------------------
@@ -182,6 +187,12 @@ def test_snapshot_rejects_out_of_range_entry():
     with pytest.raises(NumericError):
         TransitionSnapshot(source=1, time=0.0, kind="quantum",
                            values=np.array([1.5, -0.5]))
+
+
+def test_snapshot_rejects_nan():
+    with pytest.raises(NumericError, match="t=0.5"):
+        TransitionSnapshot(source=1, time=0.5, kind="quantum",
+                           values=np.array([1.0, np.nan]))
 
 
 def test_snapshot_values_read_only(pipe):
@@ -281,6 +292,8 @@ def test_limiting_rejects_mismatched_grouping(pipe):
 def test_limiting_matrix_type_rejects_bad_entries():
     with pytest.raises(NumericError):
         LimitingMatrix(entries=np.array([[0.5, 0.1], [0.5, 0.8]]))
+    with pytest.raises(NumericError):
+        LimitingMatrix(entries=np.array([[0.5, 0.5], [0.5, np.nan]]))
 
 
 # -- time grids and series -------------------------------------------------------
@@ -296,6 +309,10 @@ def test_time_grid_validation():
         TimeGrid(start=0.0, end=1.0, steps=10, spacing="logarithmic")
     with pytest.raises(ValueError):
         TimeGrid(start=0.0, end=1.0, steps=10, spacing="geometric")
+    with pytest.raises(ValueError):
+        TimeGrid(start=0.01, end=float("inf"), steps=5)
+    with pytest.raises(ValueError):
+        TimeGrid(start=float("nan"), end=100.0, steps=1)
 
 
 def test_time_grid_spacings():
@@ -326,6 +343,34 @@ def test_series_classical_ends_uniform_g3(pipe):
     grid = TimeGrid(start=0.01, end=100.0, steps=50, spacing="logarithmic")
     series = evolve_series(pipe.spectrum(3), 4, "classical", grid)
     assert np.abs(series[-1].values - 1.0 / 16.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_series_matches_per_time_reference_across_blocks(pipe, kind):
+    s = pipe.spectrum(4)
+    rows = dynamics._BLOCK_ENTRIES // s.order
+    grid = TimeGrid(start=0.0, end=30.0, steps=rows + rows // 2)
+    series = evolve_series(s, 7, kind, grid)
+    assert len(series) > rows
+    q, e = s.eigenvectors, s.eigenvalues
+    w = q[6, :]
+    worst = 0.0
+    # every time around the block boundary, and a stride through the rest
+    for snap in series[rows - 100 : rows + 100] + series[::250]:
+        if kind == "classical":
+            expected = q @ (np.exp(-snap.time * e) * w)
+        else:
+            expected = np.abs(q @ (np.exp(-1j * snap.time * e) * w)) ** 2
+        worst = max(worst, float(np.abs(snap.values - expected).max()))
+    assert worst <= 1e-13
+
+
+def test_series_rejects_nan_values():
+    broken = Spectrum(eigenvalues=np.array([0.0, np.nan]),
+                      eigenvectors=np.eye(2))
+    for kind in ("classical", "quantum"):
+        with pytest.raises(NumericError, match="t=0.5"):
+            evolve_series(broken, 1, kind, TimeGrid(0.5, 1.0, 3))
 
 
 def test_series_rejects_unknown_kind(pipe):

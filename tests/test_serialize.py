@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from apwalks import serialize
-from apwalks.dynamics import TimeGrid, evolve_series
+from apwalks.dynamics import LimitingMatrix, TimeGrid, TransitionSnapshot, evolve_series
 from apwalks.network import corner_group, orbits
+from apwalks.spectral import Spectrum
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
 
 
@@ -138,3 +139,98 @@ def test_writers_are_deterministic(pipe):
     assert serialize.spectrum_to_csv(s) == serialize.spectrum_to_csv(s)
     assert serialize.series_to_csv(series) == serialize.series_to_csv(series)
     assert serialize.limiting_matrix_to_csv(chi) == serialize.limiting_matrix_to_csv(chi)
+
+
+# -- row formatter against the per-value formatters -----------------------------
+
+ADVERSARIAL = [0.0, -0.0, -1e-12, -5e-13, 5e-324, 2.2250738585072014e-308,
+               1.0 - 2.0**-53, 1.0 / 3.0]
+
+
+def reference_series_csv(snapshots, wide):
+    """Per-value writer: one format_probability call per entry."""
+    n = len(snapshots[0].values)
+    lines = []
+    if wide:
+        lines.append("t," + ",".join(f"p_{k}" for k in range(1, n + 1)))
+        for snap in snapshots:
+            row = ",".join(serialize.format_probability(v) for v in snap.values)
+            lines.append(f"{serialize.format_float(snap.time)},{row}")
+    else:
+        lines.append("t,k,probability")
+        for snap in snapshots:
+            t = serialize.format_float(snap.time)
+            for k in range(1, n + 1):
+                lines.append(f"{t},{k},{serialize.format_probability(snap.values[k - 1])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_chi_csv(chi):
+    lines = ["j,k,chi"]
+    for j in range(1, chi.order + 1):
+        for k in range(1, chi.order + 1):
+            lines.append(f"{j},{k},{serialize.format_probability(chi.value(k, j))}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_eigenvectors_csv(s):
+    lines = ["node," + ",".join(f"q_{m}" for m in range(1, s.order + 1))]
+    for k in range(s.order):
+        row = ",".join(serialize.format_float(v) for v in s.eigenvectors[k, :])
+        lines.append(f"{k + 1},{row}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("probability", [False, True])
+@pytest.mark.parametrize("long", [False, True])
+def test_row_formatter_matches_per_value_formatters(long, probability):
+    rng = np.random.default_rng(11)
+    extra = [-2e-12, -1.0 / 3.0, 1e300, -1e-300, np.nan, np.inf, -np.inf]
+    values = np.concatenate([
+        ADVERSARIAL, extra, rng.uniform(-1.0, 1.0, 25),
+        rng.uniform(0.0, 1.0, 25) * 10.0 ** rng.integers(-300, 300, 25),
+    ]).reshape(5, -1)
+    labels = ["0", "1e-300", "a", "17", "0.33333333333333331"]
+    text = serialize._format_rows(labels, values, long=long, probability=probability)
+    fmt = serialize.format_probability if probability else serialize.format_float
+    if long:
+        expected = [f"{lab},{k},{fmt(v)}" for lab, row in zip(labels, values)
+                    for k, v in enumerate(row, start=1)]
+    else:
+        expected = [",".join([lab, *(fmt(v) for v in row)])
+                    for lab, row in zip(labels, values)]
+    assert text == "\n".join(expected)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_series_csv_matches_per_value_writer(wide):
+    rng = np.random.default_rng(12)
+    random_row = rng.dirichlet(np.ones(len(ADVERSARIAL)))
+    rows = [
+        np.array(ADVERSARIAL[:-1] + [0.0]),  # sums to 1 - 2**-53 - 1.5e-12
+        np.array([1.0 / 3.0] * 3 + [0.0] * (len(ADVERSARIAL) - 3)),
+        random_row,
+    ]
+    snapshots = [
+        TransitionSnapshot(source=1, time=t, kind="quantum", values=row)
+        for t, row in zip((0.0, 1.0 / 3.0, 5e-324), rows)
+    ]
+    assert serialize.series_to_csv(snapshots, wide=wide) == reference_series_csv(snapshots, wide)
+
+
+def test_chi_csv_matches_per_value_writer(pipe):
+    entries = np.zeros((6, 6))
+    entries[:3, :3] = 1.0 / 3.0
+    entries[3:5, 3:5] = [[1.0 - 2.0**-53, 2.0**-53], [2.0**-53, 1.0 - 2.0**-53]]
+    entries[5, 5] = 1.0
+    for (a, b), v in {(0, 3): -0.0, (0, 5): 5e-324, (1, 4): 2.2250738585072014e-308}.items():
+        entries[a, b] = entries[b, a] = v
+    for chi in (LimitingMatrix(entries=entries), pipe.chi(3)):
+        assert serialize.limiting_matrix_to_csv(chi) == reference_chi_csv(chi)
+
+
+def test_eigenvector_csv_matches_per_value_writer(pipe):
+    rng = np.random.default_rng(13)
+    q = np.concatenate([ADVERSARIAL, [-2e-12, -1.0], rng.normal(size=90)]).reshape(10, 10)
+    for s in (Spectrum(eigenvalues=np.arange(10.0), eigenvectors=q), pipe.spectrum(3)):
+        assert serialize.eigenvectors_to_csv(s) == reference_eigenvectors_csv(s)
