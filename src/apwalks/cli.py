@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -151,12 +152,18 @@ def _resolve_output(args) -> str | None:
     return _setting(args.output, "OUTPUT", str, None)
 
 
+def _tolerance(cli_value, env_name: str, fallback: float, flag: str) -> float:
+    """Resolve a tolerance option; it must be finite and positive."""
+    tol = _setting(cli_value, env_name, float, fallback)
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"{flag} must be finite and positive, got {tol}")
+    return tol
+
+
 def _spectrum_for(net, args):
     s = eigendecompose(laplacian(net))
-    tol = _setting(args.tol_degeneracy, "TOL_DEGENERACY", float,
-                   default_degeneracy_tolerance(s))
-    if not tol > 0:
-        raise UsageError(f"--tol-degeneracy must be positive, got {tol}")
+    tol = _tolerance(args.tol_degeneracy, "TOL_DEGENERACY",
+                     default_degeneracy_tolerance(s), "--tol-degeneracy")
     return s, group_degenerate(s, tol)
 
 
@@ -233,11 +240,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_limit(args) -> int:
     net = generate_apollonian(_resolve_generation(args))
     source = _resolve_source(args, net)
+    tol_cluster = _tolerance(args.tol_cluster, "TOL_CLUSTER", 1e-9, "--tol-cluster")
     s, grouping = _spectrum_for(net, args)
     chi = limiting_matrix(s, grouping)
-    tol_cluster = _setting(args.tol_cluster, "TOL_CLUSTER", float, 1e-9)
-    if not tol_cluster > 0:
-        raise UsageError(f"--tol-cluster must be positive, got {tol_cluster}")
     clustering = cluster_equal_limits(chi.column(source), tol_cluster, source=source)
     partition = orbits(net, corner_group(net), fixed_source=source)
     consistency = orbit_consistency(clustering, partition)

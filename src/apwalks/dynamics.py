@@ -12,6 +12,18 @@ eigenvalues and therefore depends on the degeneracy grouping:
 
     chi_kj = sum_groups ( sum_{n in group} q_n[k] q_n[j] )^2
 
+that is, chi is the sum over groups of the entrywise square of the group's
+projector B B^T, with B the group's eigenvector columns. ``limiting_matrix``
+evaluates it through the exact pair-product identity
+
+    (B B^T) o (B B^T) = sum_{a,b in group} (q_a o q_b)(q_a o q_b)^T
+
+(o the entrywise product): every eigenspace of at most ``_PAIR_MAX_DIM``
+modes contributes its m(m+1)/2 pair columns q_a o q_b, the off-diagonal ones
+scaled by sqrt(2) to count both orders, to one N x K matrix P, and
+chi = P P^T is a single matrix product. Each larger eigenspace adds its
+squared projector into chi through one reused N x N buffer.
+
 One kernel, ``_propagate``, evaluates p and pi for a whole block of times as
 phase-matrix products on the eigenvectors: with T the block's times and V
 the eigenvector matrix, the classical rows are ``(exp(-T E) * q[j]) @ V^T``
@@ -55,6 +67,15 @@ DEFAULT_REVIVAL_POINTS = 100_000
 #: G=7 it is 119 times, which multiply as fast as larger blocks. Blocks of
 #: 2**20 entries ran no faster and raised peak memory at G=3 by 30-40 MB.
 _BLOCK_ENTRIES = 2**17
+
+
+#: Eigenspaces with at most this many modes enter chi as pair columns of one
+#: batched product; larger ones are squared one at a time. At G=7 (N=1096)
+#: this takes 145 of the 160 eigenspaces (353 pair columns). Measured at G=7
+#: on one BLAS thread (best of 3): 0.33 s at a threshold of 1, 0.14 s at 2,
+#: 0.08-0.09 s at 3, 4, 8 and 16 (within run-to-run noise of each other) and
+#: 0.19 s at 40, against 0.74 s for squaring every projector separately.
+_PAIR_MAX_DIM = 4
 
 
 def _block_rows(s: Spectrum) -> int:
@@ -102,7 +123,8 @@ class LimitingMatrix:
         entries = np.asarray(self.entries, dtype=float)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        # Negated comparisons: a NaN entry fails every one of them.
+        if not np.isfinite(entries).all():
+            raise NumericError("limiting matrix has a non-finite entry")
         if not np.abs(entries - entries.T).max() <= 1e-12:
             raise NumericError("limiting matrix is not symmetric")
         if not entries.min() >= 0.0:
@@ -237,31 +259,34 @@ def _check_grouping(s: Spectrum, grouping: EigenspaceGrouping) -> None:
         )
 
 
-def limiting_probability(
-    s: Spectrum, grouping: EigenspaceGrouping, j: int
-) -> np.ndarray:
-    """Infinite-time averaged distribution from node j, as a length-N column.
+def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix:
+    """Long-time averages for every source/target pair at once.
 
-    Only eigenvalue pairs inside the same degenerate group survive the
-    average, so the result is a sum of squared per-group overlaps.
+    Small eigenspaces share one product of pair columns; each larger one is
+    squared in a reused buffer (see the module docstring).
     """
     _check_grouping(s, grouping)
-    w = _source_weights(s, j)
-    column = np.zeros(s.order)
-    for start, stop in grouping.groups:
-        block = s.eigenvectors[:, start:stop]
-        column += (block @ w[start:stop]) ** 2
-    return column
-
-
-def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix:
-    """Long-time averages for every source/target pair at once."""
-    _check_grouping(s, grouping)
-    chi = np.zeros((s.order, s.order))
-    for start, stop in grouping.groups:
-        block = s.eigenvectors[:, start:stop]
-        projector = block @ block.T
-        chi += projector * projector
+    v = s.eigenvectors
+    small = [g for g in grouping.groups if g[1] - g[0] <= _PAIR_MAX_DIM]
+    large = [g for g in grouping.groups if g[1] - g[0] > _PAIR_MAX_DIM]
+    index = [(a, b) for start, stop in small
+             for a in range(start, stop) for b in range(a, stop)]
+    a, b = np.array(index, dtype=int).reshape(-1, 2).T
+    # chi is allocated before every temporary, so that once they are freed
+    # the heap's free space lies above it in one piece. Allocated after them,
+    # it left holes that a following 37 MB chi CSV string (G=7) could not
+    # reuse, and the limit command's peak resident set rose by 35 MB.
+    chi = np.empty((s.order, s.order))
+    pairs = v[:, a]
+    pairs *= v[:, b]
+    pairs[:, a != b] *= math.sqrt(2.0)
+    np.matmul(pairs, pairs.T, out=chi)
+    buffer = np.empty_like(chi)
+    for start, stop in large:
+        block = v[:, start:stop]
+        np.matmul(block, block.T, out=buffer)
+        buffer *= buffer
+        chi += buffer
     return LimitingMatrix(entries=chi)
 
 

@@ -113,10 +113,13 @@ def orbit_consistency(
         for idx, cls in enumerate(orbit_partition.classes)
         for node in cls
     }
+    cluster_of = {
+        node: idx for idx, cluster in enumerate(clustering.clusters) for node in cluster
+    }
     split = tuple(
         cls
         for cls in orbit_partition.classes
-        if len({clustering.cluster_of(n) for n in cls}) > 1
+        if len({cluster_of[n] for n in cls}) > 1
     )
     unexplained: list[tuple[int, int]] = []
     for cluster in clustering.clusters:

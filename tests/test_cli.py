@@ -194,6 +194,20 @@ def test_limit_g3_five_clusters(capsys):
     assert doc["unexplained_pairs"] == []
 
 
+@pytest.mark.parametrize("flag", ["--tol-cluster", "--tol-degeneracy"])
+def test_limit_infinite_tolerance_is_usage_error(tmp_path, flag, capsys):
+    report = tmp_path / "report.json"
+    assert run("limit", "-g", "2", flag, "inf", "--report", str(report)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_limit_infinite_env_tolerance_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("APWALKS_TOL_CLUSTER", "inf")
+    assert run("limit", "-g", "2") == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_orbits_command(capsys):
     assert run("orbits", "-g", "3", "-s", "4") == 0
     doc = json.loads(capsys.readouterr().out)

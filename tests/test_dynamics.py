@@ -13,12 +13,12 @@ from apwalks.dynamics import (
     evolve_series,
     finite_time_average,
     limiting_matrix,
-    limiting_probability,
     max_return_probability,
     quantum_probability,
 )
 from apwalks.network import corner_group, laplacian
-from apwalks.spectral import NumericError, Spectrum, group_degenerate
+from apwalks.spectral import EigenspaceGrouping, NumericError, Spectrum, group_degenerate
+from apwalks.symmetry import cluster_equal_limits
 
 
 def taylor_heat_column(h, j, t):
@@ -44,6 +44,21 @@ def rotated_copy(s, grouping, seed):
         ortho, _ = np.linalg.qr(gaussian)
         q[:, start:stop] = q[:, start:stop] @ ortho
     return Spectrum(eigenvalues=s.eigenvalues.copy(), eigenvectors=q)
+
+
+def reference_limit_column(s, grouping, j):
+    """chi e_j as sum over groups of (B_g B_g^T e_j)^2, one group at a time."""
+    column = np.zeros(s.order)
+    for start, stop in grouping.groups:
+        block = s.eigenvectors[:, start:stop]
+        column += (block @ block[j - 1]) ** 2
+    return column
+
+
+def reference_limit_matrix(s, grouping):
+    return np.column_stack(
+        [reference_limit_column(s, grouping, j) for j in range(1, s.order + 1)]
+    )
 
 
 # -- classical walk -----------------------------------------------------------
@@ -278,22 +293,50 @@ def test_limiting_column_matches_matrix(pipe):
     grouping = pipe.grouping(3)
     chi = pipe.chi(3)
     for j in (1, 4, 9):
-        column = limiting_probability(s, grouping, j)
+        column = reference_limit_column(s, grouping, j)
         assert np.abs(column - chi.column(j)).max() <= 1e-14
+
+
+def test_limiting_matrix_matches_reference_g5(pipe):
+    s = pipe.spectrum(5)
+    # eigh returns some degenerate eigenvalues bit-equal, so no tolerance
+    # splits every group: build the one-mode grouping directly.
+    singletons = EigenspaceGrouping(
+        groups=tuple((n, n + 1) for n in range(s.order)), tolerance=0.0
+    )
+    single_group = group_degenerate(s, 2.0 * float(s.eigenvalues[-1]))
+    assert len(single_group.groups) == 1  # only the squared-projector buffer
+    for grouping in (pipe.grouping(5), singletons, single_group):
+        chi = limiting_matrix(s, grouping).entries
+        assert np.abs(chi - reference_limit_matrix(s, grouping)).max() <= 1e-14
+    chi = limiting_matrix(s, single_group).entries
+    assert np.abs(chi - np.eye(s.order)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_limiting_matrix_clusters_match_reference(pipe, g):
+    s, grouping = pipe.spectrum(g), pipe.grouping(g)
+    chi = pipe.chi(g)
+    for j in range(1, s.order + 1):
+        reference = reference_limit_column(s, grouping, j)
+        got = cluster_equal_limits(chi.column(j), 1e-9, source=j)
+        assert got.clusters == cluster_equal_limits(reference, 1e-9, source=j).clusters
 
 
 def test_limiting_rejects_mismatched_grouping(pipe):
     with pytest.raises(ValueError):
-        limiting_probability(pipe.spectrum(3), pipe.grouping(2), 1)
-    with pytest.raises(ValueError):
         limiting_matrix(pipe.spectrum(2), pipe.grouping(3))
+    with pytest.raises(ValueError):
+        limiting_matrix(pipe.spectrum(3), pipe.grouping(2))
 
 
 def test_limiting_matrix_type_rejects_bad_entries():
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="not symmetric"):
         LimitingMatrix(entries=np.array([[0.5, 0.1], [0.5, 0.8]]))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="non-finite"):
         LimitingMatrix(entries=np.array([[0.5, 0.5], [0.5, np.nan]]))
+    with pytest.raises(NumericError, match="non-finite"):
+        LimitingMatrix(entries=np.array([[np.inf, 0.5], [0.5, 0.5]]))
 
 
 # -- time grids and series -------------------------------------------------------
