@@ -28,13 +28,15 @@ One kernel, ``_propagate``, evaluates p and pi for a whole block of times as
 phase-matrix products on the eigenvectors: with T the block's times and V
 the eigenvector matrix, the classical rows are ``(exp(-T E) * q[j]) @ V^T``
 and the coherent rows are the squared norms of the cosine and sine parts of
-``(exp(-i T E) * q[j]) @ V^T``. Point probabilities, series and the
-finite-time average all call it. A block holds at most ``_BLOCK_ENTRIES``
-phase entries (times x modes), so each of the kernel's temporaries stays
-near 1 MB whatever the grid length. The sum runs over single modes, never
-over degeneracy groups, so the series depend on no degeneracy tolerance and
-carry no phase error from the spread inside a group: they are exact up to
-the rounding of the products.
+``(exp(-i T E) * q[j]) @ V^T``. Point probabilities, series, the
+finite-time average and the revival scan all call it. The revival scan asks
+for one target node: V^T shrinks to that node's eigenvector row, and each
+block yields one column, the return probability pi_jj. A block holds at
+most ``_BLOCK_ENTRIES`` phase entries (times x modes), so each of the
+kernel's temporaries stays near 1 MB whatever the grid length. The sum runs
+over single modes, never over degeneracy groups, so the series depend on no
+degeneracy tolerance and carry no phase error from the spread inside a
+group: they are exact up to the rounding of the products.
 
 Time is measured in units of the inverse hopping rate throughout.
 """
@@ -43,10 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
+from .network import check_node
 from .spectral import EigenspaceGrouping, NumericError, Spectrum
 
 TransitionKind = Literal["classical", "quantum"]
@@ -61,11 +64,11 @@ SUM_TOL = 1e-10
 #: Grid density used by the revival search when none is specified.
 DEFAULT_REVIVAL_POINTS = 100_000
 
-#: Phase entries (times x modes) per time block: bounds the kernel's and the
-#: revival scan's temporaries; the block length follows from the order N.
-#: At G=3 (N=16) a block is 8192 times, the revival scan's former chunk; at
-#: G=7 it is 119 times, which multiply as fast as larger blocks. Blocks of
-#: 2**20 entries ran no faster and raised peak memory at G=3 by 30-40 MB.
+#: Phase entries (times x modes) per time block: bounds the kernel's
+#: temporaries; the block length follows from the order N. At G=3 (N=16) a
+#: block is 8192 times; at G=7 it is 119 times, which multiply as fast as
+#: larger blocks. Blocks of 2**20 entries ran no faster and raised peak
+#: memory at G=3 by 30-40 MB.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -187,25 +190,28 @@ class TimeGrid:
         return np.linspace(self.start, self.end, self.steps)
 
 
-def _source_weights(s: Spectrum, j: int) -> np.ndarray:
-    """Per-mode overlaps q_n[j], as a length-N vector."""
-    s.check_node(j)
-    return s.eigenvectors[j - 1, :]
-
-
 def _propagate(
-    s: Spectrum, j: int, times: np.ndarray, kind: TransitionKind
+    s: Spectrum,
+    j: int,
+    times: np.ndarray,
+    kind: TransitionKind,
+    target: int | None = None,
 ) -> np.ndarray:
     """Distributions from node j, one row per time: a (len(times) x N) array.
 
-    Each block of times is two real GEMMs at most; the coherent rows are
-    |cos part|^2 + |sin part|^2 of the amplitudes.
+    With a ``target`` node, only that node's probability is formed: the
+    result is one (len(times) x 1) column. Each block of times is two real
+    GEMMs at most; the coherent rows are |cos part|^2 + |sin part|^2 of the
+    amplitudes.
     """
     if kind not in ("classical", "quantum"):
         raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    w = _source_weights(s, j)
+    check_node(j, s.order)
+    w = s.eigenvectors[j - 1, :]
     vt = s.eigenvectors.T
-    out = np.empty((len(times), s.order))
+    if target is not None:
+        vt = vt[:, target - 1 : target]
+    out = np.empty((len(times), vt.shape[1]))
     rows = _block_rows(s)
     for lo in range(0, len(times), rows):
         arg = np.outer(times[lo : lo + rows], s.eigenvalues)
@@ -302,17 +308,6 @@ def evolve_series(
     ]
 
 
-def _return_probability_chunks(
-    s: Spectrum, j: int, times: np.ndarray
-) -> Iterator[np.ndarray]:
-    w2 = _source_weights(s, j) ** 2
-    rows = _block_rows(s)
-    for lo in range(0, len(times), rows):
-        block = times[lo : lo + rows]
-        amplitudes = np.exp(-1j * np.outer(block, s.eigenvalues)) @ w2
-        yield np.abs(amplitudes) ** 2
-
-
 def max_return_probability(
     s: Spectrum, j: int, window: TimeGrid
 ) -> tuple[float, float]:
@@ -320,19 +315,14 @@ def max_return_probability(
 
     The window must start strictly after t = 0 (the trivial maximum). The
     search is a dense scan; the grid resolution is the caller's to report.
+    The earliest of equal maxima wins.
     """
     if not window.start > 0:
         raise ValueError("revival search window must exclude t = 0")
     times = window.times()
-    best_t, best_p = times[0], -1.0
-    offset = 0
-    for probs in _return_probability_chunks(s, j, times):
-        i = int(np.argmax(probs))
-        if probs[i] > best_p:
-            best_p = float(probs[i])
-            best_t = float(times[offset + i])
-        offset += len(probs)
-    return best_t, best_p
+    probs = _propagate(s, j, times, "quantum", target=j)[:, 0]
+    i = int(np.argmax(probs))
+    return float(times[i]), float(probs[i])
 
 
 def default_revival_window(
@@ -350,8 +340,8 @@ def finite_time_average(
     This is a consistency check only: the limiting probabilities are defined
     by their infinite-horizon spectral form, never by this average.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if samples is None:
         # ~25 samples per period of the fastest oscillation.
         fastest = float(s.eigenvalues[-1] - s.eigenvalues[0])

@@ -30,6 +30,14 @@ class CapacityError(ValueError):
     """Requested generation exceeds the configured cap."""
 
 
+def check_node(node: int, n: int) -> None:
+    """Raise ``ValueError`` unless ``node`` is an integer label in 1..n."""
+    if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
+        raise ValueError(f"node index must be an integer, got {node!r}")
+    if not 1 <= node <= n:
+        raise ValueError(f"node index {node} out of range 1..{n}")
+
+
 @dataclass(frozen=True)
 class NodeInfo:
     """Insertion record for one node.
@@ -79,12 +87,8 @@ class Network:
         }
 
     def degree(self, node: int) -> int:
-        self.check_node(node)
+        check_node(node, self.node_count)
         return len(self.neighbors[node - 1])
-
-    def node_generation(self, node: int) -> int:
-        self.check_node(node)
-        return self.node_meta[node - 1].gen
 
     def nodes_of_generation(self, gen: int) -> tuple[int, ...]:
         return tuple(
@@ -92,14 +96,6 @@ class Network:
             for node, info in enumerate(self.node_meta, start=1)
             if info.gen == gen
         )
-
-    def check_node(self, node: int) -> None:
-        if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
-            raise ValueError(f"node index must be an integer, got {node!r}")
-        if not 1 <= node <= self.node_count:
-            raise ValueError(
-                f"node index {node} out of range 1..{self.node_count}"
-            )
 
 
 @dataclass(frozen=True)
@@ -113,12 +109,6 @@ class NodePermutation:
 
     def __len__(self) -> int:
         return len(self.image)
-
-    def compose(self, other: NodePermutation) -> NodePermutation:
-        """Return the permutation applying ``other`` first, then ``self``."""
-        if len(other) != len(self):
-            raise ValueError("cannot compose permutations of different sizes")
-        return NodePermutation(tuple(self.image[v - 1] for v in other.image))
 
     @property
     def is_identity(self) -> bool:
@@ -146,11 +136,6 @@ class OrbitPartition:
 def node_count_for_generation(generation: int) -> int:
     """Closed-form size N = 3 + (3**G - 1) / 2."""
     return 3 + (3**generation - 1) // 2
-
-
-def edge_count_for_generation(generation: int) -> int:
-    """Closed-form edge count: 3 initial edges plus 3 per inserted node."""
-    return (3 ** (generation + 1) + 3) // 2
 
 
 def generate_apollonian(generation: int, cap: int = GENERATION_CAP) -> Network:
@@ -219,8 +204,8 @@ def laplacian(net: Network) -> np.ndarray:
 
 def shortest_path_length(net: Network, j: int, k: int) -> int:
     """Minimal number of edges between nodes j and k (breadth-first)."""
-    net.check_node(j)
-    net.check_node(k)
+    check_node(j, net.node_count)
+    check_node(k, net.node_count)
     if j == k:
         return 0
     seen = {j}
@@ -292,7 +277,7 @@ def orbits(
         if not is_automorphism(net, perm):
             raise ValueError("orbits() requires valid automorphisms")
     if fixed_source is not None:
-        net.check_node(fixed_source)
+        check_node(fixed_source, net.node_count)
         perms = [p for p in perms if p(fixed_source) == fixed_source]
 
     # Orbits of the generated subgroup are the connected components of the

@@ -7,6 +7,7 @@ the single place the matrix is diagonalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,6 @@ class Spectrum:
     @property
     def order(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def check_node(self, node: int) -> None:
-        if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
-            raise ValueError(f"node index must be an integer, got {node!r}")
-        if not 1 <= node <= self.order:
-            raise ValueError(f"node index {node} out of range 1..{self.order}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +79,10 @@ def group_degenerate(s: Spectrum, tol: float) -> EigenspaceGrouping:
     whenever the gap to the previous eigenvalue exceeds the tolerance.
 
     Raises:
-        ValueError: if ``tol`` is not positive.
+        ValueError: if ``tol`` is not finite and positive.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     values = s.eigenvalues
     if np.any(np.diff(values) < 0):
         raise ValueError("eigenvalues must be ascending")

@@ -8,6 +8,7 @@ numerically but not implied by the corner group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +67,14 @@ def cluster_equal_limits(
     """Greedily merge sorted column values whose adjacent gap is <= tol.
 
     Raises:
-        ValueError: if ``tol`` is not positive or the column is not a
-            probability distribution.
+        ValueError: if ``tol`` is not finite and positive or the column is
+            not a probability distribution.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     column = np.asarray(chi_column, dtype=float)
-    if abs(column.sum() - 1.0) > SUM_TOL:
+    # Negated: a NaN entry makes the sum NaN and fails the check.
+    if not abs(column.sum() - 1.0) <= SUM_TOL:
         raise ValueError(
             f"chi column must sum to 1 within {SUM_TOL:g}, got {column.sum()!r}"
         )

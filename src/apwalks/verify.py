@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    LimitingMatrix,
     TimeGrid,
     classical_probability,
     closed_form_g1,
@@ -28,6 +29,7 @@ from .dynamics import (
 )
 from .network import Network, corner_group, generate_apollonian, laplacian, orbits
 from .spectral import (
+    EigenspaceGrouping,
     Spectrum,
     default_degeneracy_tolerance,
     eigendecompose,
@@ -72,12 +74,14 @@ class VerificationReport:
         }
 
 
-class _Pipeline:
-    """Caches networks and spectra across checks."""
+class Pipeline:
+    """Caches networks, spectra, groupings and limiting matrices by generation."""
 
     def __init__(self) -> None:
         self._nets: dict[int, Network] = {}
         self._spectra: dict[int, Spectrum] = {}
+        self._groupings: dict[int, EigenspaceGrouping] = {}
+        self._chis: dict[int, LimitingMatrix] = {}
 
     def net(self, g: int) -> Network:
         if g not in self._nets:
@@ -89,12 +93,19 @@ class _Pipeline:
             self._spectra[g] = eigendecompose(laplacian(self.net(g)))
         return self._spectra[g]
 
-    def chi(self, g: int):
-        s = self.spectrum(g)
-        return limiting_matrix(s, group_degenerate(s, default_degeneracy_tolerance(s)))
+    def grouping(self, g: int) -> EigenspaceGrouping:
+        if g not in self._groupings:
+            s = self.spectrum(g)
+            self._groupings[g] = group_degenerate(s, default_degeneracy_tolerance(s))
+        return self._groupings[g]
+
+    def chi(self, g: int) -> LimitingMatrix:
+        if g not in self._chis:
+            self._chis[g] = limiting_matrix(self.spectrum(g), self.grouping(g))
+        return self._chis[g]
 
 
-def _closed_form_errors(pipe: _Pipeline, g: int) -> float:
+def _closed_form_errors(pipe: Pipeline, g: int) -> float:
     """Max abs deviation of the coherent numerics from the closed form."""
     s = pipe.spectrum(g)
     n = s.order
@@ -113,21 +124,21 @@ def _closed_form_errors(pipe: _Pipeline, g: int) -> float:
     return worst
 
 
-def check_eq_g1(pipe: _Pipeline) -> CheckResult:
+def check_eq_g1(pipe: Pipeline) -> CheckResult:
     err = _closed_form_errors(pipe, 1)
     return CheckResult(
         "closed_form_g1_reproduction", 1, err <= 1e-10, {"max_abs_error": err}
     )
 
 
-def check_eq_g2(pipe: _Pipeline) -> CheckResult:
+def check_eq_g2(pipe: Pipeline) -> CheckResult:
     err = _closed_form_errors(pipe, 2)
     return CheckResult(
         "closed_form_g2_reproduction", 2, err <= 1e-10, {"max_abs_error": err}
     )
 
 
-def check_perfect_revivals(pipe: _Pipeline, max_generation: int) -> CheckResult:
+def check_perfect_revivals(pipe: Pipeline, max_generation: int) -> CheckResult:
     worst = 1.0
     cases = []
     for g, sources in ((1, (1, 2, 3, 4)), (2, (4,))):
@@ -149,7 +160,7 @@ def check_perfect_revivals(pipe: _Pipeline, max_generation: int) -> CheckResult:
     )
 
 
-def check_partial_revival_g3(pipe: _Pipeline) -> CheckResult:
+def check_partial_revival_g3(pipe: Pipeline) -> CheckResult:
     window = default_revival_window()
     t_star, p_star = max_return_probability(pipe.spectrum(3), 4, window)
     return CheckResult(
@@ -165,7 +176,7 @@ def check_partial_revival_g3(pipe: _Pipeline) -> CheckResult:
     )
 
 
-def check_equipartition(pipe: _Pipeline, g: int) -> CheckResult:
+def check_equipartition(pipe: Pipeline, g: int) -> CheckResult:
     s = pipe.spectrum(g)
     n = s.order
     snap = classical_probability(s, 4, 100.0)
@@ -175,7 +186,7 @@ def check_equipartition(pipe: _Pipeline, g: int) -> CheckResult:
     )
 
 
-def check_localization(pipe: _Pipeline, g: int) -> CheckResult:
+def check_localization(pipe: Pipeline, g: int) -> CheckResult:
     chi = pipe.chi(g)
     n = chi.order
     argmax_ok = all(
@@ -190,7 +201,7 @@ def check_localization(pipe: _Pipeline, g: int) -> CheckResult:
     )
 
 
-def check_cluster_structure_g3(pipe: _Pipeline) -> CheckResult:
+def check_cluster_structure_g3(pipe: Pipeline) -> CheckResult:
     net = pipe.net(3)
     chi = pipe.chi(3)
     clustering = cluster_equal_limits(chi.column(4), 1e-9, source=4)
@@ -214,7 +225,7 @@ def _gen3_source_adjacent_to_center(net: Network) -> int:
     raise ValueError("network has no generation-3 node adjacent to the center")
 
 
-def check_unexplained_pairs(pipe: _Pipeline, g: int) -> CheckResult:
+def check_unexplained_pairs(pipe: Pipeline, g: int) -> CheckResult:
     net = pipe.net(g)
     chi = pipe.chi(g)
     source = _gen3_source_adjacent_to_center(net)
@@ -243,7 +254,7 @@ def check_unexplained_pairs(pipe: _Pipeline, g: int) -> CheckResult:
     )
 
 
-def check_return_growth(pipe: _Pipeline) -> CheckResult:
+def check_return_growth(pipe: Pipeline) -> CheckResult:
     chi3 = pipe.chi(3).value(4, 4)
     chi4 = pipe.chi(4).value(4, 4)
     return CheckResult(
@@ -254,7 +265,7 @@ def check_return_growth(pipe: _Pipeline) -> CheckResult:
     )
 
 
-def check_unitarity_stochasticity(pipe: _Pipeline, max_g: int) -> CheckResult:
+def check_unitarity_stochasticity(pipe: Pipeline, max_g: int) -> CheckResult:
     rng = np.random.default_rng(20240811)
     worst_sum = 0.0
     worst_entry = 0.0
@@ -277,7 +288,7 @@ def check_unitarity_stochasticity(pipe: _Pipeline, max_g: int) -> CheckResult:
     )
 
 
-def check_pair_symmetry(pipe: _Pipeline, max_g: int) -> CheckResult:
+def check_pair_symmetry(pipe: Pipeline, max_g: int) -> CheckResult:
     rng = np.random.default_rng(20240812)
     worst = 0.0
     top = min(max_g, 4)
@@ -297,7 +308,7 @@ def check_pair_symmetry(pipe: _Pipeline, max_g: int) -> CheckResult:
     )
 
 
-def check_equivariance(pipe: _Pipeline, max_g: int) -> CheckResult:
+def check_equivariance(pipe: Pipeline, max_g: int) -> CheckResult:
     rng = np.random.default_rng(20240813)
     worst = 0.0
     top = min(max_g, 4)
@@ -322,7 +333,7 @@ def check_equivariance(pipe: _Pipeline, max_g: int) -> CheckResult:
     )
 
 
-def check_reconstruction(pipe: _Pipeline, max_g: int) -> CheckResult:
+def check_reconstruction(pipe: Pipeline, max_g: int) -> CheckResult:
     worst_rec = 0.0
     worst_orth = 0.0
     for g in range(0, max_g + 1):
@@ -343,7 +354,7 @@ def check_reconstruction(pipe: _Pipeline, max_g: int) -> CheckResult:
     )
 
 
-def check_time_average(pipe: _Pipeline, max_g: int) -> CheckResult:
+def check_time_average(pipe: Pipeline, max_g: int) -> CheckResult:
     worst = 0.0
     top = min(max_g, 3)
     for g in range(0, top + 1):
@@ -374,7 +385,7 @@ def _taylor_heat_column(h: np.ndarray, j: int, t: float) -> np.ndarray:
     return total
 
 
-def check_taylor_oracle(pipe: _Pipeline, max_g: int) -> CheckResult:
+def check_taylor_oracle(pipe: Pipeline, max_g: int) -> CheckResult:
     worst = 0.0
     top = min(max_g, 2)
     for g in range(0, top + 1):
@@ -398,7 +409,7 @@ def run_verification(max_generation: int) -> VerificationReport:
     """Run every check whose required generation is available."""
     if max_generation < 0:
         raise ValueError("max generation must be non-negative")
-    pipe = _Pipeline()
+    pipe = Pipeline()
     checks: list[CheckResult] = []
     if max_generation >= 1:
         checks.append(check_eq_g1(pipe))

@@ -1,45 +1,7 @@
 import numpy as np
 import pytest
 
-from apwalks import (
-    default_degeneracy_tolerance,
-    eigendecompose,
-    generate_apollonian,
-    group_degenerate,
-    laplacian,
-    limiting_matrix,
-)
-
-
-class Pipeline:
-    """Session-wide cache of networks, spectra, and limiting matrices."""
-
-    def __init__(self):
-        self._nets = {}
-        self._spectra = {}
-        self._groupings = {}
-        self._chis = {}
-
-    def net(self, g):
-        if g not in self._nets:
-            self._nets[g] = generate_apollonian(g)
-        return self._nets[g]
-
-    def spectrum(self, g):
-        if g not in self._spectra:
-            self._spectra[g] = eigendecompose(laplacian(self.net(g)))
-        return self._spectra[g]
-
-    def grouping(self, g):
-        if g not in self._groupings:
-            s = self.spectrum(g)
-            self._groupings[g] = group_degenerate(s, default_degeneracy_tolerance(s))
-        return self._groupings[g]
-
-    def chi(self, g):
-        if g not in self._chis:
-            self._chis[g] = limiting_matrix(self.spectrum(g), self.grouping(g))
-        return self._chis[g]
+from apwalks.verify import Pipeline
 
 
 @pytest.fixture(scope="session")

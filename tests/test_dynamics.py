@@ -460,6 +460,25 @@ def test_revival_window_must_exclude_zero(pipe):
         max_return_probability(pipe.spectrum(1), 1, TimeGrid(0.0, 10.0, 100))
 
 
+def test_revival_rejects_bad_source(pipe):
+    with pytest.raises(ValueError, match="node index"):
+        max_return_probability(pipe.spectrum(1), 0, TimeGrid(0.5, 3.0, 100))
+
+
+@pytest.mark.parametrize("j", [4, 17, 43])
+def test_max_return_probability_matches_reference_across_blocks(pipe, j):
+    s = pipe.spectrum(4)
+    rows = dynamics._BLOCK_ENTRIES // s.order
+    window = TimeGrid(0.05, 60.0, rows + rows // 2)
+    times = window.times()
+    w2 = s.eigenvectors[j - 1, :] ** 2
+    reference = np.abs(np.exp(-1j * np.outer(times, s.eigenvalues)) @ w2) ** 2
+    i = int(np.argmax(reference))
+    t_star, p_star = max_return_probability(s, j, window)
+    assert t_star == times[i]
+    assert abs(p_star - reference[i]) <= 1e-13
+
+
 # -- long-time consistency ---------------------------------------------------------
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
@@ -476,6 +495,12 @@ def test_finite_time_average_validation(pipe):
         finite_time_average(pipe.spectrum(1), 1, 0.0)
     with pytest.raises(ValueError):
         finite_time_average(pipe.spectrum(1), 1, 10.0, samples=1)
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_finite_time_average_rejects_non_finite_horizon(pipe, horizon):
+    with pytest.raises(ValueError, match="finite"):
+        finite_time_average(pipe.spectrum(1), 1, horizon)
 
 
 def test_eigenbasis_rotation_invariance(pipe):

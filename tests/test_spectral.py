@@ -111,6 +111,12 @@ def test_group_degenerate_rejects_bad_tolerance(pipe):
         group_degenerate(pipe.spectrum(1), -1e-9)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_group_degenerate_rejects_non_finite_tolerance(pipe, tol):
+    with pytest.raises(ValueError, match="finite"):
+        group_degenerate(pipe.spectrum(1), tol)
+
+
 def test_group_degenerate_idempotent_on_representatives(pipe):
     for g in range(0, 5):
         s = pipe.spectrum(g)

@@ -27,6 +27,17 @@ def test_cluster_rejects_non_distribution():
         cluster_equal_limits(np.array([0.5, 0.4]), 1e-9)
 
 
+@pytest.mark.parametrize("column, tol", [
+    (np.full(16, 1.0 / 16.0), np.inf),
+    (np.full(16, 1.0 / 16.0), np.nan),
+    (np.array([0.5, np.nan, 0.5]), 1e-9),
+    (np.array([0.5, np.inf, 0.5]), 1e-9),
+])
+def test_cluster_rejects_non_finite_input(column, tol):
+    with pytest.raises(ValueError):
+        cluster_equal_limits(column, tol)
+
+
 def test_g3_central_source_clusters(pipe):
     clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
     assert sorted(clustering.sizes) == [1, 3, 3, 3, 6]
