@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import serialize
@@ -63,11 +64,15 @@ def _setting(cli_value, env_name: str, cast, fallback):
         raise UsageError(f"invalid {ENV_PREFIX}{env_name}={raw!r}") from exc
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(chunks: str | Iterable[str], output: str | None) -> None:
+    """Write text, or each chunk as it is produced, to ``output`` or stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.writelines(chunks)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, source: bool = True) -> None:
@@ -194,7 +199,7 @@ def _cmd_spectrum(args) -> int:
         raise UsageError(f"unsupported format {fmt!r} for spectrum")
     _write(text, _resolve_output(args))
     if args.eigenvectors is not None:
-        Path(args.eigenvectors).write_text(serialize.eigenvectors_to_csv(s))
+        _write(serialize.eigenvectors_to_csv(s), args.eigenvectors)
     return EXIT_OK
 
 
@@ -227,13 +232,13 @@ def _cmd_evolve(args) -> int:
     s = eigendecompose(laplacian(net))
     for one_kind in kinds:
         series = evolve_series(s, source, one_kind, grid)
-        text = (serialize.series_to_json(series) if fmt == "json"
-                else serialize.series_to_csv(series, wide=args.wide))
+        chunks = (serialize.series_to_json(series) if fmt == "json"
+                  else serialize.series_to_csv(series, wide=args.wide))
         if kind == "both":
             path = Path(output)
-            _write(text, str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
+            _write(chunks, str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
         else:
-            _write(text, output)
+            _write(chunks, output)
     return EXIT_OK
 
 
@@ -285,10 +290,10 @@ def _cmd_verify(args) -> int:
         )
     report = run_verification(max_generation)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
-    sys.stdout.write(text)
+    _write(text, None)
     output = _resolve_output(args)
     if output is not None:
-        Path(output).write_text(text)
+        _write(text, output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -278,15 +278,10 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     index = [(a, b) for start, stop in small
              for a in range(start, stop) for b in range(a, stop)]
     a, b = np.array(index, dtype=int).reshape(-1, 2).T
-    # chi is allocated before every temporary, so that once they are freed
-    # the heap's free space lies above it in one piece. Allocated after them,
-    # it left holes that a following 37 MB chi CSV string (G=7) could not
-    # reuse, and the limit command's peak resident set rose by 35 MB.
-    chi = np.empty((s.order, s.order))
     pairs = v[:, a]
     pairs *= v[:, b]
     pairs[:, a != b] *= math.sqrt(2.0)
-    np.matmul(pairs, pairs.T, out=chi)
+    chi = pairs @ pairs.T
     buffer = np.empty_like(chi)
     for start, stop in large:
         block = v[:, start:stop]

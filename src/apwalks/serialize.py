@@ -3,11 +3,18 @@
 Every writer has a matching parser, and identical inputs produce
 byte-identical text: floats are rendered with 17 significant digits and
 probability entries in [-1e-12, 0) are clamped to 0 on output only.
+
+The CSV writers for eigenvectors, series and the limiting matrix return an
+iterator of str chunks, the header and then one chunk per row, so a caller
+can write each row as soon as it is formatted; their text is ``"".join`` of
+the chunks. The other writers return the whole text.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -32,33 +39,31 @@ def format_probability(x: float) -> str:
 
 def _format_rows(
     labels: list[str], values: np.ndarray, *, long: bool, probability: bool
-) -> str:
-    """CSV body for a 2-D array, one ``"%"`` operation per row.
+) -> Iterator[str]:
+    """CSV lines for a 2-D array, one ``"%"`` operation and one chunk per row.
 
     Wide layout: one line ``label,v_1,...,v_n`` per row. Long layout: one line
-    ``label,k,v_k`` per entry, row-major. Every value prints exactly as
-    ``format_probability`` (``probability=True``) or ``format_float`` would
-    print it: ``"%.17g"`` matches them except that it keeps the sign of
-    ``-0.0``, so zero and, for probabilities, the clamp band become ``0.0``
-    before formatting.
+    ``label,k,v_k`` per entry, row-major. Every line ends in ``"\\n"``. Every
+    value prints exactly as ``format_probability`` (``probability=True``) or
+    ``format_float`` would print it: ``"%.17g"`` matches them except that it
+    keeps the sign of ``-0.0``, so zero and, for probabilities, the clamp band
+    become ``0.0`` before formatting.
     """
     values = np.asarray(values, dtype=float)
     zero = (values >= -1e-12) & (values <= 0.0) if probability else values == 0.0
     values = np.where(zero, 0.0, values)
     n = values.shape[1]
-    lines = []
     if long:
-        template = "\n".join(f"%s,{k},%.17g" for k in range(1, n + 1))
+        template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
         args: list = [None] * (2 * n)
         for label, row in zip(labels, values):
             args[0::2] = [label] * n
             args[1::2] = row.tolist()
-            lines.append(template % tuple(args))
+            yield template % tuple(args)
     else:
-        template = "%s" + ",%.17g" * n
+        template = "%s" + ",%.17g" * n + "\n"
         for label, row in zip(labels, values):
-            lines.append(template % (label, *row.tolist()))
-    return "\n".join(lines)
+            yield template % (label, *row.tolist())
 
 
 def _node_labels(n: int) -> list[str]:
@@ -148,11 +153,12 @@ def eigenvalues_from_csv(text: str) -> np.ndarray:
     return np.array([float(ln.split(",")[1]) for ln in lines[1:] if ln])
 
 
-def eigenvectors_to_csv(s: Spectrum) -> str:
+def eigenvectors_to_csv(s: Spectrum) -> Iterator[str]:
+    """Chunks of the ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
     n = s.order
-    header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1))
-    body = _format_rows(_node_labels(n), s.eigenvectors, long=False, probability=False)
-    return f"{header}\n{body}\n"
+    header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1)) + "\n"
+    rows = _format_rows(_node_labels(n), s.eigenvectors, long=False, probability=False)
+    return chain((header,), rows)
 
 
 def eigenvectors_from_csv(text: str) -> np.ndarray:
@@ -166,18 +172,24 @@ def eigenvectors_from_csv(text: str) -> np.ndarray:
 
 # -- probability series ------------------------------------------------------
 
-def series_to_csv(snapshots: list[TransitionSnapshot], wide: bool = False) -> str:
+def series_to_csv(
+    snapshots: list[TransitionSnapshot], wide: bool = False
+) -> Iterator[str]:
+    """Chunks of the series CSV: the header, then one row per snapshot.
+
+    The input is checked here, when the function is called, and not when the
+    chunks are first read, so a bad call raises before any output is opened.
+    """
     if not snapshots:
         raise ValueError("cannot serialize an empty series")
     n = len(snapshots[0].values)
     if wide:
-        header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1))
+        header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1)) + "\n"
     else:
-        header = "t,k,probability"
+        header = "t,k,probability\n"
     labels = [format_float(snap.time) for snap in snapshots]
     values = np.array([snap.values for snap in snapshots])
-    body = _format_rows(labels, values, long=not wide, probability=True)
-    return f"{header}\n{body}\n"
+    return chain((header,), _format_rows(labels, values, long=not wide, probability=True))
 
 
 def series_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +242,13 @@ def series_from_json(text: str) -> tuple[int, str, np.ndarray, np.ndarray]:
 
 # -- limiting matrix ---------------------------------------------------------
 
-def limiting_matrix_to_csv(chi: LimitingMatrix) -> str:
+def limiting_matrix_to_csv(chi: LimitingMatrix) -> Iterator[str]:
+    """Chunks of the ``j,k,chi`` CSV: the header, then the N lines of each source j."""
     # Source-major: the row for source j is column j of the matrix.
-    body = _format_rows(
+    rows = _format_rows(
         _node_labels(chi.order), chi.entries.T, long=True, probability=True
     )
-    return f"j,k,chi\n{body}\n"
+    return chain(("j,k,chi\n",), rows)
 
 
 def limiting_matrix_from_csv(text: str) -> np.ndarray:

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from apwalks import serialize
+from apwalks import cli, serialize
 from apwalks.cli import main
-from apwalks.dynamics import closed_form_g2
+from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
 
 
 def run(*argv):
@@ -263,3 +264,45 @@ def test_every_output_round_trips(tmp_path, pipe):
 
     report = serialize.cluster_report_from_json((tmp_path / "r.json").read_text())
     assert report["source"] == 4
+
+
+def test_chi_csv_is_written_row_by_row(tmp_path, pipe):
+    chi = pipe.chi(6)
+    out = tmp_path / "chi.csv"
+    tracemalloc.start()
+    try:
+        cli._write(serialize.limiting_matrix_to_csv(chi), str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The whole text held at once would be one file size or more.
+    assert peak < out.stat().st_size / 2
+
+
+@pytest.mark.parametrize("layout", [(), ("--wide",)])
+def test_evolve_file_stdout_and_writer_agree(tmp_path, capsys, pipe, layout):
+    argv = ("evolve", "-g", "3", "-s", "2", "--t-steps", "9", *layout)
+    grid = TimeGrid(0.01, 100.0, 9, "logarithmic")
+    assert run(*argv, "--kind", "both", "-o", str(tmp_path / "both.csv")) == 0
+    for kind in ("classical", "quantum"):
+        series = evolve_series(pipe.spectrum(3), 2, kind, grid)
+        expected = "".join(serialize.series_to_csv(series, wide=bool(layout)))
+        out = tmp_path / f"{kind}.csv"
+        assert run(*argv, "--kind", kind, "-o", str(out)) == 0
+        capsys.readouterr()
+        assert run(*argv, "--kind", kind) == 0
+        assert capsys.readouterr().out == expected
+        assert out.read_bytes() == expected.encode()
+        assert (tmp_path / f"both.{kind}.csv").read_bytes() == expected.encode()
+
+
+def test_limit_file_stdout_and_writer_agree(tmp_path, capsys, pipe):
+    chi_path = tmp_path / "chi.csv"
+    report_path = tmp_path / "report.json"
+    assert run("limit", "-g", "3", "-s", "2", "-o", str(chi_path),
+               "--report", str(report_path)) == 0
+    expected = "".join(serialize.limiting_matrix_to_csv(pipe.chi(3)))
+    assert chi_path.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert run("limit", "-g", "3", "-s", "2") == 0
+    assert capsys.readouterr().out.encode() == report_path.read_bytes()

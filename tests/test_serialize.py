@@ -63,15 +63,15 @@ def test_spectrum_csv_round_trip(pipe):
 
 def test_eigenvector_csv_round_trip(pipe):
     s = pipe.spectrum(2)
-    text = serialize.eigenvectors_to_csv(s)
+    text = "".join(serialize.eigenvectors_to_csv(s))
     parsed = serialize.eigenvectors_from_csv(text)
     assert np.array_equal(parsed, s.eigenvectors)
 
 
 def test_series_csv_round_trip_long_and_wide(pipe):
     series = evolve_series(pipe.spectrum(2), 4, "quantum", TimeGrid(0.0, 5.0, 7))
-    long_text = serialize.series_to_csv(series, wide=False)
-    wide_text = serialize.series_to_csv(series, wide=True)
+    long_text = "".join(serialize.series_to_csv(series, wide=False))
+    wide_text = "".join(serialize.series_to_csv(series, wide=True))
     t_long, p_long = serialize.series_from_csv(long_text)
     t_wide, p_wide = serialize.series_from_csv(wide_text)
     assert np.array_equal(t_long, t_wide)
@@ -90,6 +90,12 @@ def test_series_json_round_trip(pipe):
     assert np.array_equal(times, np.array([s.time for s in series]))
 
 
+def test_series_csv_rejects_empty_series_when_called():
+    # Before any chunk is read, so a bad call never opens an output file.
+    with pytest.raises(ValueError):
+        serialize.series_to_csv([])
+
+
 def test_series_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         serialize.series_from_csv("time,node,p\n0,1,1\n")
@@ -97,7 +103,7 @@ def test_series_csv_rejects_bad_header():
 
 def test_limiting_matrix_csv_round_trip(pipe):
     chi = pipe.chi(2)
-    text = serialize.limiting_matrix_to_csv(chi)
+    text = "".join(serialize.limiting_matrix_to_csv(chi))
     assert text.splitlines()[0] == "j,k,chi"
     parsed = serialize.limiting_matrix_from_csv(text)
     assert np.array_equal(parsed, chi.entries)
@@ -137,8 +143,8 @@ def test_writers_are_deterministic(pipe):
     series = evolve_series(s, 4, "quantum", TimeGrid(0.01, 10.0, 20, "logarithmic"))
     assert serialize.network_to_edge_list(net) == serialize.network_to_edge_list(net)
     assert serialize.spectrum_to_csv(s) == serialize.spectrum_to_csv(s)
-    assert serialize.series_to_csv(series) == serialize.series_to_csv(series)
-    assert serialize.limiting_matrix_to_csv(chi) == serialize.limiting_matrix_to_csv(chi)
+    assert "".join(serialize.series_to_csv(series)) == "".join(serialize.series_to_csv(series))
+    assert "".join(serialize.limiting_matrix_to_csv(chi)) == "".join(serialize.limiting_matrix_to_csv(chi))
 
 
 # -- row formatter against the per-value formatters -----------------------------
@@ -191,7 +197,7 @@ def test_row_formatter_matches_per_value_formatters(long, probability):
         rng.uniform(0.0, 1.0, 25) * 10.0 ** rng.integers(-300, 300, 25),
     ]).reshape(5, -1)
     labels = ["0", "1e-300", "a", "17", "0.33333333333333331"]
-    text = serialize._format_rows(labels, values, long=long, probability=probability)
+    text = "".join(serialize._format_rows(labels, values, long=long, probability=probability))
     fmt = serialize.format_probability if probability else serialize.format_float
     if long:
         expected = [f"{lab},{k},{fmt(v)}" for lab, row in zip(labels, values)
@@ -199,7 +205,7 @@ def test_row_formatter_matches_per_value_formatters(long, probability):
     else:
         expected = [",".join([lab, *(fmt(v) for v in row)])
                     for lab, row in zip(labels, values)]
-    assert text == "\n".join(expected)
+    assert text == "".join(f"{line}\n" for line in expected)
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -215,7 +221,7 @@ def test_series_csv_matches_per_value_writer(wide):
         TransitionSnapshot(source=1, time=t, kind="quantum", values=row)
         for t, row in zip((0.0, 1.0 / 3.0, 5e-324), rows)
     ]
-    assert serialize.series_to_csv(snapshots, wide=wide) == reference_series_csv(snapshots, wide)
+    assert "".join(serialize.series_to_csv(snapshots, wide=wide)) == reference_series_csv(snapshots, wide)
 
 
 def test_chi_csv_matches_per_value_writer(pipe):
@@ -226,11 +232,11 @@ def test_chi_csv_matches_per_value_writer(pipe):
     for (a, b), v in {(0, 3): -0.0, (0, 5): 5e-324, (1, 4): 2.2250738585072014e-308}.items():
         entries[a, b] = entries[b, a] = v
     for chi in (LimitingMatrix(entries=entries), pipe.chi(3)):
-        assert serialize.limiting_matrix_to_csv(chi) == reference_chi_csv(chi)
+        assert "".join(serialize.limiting_matrix_to_csv(chi)) == reference_chi_csv(chi)
 
 
 def test_eigenvector_csv_matches_per_value_writer(pipe):
     rng = np.random.default_rng(13)
     q = np.concatenate([ADVERSARIAL, [-2e-12, -1.0], rng.normal(size=90)]).reshape(10, 10)
     for s in (Spectrum(eigenvalues=np.arange(10.0), eigenvectors=q), pipe.spectrum(3)):
-        assert serialize.eigenvectors_to_csv(s) == reference_eigenvectors_csv(s)
+        assert "".join(serialize.eigenvectors_to_csv(s)) == reference_eigenvectors_csv(s)
