@@ -4,17 +4,22 @@ Every writer has a matching parser, and identical inputs produce
 byte-identical text: floats are rendered with 17 significant digits and
 probability entries in [-1e-12, 0) are clamped to 0 on output only.
 
-The CSV writers for eigenvectors, series and the limiting matrix return an
-iterator of str chunks, the header and then one chunk per row, so a caller
-can write each row as soon as it is formatted; their text is ``"".join`` of
-the chunks. The other writers return the whole text.
+The CSV writers for eigenvectors, series and the limiting matrix return a
+``CsvRows`` row source. Iterating it yields str chunks, the header and then
+one chunk per row, formatted only as they are read, so a caller can write
+each row as soon as it is formatted; the text is ``"".join`` of the chunks.
+``CsvRows.rows(start, stop)`` yields the chunks of one row range alone, so
+two processes can format disjoint ranges of one text; ``len`` is the number
+of rows and ``values.size`` the number of values in the body. The JSON
+writers for series and the limiting matrix also yield one chunk per row; the
+other writers return the whole text.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
-from itertools import chain
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +42,13 @@ def format_probability(x: float) -> str:
     return format_float(x)
 
 
+def _zeroed(values, probability: bool) -> np.ndarray:
+    """``values`` as floats with ``-0.0`` and, for probabilities, the clamp band set to ``0.0``."""
+    values = np.asarray(values, dtype=float)
+    zero = (values >= -1e-12) & (values <= 0.0) if probability else values == 0.0
+    return np.where(zero, 0.0, values)
+
+
 def _format_rows(
     labels: list[str], values: np.ndarray, *, long: bool, probability: bool
 ) -> Iterator[str]:
@@ -49,9 +61,7 @@ def _format_rows(
     keeps the sign of ``-0.0``, so zero and, for probabilities, the clamp band
     become ``0.0`` before formatting.
     """
-    values = np.asarray(values, dtype=float)
-    zero = (values >= -1e-12) & (values <= 0.0) if probability else values == 0.0
-    values = np.where(zero, 0.0, values)
+    values = _zeroed(values, probability)
     n = values.shape[1]
     if long:
         template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
@@ -68,6 +78,52 @@ def _format_rows(
 
 def _node_labels(n: int) -> list[str]:
     return [str(k) for k in range(1, n + 1)]
+
+
+@dataclass(frozen=True)
+class CsvRows:
+    """A CSV text as its header and the rows of ``values``, formatted on demand.
+
+    Iterating yields the header and then one chunk per row, in order. Row i
+    is ``labels[i]`` and ``values[i]`` in the ``_format_rows`` layout.
+    """
+
+    header: str
+    labels: list[str]
+    values: np.ndarray
+    long: bool
+    probability: bool
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[str]:
+        yield self.header
+        yield from self.rows(0, len(self))
+
+    def rows(self, start: int, stop: int) -> Iterator[str]:
+        """The chunks of rows ``start`` to ``stop - 1``, without the header."""
+        return _format_rows(self.labels[start:stop], self.values[start:stop],
+                            long=self.long, probability=self.probability)
+
+
+def _json_chunks(head: str, items: Iterable[str], tail: str) -> Iterator[str]:
+    """``head``, then each item with a ``",\\n"`` before all but the first, then ``tail``."""
+    yield head
+    separator = ""
+    for item in items:
+        yield separator + item
+        separator = ",\n"
+    yield tail
+
+
+def _json_list_template(n: int, indent: int) -> str:
+    """``json.dumps(indent=2)`` layout of an n-float list at ``indent`` spaces, as ``%r`` slots.
+
+    ``%r`` prints a float exactly as ``json`` does when it is finite.
+    """
+    inner = " " * (indent + 2)
+    return "[\n" + ",\n".join([inner + "%r"] * n) + "\n" + " " * indent + "]"
 
 
 # -- network ---------------------------------------------------------------
@@ -153,12 +209,11 @@ def eigenvalues_from_csv(text: str) -> np.ndarray:
     return np.array([float(ln.split(",")[1]) for ln in lines[1:] if ln])
 
 
-def eigenvectors_to_csv(s: Spectrum) -> Iterator[str]:
-    """Chunks of the ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
+def eigenvectors_to_csv(s: Spectrum) -> CsvRows:
+    """The ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
     n = s.order
     header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1)) + "\n"
-    rows = _format_rows(_node_labels(n), s.eigenvectors, long=False, probability=False)
-    return chain((header,), rows)
+    return CsvRows(header, _node_labels(n), s.eigenvectors, long=False, probability=False)
 
 
 def eigenvectors_from_csv(text: str) -> np.ndarray:
@@ -174,8 +229,8 @@ def eigenvectors_from_csv(text: str) -> np.ndarray:
 
 def series_to_csv(
     snapshots: list[TransitionSnapshot], wide: bool = False
-) -> Iterator[str]:
-    """Chunks of the series CSV: the header, then one row per snapshot.
+) -> CsvRows:
+    """The series CSV: the header, then one row per snapshot.
 
     The input is checked here, when the function is called, and not when the
     chunks are first read, so a bad call raises before any output is opened.
@@ -189,7 +244,7 @@ def series_to_csv(
         header = "t,k,probability\n"
     labels = [format_float(snap.time) for snap in snapshots]
     values = np.array([snap.values for snap in snapshots])
-    return chain((header,), _format_rows(labels, values, long=not wide, probability=True))
+    return CsvRows(header, labels, values, long=not wide, probability=True)
 
 
 def series_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -216,21 +271,25 @@ def series_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unrecognized series header: {header!r}")
 
 
-def series_to_json(snapshots: list[TransitionSnapshot]) -> str:
+def series_to_json(snapshots: list[TransitionSnapshot]) -> Iterator[str]:
+    """Chunks of ``{"source", "kind", "snapshots": [{"t", "p"}, ...]}``, one per snapshot.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"`` with
+    every value printed as it reads back from ``format_float`` (times) or
+    ``format_probability`` (probabilities). The input is checked when the
+    function is called, as in ``series_to_csv``.
+    """
     if not snapshots:
         raise ValueError("cannot serialize an empty series")
-    doc = {
-        "source": snapshots[0].source,
-        "kind": snapshots[0].kind,
-        "snapshots": [
-            {
-                "t": float(format_float(s.time)),
-                "p": [float(format_probability(v)) for v in s.values],
-            }
-            for s in snapshots
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    first = snapshots[0]
+    head = (f'{{\n  "source": {first.source},\n  "kind": {json.dumps(first.kind)},\n'
+            '  "snapshots": [\n')
+    item = ('    {\n      "t": %r,\n      "p": '
+            + _json_list_template(len(first.values), 6) + "\n    }")
+    times = _zeroed([snap.time for snap in snapshots], probability=False).tolist()
+    items = (item % (t, *_zeroed(snap.values, probability=True).tolist())
+             for t, snap in zip(times, snapshots))
+    return _json_chunks(head, items, "\n  ]\n}\n")
 
 
 def series_from_json(text: str) -> tuple[int, str, np.ndarray, np.ndarray]:
@@ -242,13 +301,11 @@ def series_from_json(text: str) -> tuple[int, str, np.ndarray, np.ndarray]:
 
 # -- limiting matrix ---------------------------------------------------------
 
-def limiting_matrix_to_csv(chi: LimitingMatrix) -> Iterator[str]:
-    """Chunks of the ``j,k,chi`` CSV: the header, then the N lines of each source j."""
+def limiting_matrix_to_csv(chi: LimitingMatrix) -> CsvRows:
+    """The ``j,k,chi`` CSV: the header, then one row of N lines per source j."""
     # Source-major: the row for source j is column j of the matrix.
-    rows = _format_rows(
-        _node_labels(chi.order), chi.entries.T, long=True, probability=True
-    )
-    return chain(("j,k,chi\n",), rows)
+    return CsvRows("j,k,chi\n", _node_labels(chi.order), chi.entries.T,
+                   long=True, probability=True)
 
 
 def limiting_matrix_from_csv(text: str) -> np.ndarray:
@@ -263,14 +320,17 @@ def limiting_matrix_from_csv(text: str) -> np.ndarray:
     return chi
 
 
-def limiting_matrix_to_json(chi: LimitingMatrix) -> str:
-    doc = {
-        "order": chi.order,
-        "entries": [
-            [float(format_probability(v)) for v in row] for row in chi.entries
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def limiting_matrix_to_json(chi: LimitingMatrix) -> Iterator[str]:
+    """Chunks of ``{"order", "entries": [[...], ...]}``, one per matrix row.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"`` with
+    every entry printed as it reads back from ``format_probability``.
+    """
+    row = "    " + _json_list_template(chi.order, 4)
+    items = (row % tuple(_zeroed(values, probability=True).tolist())
+             for values in chi.entries)
+    return _json_chunks(f'{{\n  "order": {chi.order},\n  "entries": [\n', items,
+                        "\n  ]\n}\n")
 
 
 def limiting_matrix_from_json(text: str) -> np.ndarray:

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +215,17 @@ def test_limit_infinite_env_tolerance_is_usage_error(monkeypatch, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output", [False, True])
+def test_limit_bad_format_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, output):
+    chi_path = tmp_path / "chi.xml"
+    monkeypatch.setenv("APWALKS_FORMAT", "xml")
+    monkeypatch.setattr(cli, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
+    argv = ("limit", "-g", "2", *(("-o", str(chi_path)) if output else ()))
+    assert run(*argv) == 2
+    assert "xml" in capsys.readouterr().err
+    assert not chi_path.exists()
+
+
 def test_orbits_command(capsys):
     assert run("orbits", "-g", "3", "-s", "4") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -306,3 +323,128 @@ def test_limit_file_stdout_and_writer_agree(tmp_path, capsys, pipe):
     capsys.readouterr()
     assert run("limit", "-g", "3", "-s", "2") == 0
     assert capsys.readouterr().out.encode() == report_path.read_bytes()
+
+
+def test_chi_json_is_written_row_by_row(tmp_path, pipe):
+    chi = pipe.chi(5)
+    out = tmp_path / "chi.json"
+    tracemalloc.start()
+    try:
+        cli._write(serialize.limiting_matrix_to_json(chi), str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
+
+
+# -- CSV bodies formatted by two processes ---------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every CSV body, as on two CPUs, and count the forks."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def split_writers(pipe):
+    s = pipe.spectrum(4)
+    series = evolve_series(s, 5, "quantum", TimeGrid(0.01, 100.0, 9, "logarithmic"))
+    return {
+        "chi": serialize.limiting_matrix_to_csv(pipe.chi(4)),
+        "long": serialize.series_to_csv(series),
+        "wide": serialize.series_to_csv(series, wide=True),
+        "eigenvectors": serialize.eigenvectors_to_csv(s),
+    }
+
+
+@pytest.mark.parametrize("name", ["chi", "long", "wide", "eigenvectors"])
+def test_split_file_bytes_match_one_process(tmp_path, pipe, forks, name):
+    rows = split_writers(pipe)[name]
+    out = tmp_path / f"{name}.csv"
+    cli._write(rows, str(out))
+    assert len(forks) == 1
+    assert out.read_bytes() == "".join(rows).encode()
+
+
+@pytest.mark.parametrize("capture", ["capsys", "capfd"])
+@pytest.mark.parametrize("name", ["chi", "long", "wide", "eigenvectors"])
+def test_split_stdout_bytes_match_one_process(request, pipe, forks, name, capture):
+    # capsys's stdout has no file descriptor, capfd's is a real file; both
+    # take the child's bytes through their buffer.
+    cap = request.getfixturevalue(capture)
+    rows = split_writers(pipe)[name]
+    print("before", end="")
+    cli._write(rows, None)
+    print("after", end="")
+    assert len(forks) == 1
+    assert cap.readouterr().out == "before" + "".join(rows) + "after"
+
+
+@pytest.mark.parametrize("name", ["chi", "long", "wide", "eigenvectors"])
+def test_no_split_to_a_text_only_stdout(pipe, forks, name):
+    # io.StringIO has no byte buffer for the child's rows: format them here.
+    rows = split_writers(pipe)[name]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._write(rows, None)
+    assert forks == []
+    assert out.getvalue() == "".join(rows)
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing):
+    class FailingRows(serialize.CsvRows):
+        def rows(self, start, stop):
+            if (start > 0) == (failing == "child"):
+                raise OSError(f"{failing} failed")
+            return super().rows(start, stop)
+
+    good = serialize.limiting_matrix_to_csv(pipe.chi(4))
+    rows = FailingRows(good.header, good.labels, good.values, good.long, good.probability)
+    expected = "exited with 1" if failing == "child" else "parent failed"
+    with pytest.raises((RuntimeError, OSError), match=expected):
+        cli._write(rows, str(tmp_path / "chi.csv"))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, threshold", [({0}, 0), ({0, 1}, 1850)])
+def test_no_split_on_one_cpu_or_small_body(tmp_path, pipe, forks, monkeypatch, cpus, threshold):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", threshold)
+    rows = serialize.limiting_matrix_to_csv(pipe.chi(4))  # 1849 values
+    out = tmp_path / "chi.csv"
+    cli._write(rows, str(out))
+    assert forks == []
+    assert out.read_bytes() == "".join(rows).encode()
+
+
+def test_split_child_runs_no_atexit_handler(tmp_path, pipe):
+    out = tmp_path / "chi.csv"
+    script = """
+import atexit, os, sys
+from apwalks import cli, serialize
+from apwalks.verify import Pipeline
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._SPLIT_MIN_VALUES = 0
+atexit.register(lambda: print("atexit", len(forks)))
+cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(3)), sys.argv[1])
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "atexit 1\n"
+    assert out.read_bytes() == "".join(serialize.limiting_matrix_to_csv(pipe.chi(3))).encode()

@@ -1,3 +1,6 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -83,7 +86,7 @@ def test_series_csv_round_trip_long_and_wide(pipe):
 def test_series_json_round_trip(pipe):
     series = evolve_series(pipe.spectrum(1), 2, "classical", TimeGrid(0.0, 2.0, 5))
     source, kind, times, probs = serialize.series_from_json(
-        serialize.series_to_json(series)
+        "".join(serialize.series_to_json(series))
     )
     assert source == 2 and kind == "classical"
     assert np.array_equal(probs, np.array([s.values for s in series]))
@@ -111,7 +114,7 @@ def test_limiting_matrix_csv_round_trip(pipe):
 
 def test_limiting_matrix_json_round_trip(pipe):
     chi = pipe.chi(1)
-    parsed = serialize.limiting_matrix_from_json(serialize.limiting_matrix_to_json(chi))
+    parsed = serialize.limiting_matrix_from_json("".join(serialize.limiting_matrix_to_json(chi)))
     assert np.array_equal(parsed, chi.entries)
 
 
@@ -240,3 +243,62 @@ def test_eigenvector_csv_matches_per_value_writer(pipe):
     q = np.concatenate([ADVERSARIAL, [-2e-12, -1.0], rng.normal(size=90)]).reshape(10, 10)
     for s in (Spectrum(eigenvalues=np.arange(10.0), eigenvectors=q), pipe.spectrum(3)):
         assert "".join(serialize.eigenvectors_to_csv(s)) == reference_eigenvectors_csv(s)
+
+
+# -- streamed JSON writers against json.dumps ----------------------------------
+
+def reference_series_json(snapshots):
+    doc = {
+        "source": snapshots[0].source,
+        "kind": snapshots[0].kind,
+        "snapshots": [
+            {
+                "t": float(serialize.format_float(s.time)),
+                "p": [float(serialize.format_probability(v)) for v in s.values],
+            }
+            for s in snapshots
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_chi_json(chi):
+    doc = {
+        "order": chi.order,
+        "entries": [
+            [float(serialize.format_probability(v)) for v in row] for row in chi.entries
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_series_json_matches_json_dumps(pipe):
+    series = evolve_series(pipe.spectrum(4), 4, "quantum", TimeGrid(0.5, 5.0, 6))
+    snapshots = []
+    for snap, t in zip(series, (-0.0, 0.0, 1e-300, 1.0 / 3.0, 2.0, 5.0)):
+        values = snap.values.copy()
+        for k, v in ((0, -0.0), (1, -1e-12), (2, -5e-13), (3, 5e-324)):
+            values[41] += values[k] - v
+            values[k] = v
+        snapshots.append(TransitionSnapshot(source=4, time=t, kind="quantum", values=values))
+    chunks = list(serialize.series_to_json(snapshots))
+    assert len(chunks) == len(snapshots) + 2
+    assert "".join(chunks) == reference_series_json(snapshots)
+
+
+def test_chi_json_matches_json_dumps(pipe):
+    entries = pipe.chi(4).entries.copy()
+    for a, b in ((0, 5), (7, 30), (12, 41)):
+        # Move the pair's weight onto the diagonal: symmetric, same column sums.
+        entries[a, a] += entries[b, a]
+        entries[b, b] += entries[a, b]
+        entries[a, b] = entries[b, a] = -0.0
+    chi = LimitingMatrix(entries=entries)
+    banded = entries.copy()
+    banded[1, 2] = banded[2, 1] = -1e-12
+    banded[3, 4] = -5e-13
+    # LimitingMatrix rejects negative entries; the writer reads only these two fields.
+    for matrix in (chi, pipe.chi(4), SimpleNamespace(order=43, entries=banded)):
+        chunks = list(serialize.limiting_matrix_to_json(matrix))
+        assert len(chunks) == matrix.order + 2
+        assert "".join(chunks) == reference_chi_json(matrix)
