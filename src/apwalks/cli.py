@@ -11,6 +11,11 @@ first half of the rows while one forked child formats the rest, and the bytes
 are the same as from one process. There is no flag for it. The CPU count is
 the affinity mask only; the split assumes the second CPU is idle, and a cgroup
 CPU quota or a busy second CPU leaves it with no gain and the cost of the fork.
+
+Output bytes are reproducible for a fixed BLAS thread count only: the
+eigensolver's last bits depend on it, and every value is printed with 17
+significant digits, so the limiting-matrix CSV of ``limit -g 6`` differs
+between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -85,14 +90,22 @@ _SPLIT_MIN_VALUES = 25_000
 
 
 def _write(chunks: str | Iterable[str], output: str | None) -> None:
-    """Write text, or each chunk as it is produced, to ``output`` or stdout."""
+    """Write text, or each chunk as it is produced, to ``output`` or stdout.
+
+    Raises:
+        UsageError: if ``output`` cannot be opened for writing.
+    """
     if isinstance(chunks, str):
         chunks = (chunks,)
     if output is None:
         _write_to(sys.stdout, chunks)
-    else:
-        with open(output, "w") as fh:
-            _write_to(fh, chunks)
+        return
+    try:
+        fh = open(output, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    with fh:
+        _write_to(fh, chunks)
 
 
 def _split_row(fh: TextIO, chunks: Iterable[str]) -> int:
@@ -266,31 +279,37 @@ def _spectrum_for(net, args):
     return s, group_degenerate(s, tol)
 
 
+def _resolve_format(args, choices: tuple[str, ...], command: str) -> str:
+    """Resolve ``--format`` (default ``choices[0]``); an unknown one is a usage error."""
+    fmt = _setting(args.format, "FORMAT", str, choices[0])
+    if fmt not in choices:
+        raise UsageError(f"unsupported format {fmt!r} for {command}")
+    return fmt
+
+
 def _cmd_generate(args) -> int:
-    net = generate_apollonian(_resolve_generation(args))
-    fmt = _setting(args.format, "FORMAT", str, "edgelist")
+    generation = _resolve_generation(args)
+    fmt = _resolve_format(args, ("edgelist", "json"), "generate")
+    net = generate_apollonian(generation)
     if fmt == "json":
         text = serialize.network_to_json(net)
-    elif fmt == "edgelist":
-        text = serialize.network_to_edge_list(net)
     else:
-        raise UsageError(f"unsupported format {fmt!r} for generate")
+        text = serialize.network_to_edge_list(net)
     _write(text, _resolve_output(args))
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    net = generate_apollonian(_resolve_generation(args))
+    generation = _resolve_generation(args)
+    fmt = _resolve_format(args, ("csv", "json"), "spectrum")
+    net = generate_apollonian(generation)
     s = eigendecompose(laplacian(net))
-    fmt = _setting(args.format, "FORMAT", str, "csv")
     if fmt == "json":
         doc = {"order": s.order,
                "eigenvalues": [float(serialize.format_float(v)) for v in s.eigenvalues]}
         text = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        text = serialize.spectrum_to_csv(s)
     else:
-        raise UsageError(f"unsupported format {fmt!r} for spectrum")
+        text = serialize.spectrum_to_csv(s)
     _write(text, _resolve_output(args))
     if args.eigenvectors is not None:
         _write(serialize.eigenvectors_to_csv(s), args.eigenvectors)
@@ -316,9 +335,9 @@ def _cmd_evolve(args) -> int:
     source = _resolve_source(args, net)
     grid = _time_grid(args)
     kind = _setting(args.kind, "KIND", str, "quantum")
-    fmt = _setting(args.format, "FORMAT", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unsupported format {fmt!r} for evolve")
+    if kind not in ("classical", "quantum", "both"):
+        raise UsageError(f"--kind must be classical, quantum or both, got {kind!r}")
+    fmt = _resolve_format(args, ("csv", "json"), "evolve")
     output = _resolve_output(args)
     kinds = ("classical", "quantum") if kind == "both" else (kind,)
     if kind == "both" and output is None:
@@ -340,9 +359,7 @@ def _cmd_limit(args) -> int:
     net = generate_apollonian(_resolve_generation(args))
     source = _resolve_source(args, net)
     tol_cluster = _tolerance(args.tol_cluster, "TOL_CLUSTER", 1e-9, "--tol-cluster")
-    fmt = _setting(args.format, "FORMAT", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unsupported format {fmt!r} for limit")
+    fmt = _resolve_format(args, ("csv", "json"), "limit")
     s, grouping = _spectrum_for(net, args)
     chi = limiting_matrix(s, grouping)
     clustering = cluster_equal_limits(chi.column(source), tol_cluster, source=source)

@@ -126,11 +126,15 @@ class LimitingMatrix:
         entries = np.asarray(self.entries, dtype=float)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        if not np.isfinite(entries).all():
+        # min and max propagate NaN, so they see every non-finite entry
+        # without an N x N temporary.
+        low, high = entries.min(), entries.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise NumericError("limiting matrix has a non-finite entry")
-        if not np.abs(entries - entries.T).max() <= 1e-12:
+        asymmetry = entries - entries.T  # the checks' one N x N temporary
+        if not np.abs(asymmetry, out=asymmetry).max() <= 1e-12:
             raise NumericError("limiting matrix is not symmetric")
-        if not entries.min() >= 0.0:
+        if not low >= 0.0:
             raise NumericError("limiting matrix has a negative entry")
         col_err = np.abs(entries.sum(axis=0) - 1.0).max()
         if not col_err <= SUM_TOL:
@@ -282,12 +286,14 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     pairs *= v[:, b]
     pairs[:, a != b] *= math.sqrt(2.0)
     chi = pairs @ pairs.T
+    del pairs
     buffer = np.empty_like(chi)
     for start, stop in large:
         block = v[:, start:stop]
         np.matmul(block, block.T, out=buffer)
         buffer *= buffer
         chi += buffer
+    del buffer  # freed before the checks in LimitingMatrix allocate theirs
     return LimitingMatrix(entries=chi)
 
 

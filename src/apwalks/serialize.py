@@ -59,21 +59,20 @@ def _format_rows(
     value prints exactly as ``format_probability`` (``probability=True``) or
     ``format_float`` would print it: ``"%.17g"`` matches them except that it
     keeps the sign of ``-0.0``, so zero and, for probabilities, the clamp band
-    become ``0.0`` before formatting.
+    become ``0.0`` before formatting, one row at a time.
     """
-    values = _zeroed(values, probability)
     n = values.shape[1]
     if long:
         template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
         args: list = [None] * (2 * n)
         for label, row in zip(labels, values):
             args[0::2] = [label] * n
-            args[1::2] = row.tolist()
+            args[1::2] = _zeroed(row, probability).tolist()
             yield template % tuple(args)
     else:
         template = "%s" + ",%.17g" * n + "\n"
         for label, row in zip(labels, values):
-            yield template % (label, *row.tolist())
+            yield template % (label, *_zeroed(row, probability).tolist())
 
 
 def _node_labels(n: int) -> list[str]:

@@ -44,8 +44,10 @@ class EigenspaceGrouping:
 def eigendecompose(h: np.ndarray) -> Spectrum:
     """Diagonalize a real symmetric matrix.
 
-    Output is deterministic for identical input: eigenvalues ascending,
-    eigenvector columns orthonormal, both arrays frozen read-only.
+    Eigenvalues ascending, eigenvector columns orthonormal, both arrays
+    frozen read-only. Output is deterministic for identical input and a
+    fixed BLAS thread count only: the last bits of both arrays change with
+    the number of threads the eigensolver uses.
 
     Raises:
         ValueError: if ``h`` is not square and exactly symmetric.

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apwalks import cli, serialize
+from apwalks import cli, serialize, verify
 from apwalks.cli import main
 from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
+from apwalks.network import GENERATION_CAP
 
 
 def run(*argv):
@@ -226,6 +227,42 @@ def test_limit_bad_format_is_usage_error_before_any_work(tmp_path, monkeypatch, 
     assert not chi_path.exists()
 
 
+@pytest.mark.parametrize("argv,variable", [
+    (("spectrum", "-g", "2"), "APWALKS_FORMAT"),
+    (("evolve", "-g", "2", "-o", "s.csv"), "APWALKS_KIND"),
+])
+def test_bad_env_value_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv, variable):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(variable, "xml")
+    monkeypatch.setattr(cli, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "xml" in err and len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_generate_bad_format_is_usage_error_before_any_work(monkeypatch, capsys):
+    monkeypatch.setenv("APWALKS_FORMAT", "xml")
+    monkeypatch.setattr(cli, "generate_apollonian", lambda g: pytest.fail("network built"))
+    assert run("generate", "-g", "2") == 2
+    assert "xml" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "-g", "2", "-o", "{missing}/chi.csv"),
+    ("spectrum", "-g", "2", "--eigenvectors", "{missing}/vecs.csv"),
+    ("evolve", "-g", "2", "--kind", "both", "-o", "{missing}/s.csv"),
+    ("verify", "--max-generation", "0", "-o", "{missing}/verdict.json"),
+])
+def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    assert run(*(arg.format(missing=missing) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("apwalks: usage error: cannot write ")
+    assert str(missing) in err and len(err.splitlines()) == 1
+    assert not missing.exists()
+
+
 def test_orbits_command(capsys):
     assert run("orbits", "-g", "3", "-s", "4") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -246,6 +283,14 @@ def test_verify_passes_at_g2(tmp_path, capsys):
 
 def test_verify_negative_max_generation_is_usage_error():
     assert run("verify", "--max-generation", "-1") == 2
+
+
+def test_verify_beyond_the_cap_exits_3_before_any_check(monkeypatch, capsys):
+    for name in dir(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, lambda *args: pytest.fail("a check ran"))
+    assert run("verify", "--max-generation", str(GENERATION_CAP + 1)) == 3
+    assert "cap" in capsys.readouterr().err
 
 
 def test_outputs_are_byte_identical(tmp_path):
