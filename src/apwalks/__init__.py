@@ -37,10 +37,8 @@ from .spectral import (
 )
 from .symmetry import (
     ChiClustering,
-    LocalizationRow,
     OrbitConsistencyReport,
     cluster_equal_limits,
-    localization_summary,
     orbit_consistency,
 )
 from .verify import VerificationReport, run_verification
@@ -53,7 +51,6 @@ __all__ = [
     "EigenspaceGrouping",
     "GENERATION_CAP",
     "LimitingMatrix",
-    "LocalizationRow",
     "Network",
     "NodePermutation",
     "NumericError",
@@ -78,7 +75,6 @@ __all__ = [
     "group_degenerate",
     "laplacian",
     "limiting_matrix",
-    "localization_summary",
     "max_return_probability",
     "orbit_consistency",
     "orbits",

@@ -5,12 +5,17 @@ default can be overridden by an APWALKS_* environment variable (for example
 APWALKS_GENERATION=3); explicit flags always win. Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 capacity exceeded, 4 numeric failure.
 
-Large CSV outputs (the limiting matrix, series and eigenvectors) are formatted
-by two processes when this process may run on two or more CPUs: it writes the
-first half of the rows while one forked child formats the rest, and the bytes
-are the same as from one process. There is no flag for it. The CPU count is
-the affinity mask only; the split assumes the second CPU is idle, and a cgroup
-CPU quota or a busy second CPU leaves it with no gain and the cost of the fork.
+Two commands use a second CPU when this process may run on two or more
+(``fork.two_cpus``). Large CSV outputs (the limiting matrix, series and
+eigenvectors) are formatted by two processes: this one writes the first half
+of the rows while one forked child formats the rest. ``verify`` runs every
+check but the eigendecomposition reconstruction in one forked child while
+this process diagonalizes the largest generation and runs that check (see
+``verify.run_verification``). Output bytes, and the verdict's check order,
+are the same as from one process, and on one CPU everything runs in this
+process. There is no flag for it. The CPU count is the affinity mask only;
+the split assumes the second CPU is idle, and a cgroup CPU quota or a busy
+second CPU leaves it with no gain and the cost of the fork.
 
 Output bytes are reproducible for a fixed BLAS thread count only: the
 eigensolver's last bits depend on it, and every value is printed with 17
@@ -21,17 +26,18 @@ between one and two OpenBLAS threads.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import shutil
+import stat
 import sys
-import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 from typing import BinaryIO, TextIO
 
-from . import serialize
+from . import fork, serialize
 from .dynamics import TimeGrid, evolve_series, limiting_matrix
 from .network import (
     CapacityError,
@@ -111,13 +117,12 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
 def _split_row(fh: TextIO, chunks: Iterable[str]) -> int:
     """The first row a forked child should format, or 0 to format every row here.
 
-    Splitting needs ``os.fork``, at least two CPUs in this process's affinity
-    mask, a target that takes bytes (``fh.buffer``, which ``io.StringIO``
-    lacks) and a ``CsvRows`` body of at least ``_SPLIT_MIN_VALUES`` values.
+    Splitting needs two CPUs (``fork.two_cpus``), a target that takes bytes
+    (``fh.buffer``, which ``io.StringIO`` lacks) and a ``CsvRows`` body of at
+    least ``_SPLIT_MIN_VALUES`` values.
     """
     if not (isinstance(chunks, CsvRows) and chunks.values.size >= _SPLIT_MIN_VALUES
-            and hasattr(fh, "buffer") and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+            and hasattr(fh, "buffer") and fork.two_cpus()):
         return 0
     return len(chunks) // 2
 
@@ -134,52 +139,17 @@ def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
         return
     fh.write(chunks.header)
-    with tempfile.TemporaryFile() as part:
-        pid = _fork_rows(chunks, mid, part)
-        status = None
-        try:
-            fh.writelines(chunks.rows(0, mid))
-            status = os.waitpid(pid, 0)[1]
-        finally:
-            if status is None:
-                # Imported only here: signal and traceback would add about
-                # 0.2 MB to the peak resident set of every command.
-                import signal
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            raise RuntimeError(
-                f"the process formatting rows {mid}..{len(chunks) - 1} exited with {code}"
-            )
+    with fork.child(lambda part: _write_rows(chunks, mid, part)) as join:
+        fh.writelines(chunks.rows(0, mid))
+        part = join()
         fh.flush()
-        part.seek(0)  # the child's writes moved the shared file offset to the end
         shutil.copyfileobj(part, fh.buffer)
 
 
-def _fork_rows(chunks: CsvRows, start: int, part: BinaryIO) -> int:
-    """Fork a child that writes rows ``start..`` of ``chunks`` to ``part``; return its pid.
-
-    The child leaves only through ``os._exit``, so it never returns into the
-    caller or runs ``atexit`` handlers; 0 means the rows were written. Both
-    standard streams are flushed first, so that nothing buffered before the
-    fork can be written twice.
-    """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        with open(part.fileno(), "w", closefd=False) as fh:
-            fh.writelines(chunks.rows(start, len(chunks)))
-        code = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
+def _write_rows(chunks: CsvRows, start: int, part: BinaryIO) -> None:
+    """Write rows ``start..`` of ``chunks`` to ``part`` as text (in the forked child)."""
+    with open(part.fileno(), "w", closefd=False) as fh:
+        fh.writelines(chunks.rows(start, len(chunks)))
 
 
 def _add_common(parser: argparse.ArgumentParser, *, source: bool = True) -> None:
@@ -261,7 +231,29 @@ def _resolve_source(args, net) -> int:
 
 
 def _resolve_output(args) -> str | None:
-    return _setting(args.output, "OUTPUT", str, None)
+    return _writable(_setting(args.output, "OUTPUT", str, None))
+
+
+def _writable(path: str | None) -> str | None:
+    """Return ``path`` once it is known that ``open(path, "w")`` can create it.
+
+    Called before any work, so that a mistyped path costs nothing: a missing
+    parent directory, a parent that is not a directory and a path that is a
+    directory are usage errors here. ``_write`` still reports any other
+    failure to open.
+    """
+    if path is None:
+        return None
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            code = errno.ENOTDIR
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            return path
+    except OSError as exc:
+        code = exc.errno
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _tolerance(cli_value, env_name: str, fallback: float, flag: str) -> float:
@@ -290,18 +282,21 @@ def _resolve_format(args, choices: tuple[str, ...], command: str) -> str:
 def _cmd_generate(args) -> int:
     generation = _resolve_generation(args)
     fmt = _resolve_format(args, ("edgelist", "json"), "generate")
+    output = _resolve_output(args)
     net = generate_apollonian(generation)
     if fmt == "json":
         text = serialize.network_to_json(net)
     else:
         text = serialize.network_to_edge_list(net)
-    _write(text, _resolve_output(args))
+    _write(text, output)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
     generation = _resolve_generation(args)
     fmt = _resolve_format(args, ("csv", "json"), "spectrum")
+    output = _resolve_output(args)
+    eigenvectors = _writable(args.eigenvectors)
     net = generate_apollonian(generation)
     s = eigendecompose(laplacian(net))
     if fmt == "json":
@@ -310,9 +305,9 @@ def _cmd_spectrum(args) -> int:
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = serialize.spectrum_to_csv(s)
-    _write(text, _resolve_output(args))
-    if args.eigenvectors is not None:
-        _write(serialize.eigenvectors_to_csv(s), args.eigenvectors)
+    _write(text, output)
+    if eigenvectors is not None:
+        _write(serialize.eigenvectors_to_csv(s), eigenvectors)
     return EXIT_OK
 
 
@@ -331,35 +326,40 @@ def _time_grid(args) -> TimeGrid:
 
 
 def _cmd_evolve(args) -> int:
-    net = generate_apollonian(_resolve_generation(args))
-    source = _resolve_source(args, net)
+    generation = _resolve_generation(args)
     grid = _time_grid(args)
     kind = _setting(args.kind, "KIND", str, "quantum")
     if kind not in ("classical", "quantum", "both"):
         raise UsageError(f"--kind must be classical, quantum or both, got {kind!r}")
     fmt = _resolve_format(args, ("csv", "json"), "evolve")
-    output = _resolve_output(args)
-    kinds = ("classical", "quantum") if kind == "both" else (kind,)
-    if kind == "both" and output is None:
+    output = _setting(args.output, "OUTPUT", str, None)
+    if kind != "both":
+        outputs = {kind: _writable(output)}
+    elif output is None:
         raise UsageError("--kind both requires --output (one file per kind)")
+    else:
+        path = Path(output)
+        outputs = {one_kind: _writable(str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
+                   for one_kind in ("classical", "quantum")}
+    net = generate_apollonian(generation)
+    source = _resolve_source(args, net)
     s = eigendecompose(laplacian(net))
-    for one_kind in kinds:
+    for one_kind, target in outputs.items():
         series = evolve_series(s, source, one_kind, grid)
         chunks = (serialize.series_to_json(series) if fmt == "json"
                   else serialize.series_to_csv(series, wide=args.wide))
-        if kind == "both":
-            path = Path(output)
-            _write(chunks, str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
-        else:
-            _write(chunks, output)
+        _write(chunks, target)
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
-    net = generate_apollonian(_resolve_generation(args))
-    source = _resolve_source(args, net)
+    generation = _resolve_generation(args)
     tol_cluster = _tolerance(args.tol_cluster, "TOL_CLUSTER", 1e-9, "--tol-cluster")
     fmt = _resolve_format(args, ("csv", "json"), "limit")
+    output = _resolve_output(args)
+    report_path = _writable(args.report)
+    net = generate_apollonian(generation)
+    source = _resolve_source(args, net)
     s, grouping = _spectrum_for(net, args)
     chi = limiting_matrix(s, grouping)
     clustering = cluster_equal_limits(chi.column(source), tol_cluster, source=source)
@@ -367,16 +367,17 @@ def _cmd_limit(args) -> int:
     consistency = orbit_consistency(clustering, partition)
     report = serialize.cluster_report_to_json(clustering, consistency)
 
-    output = _resolve_output(args)
     if output is not None:
         _write(serialize.limiting_matrix_to_json(chi) if fmt == "json"
                else serialize.limiting_matrix_to_csv(chi), output)
-    _write(report, args.report)
+    _write(report, report_path)
     return EXIT_OK
 
 
 def _cmd_orbits(args) -> int:
-    net = generate_apollonian(_resolve_generation(args))
+    generation = _resolve_generation(args)
+    output = _resolve_output(args)
+    net = generate_apollonian(generation)
     fixed = None
     if args.source is not None or _env("SOURCE") is not None:
         fixed = _resolve_source(args, net)
@@ -387,7 +388,7 @@ def _cmd_orbits(args) -> int:
         "group": partition.group_used,
         "classes": [list(c) for c in partition.classes],
     }
-    _write(json.dumps(doc, indent=2) + "\n", _resolve_output(args))
+    _write(json.dumps(doc, indent=2) + "\n", output)
     return EXIT_OK
 
 
@@ -397,10 +398,10 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"--max-generation must be non-negative, got {max_generation}"
         )
+    output = _resolve_output(args)
     report = run_verification(max_generation)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     _write(text, None)
-    output = _resolve_output(args)
     if output is not None:
         _write(text, output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SUM_TOL, LimitingMatrix
-from .network import Network, OrbitPartition
+from .dynamics import SUM_TOL
+from .network import OrbitPartition
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,6 @@ class ChiClustering:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.clusters)
 
-    def cluster_of(self, node: int) -> int:
-        for idx, cluster in enumerate(self.clusters):
-            if node in cluster:
-                return idx
-        raise ValueError(f"node {node} not covered by this clustering")
-
 
 @dataclass(frozen=True)
 class OrbitConsistencyReport:
@@ -49,16 +43,6 @@ class OrbitConsistencyReport:
     all_orbits_explained: bool
     split_orbits: tuple[tuple[int, ...], ...]
     unexplained_pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class LocalizationRow:
-    """Return statistics of one source in the long-time limit."""
-
-    source: int
-    self_probability: float
-    ratio_to_equipartition: float
-    most_likely_node: int
 
 
 def cluster_equal_limits(
@@ -136,26 +120,3 @@ def orbit_consistency(
         unexplained_pairs=tuple(sorted(unexplained)),
     )
 
-
-def localization_summary(
-    chi: LimitingMatrix, net: Network
-) -> tuple[LocalizationRow, ...]:
-    """Per-source return probability, its excess over 1/N, and the argmax."""
-    if chi.order != net.node_count:
-        raise ValueError(
-            f"limiting matrix order {chi.order} does not match the network "
-            f"size {net.node_count}"
-        )
-    n = net.node_count
-    rows = []
-    for j in range(1, n + 1):
-        column = chi.column(j)
-        rows.append(
-            LocalizationRow(
-                source=j,
-                self_probability=float(column[j - 1]),
-                ratio_to_equipartition=float(column[j - 1] * n),
-                most_likely_node=int(np.argmax(column)) + 1,
-            )
-        )
-    return tuple(rows)

@@ -5,15 +5,25 @@ equipartition, localization, cluster structure) or a structural property
 (unitarity, symmetry, equivariance, reconstruction) and compares at a fixed
 tolerance. Checks are gated by the generation they need, so the runner
 executes everything reachable up to a configured maximum generation.
+
+With two CPUs (``fork.two_cpus``) the runner splits the checks between two
+processes. This one diagonalizes the largest generation first and then runs
+``check_reconstruction``, the only check that reads a generation above 5;
+one forked child runs every other check and hands back its results. The
+report lists the checks in the same order with the same values as on one
+CPU, where both shares run in this process one after the other, so the
+verdict's bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
+from . import fork
 from .dynamics import (
     LimitingMatrix,
     TimeGrid,
@@ -412,14 +422,56 @@ def check_taylor_oracle(pipe: Pipeline, max_g: int) -> CheckResult:
 
 
 def run_verification(max_generation: int) -> VerificationReport:
-    """Run every check whose required generation is available."""
+    """Run every check whose required generation is available.
+
+    On two CPUs the checks are split between this process and one forked
+    child (see the module docstring). An exception a check raises in the
+    child reaches the caller with its own type.
+
+    Raises:
+        CapacityError: if ``max_generation`` exceeds the cap, before any
+            check runs or any process is forked.
+    """
     if max_generation < 0:
         raise ValueError("max generation must be non-negative")
     pipe = Pipeline()
+    pipe.net(max_generation)  # a CapacityError before any fork
+    if fork.two_cpus():
+        with fork.child(lambda part: _dump_other_checks(pipe, max_generation, part)) as join:
+            reconstruction = _reconstruction_largest_first(pipe, max_generation)
+            # Imported only after the largest eigendecomposition, so that it
+            # does not add to the peak resident set.
+            import pickle
+            checks = pickle.load(join())
+        if isinstance(checks, Exception):
+            raise checks
+    else:
+        reconstruction = _reconstruction_largest_first(pipe, max_generation)
+        checks = _other_checks(pipe, max_generation)
+    checks[checks.index(None)] = reconstruction
+    return VerificationReport(max_generation=max_generation, checks=tuple(checks))
+
+
+def _reconstruction_largest_first(pipe: Pipeline, max_generation: int) -> CheckResult:
     # The largest eigendecomposition first: its transient is the run's peak,
     # and it runs while the fewest other arrays are alive.
     pipe.spectrum(max_generation)
-    checks: list[CheckResult] = []
+    return check_reconstruction(pipe, max_generation)
+
+
+def _dump_other_checks(pipe: Pipeline, max_generation: int, part: BinaryIO) -> None:
+    """Pickle ``_other_checks`` to ``part``, or the exception it raised (in the forked child)."""
+    import pickle
+    try:
+        checks = _other_checks(pipe, max_generation)
+    except Exception as exc:
+        checks = exc
+    pickle.dump(checks, part)
+
+
+def _other_checks(pipe: Pipeline, max_generation: int) -> list[CheckResult | None]:
+    """Every check but the reconstruction, in report order; ``None`` holds its place."""
+    checks: list[CheckResult | None] = []
     if max_generation >= 1:
         checks.append(check_eq_g1(pipe))
     if max_generation >= 2:
@@ -440,7 +492,7 @@ def run_verification(max_generation: int) -> VerificationReport:
     if max_generation >= 1:
         checks.append(check_pair_symmetry(pipe, max_generation))
         checks.append(check_equivariance(pipe, max_generation))
-    checks.append(check_reconstruction(pipe, max_generation))
+    checks.append(None)
     checks.append(check_time_average(pipe, max_generation))
     checks.append(check_taylor_oracle(pipe, max_generation))
-    return VerificationReport(max_generation=max_generation, checks=tuple(checks))
+    return checks

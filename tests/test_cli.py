@@ -14,6 +14,7 @@ from apwalks import cli, serialize, verify
 from apwalks.cli import main
 from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
 from apwalks.network import GENERATION_CAP
+from apwalks.spectral import NumericError
 
 
 def run(*argv):
@@ -248,19 +249,54 @@ def test_generate_bad_format_is_usage_error_before_any_work(monkeypatch, capsys)
     assert "xml" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any command builds a network or a spectrum."""
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "generate_apollonian", lambda g: pytest.fail("network built"))
+        monkeypatch.setattr(module, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
+
+
 @pytest.mark.parametrize("argv", [
     ("limit", "-g", "2", "-o", "{missing}/chi.csv"),
     ("spectrum", "-g", "2", "--eigenvectors", "{missing}/vecs.csv"),
     ("evolve", "-g", "2", "--kind", "both", "-o", "{missing}/s.csv"),
     ("verify", "--max-generation", "0", "-o", "{missing}/verdict.json"),
+    ("limit", "-g", "2", "--report", "{missing}/report.json"),
+    ("spectrum", "-g", "2", "-o", "{missing}/spectrum.csv"),
+    ("evolve", "-g", "2", "-o", "{missing}/s.csv"),
+    ("generate", "-g", "2", "-o", "{missing}/net.txt"),
+    ("orbits", "-g", "2", "-o", "{missing}/orbits.json"),
 ])
-def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
+def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, no_work, argv):
     missing = tmp_path / "missing"
     assert run(*(arg.format(missing=missing) for arg in argv)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("apwalks: usage error: cannot write ")
     assert str(missing) in err and len(err.splitlines()) == 1
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv, bad, reason", [
+    (("limit", "-g", "2", "-o", "file/chi.csv"), "file/chi.csv", "Not a directory"),
+    (("spectrum", "-g", "2", "--eigenvectors", "file/v.csv"), "file/v.csv", "Not a directory"),
+    (("verify", "--max-generation", "0", "-o", "file/v.json"), "file/v.json", "Not a directory"),
+    (("limit", "-g", "2", "--report", "dir"), "dir", "Is a directory"),
+    (("generate", "-g", "2", "-o", "dir"), "dir", "Is a directory"),
+    (("evolve", "-g", "2", "--kind", "both", "-o", "s.csv"), "s.quantum.csv", "Is a directory"),
+])
+def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys, no_work,
+                                                argv, bad, reason):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    Path("dir").mkdir()
+    Path("s.quantum.csv").mkdir()
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"apwalks: usage error: cannot write {bad}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "s.quantum.csv"]
 
 
 def test_orbits_command(capsys):
@@ -289,8 +325,12 @@ def test_verify_beyond_the_cap_exits_3_before_any_check(monkeypatch, capsys):
     for name in dir(verify):
         if name.startswith("check_"):
             monkeypatch.setattr(verify, name, lambda *args: pytest.fail("a check ran"))
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
     assert run("verify", "--max-generation", str(GENERATION_CAP + 1)) == 3
     assert "cap" in capsys.readouterr().err
+    assert forks == []
 
 
 def test_outputs_are_byte_identical(tmp_path):
@@ -493,3 +533,35 @@ cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(3)), sys.argv[1])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "atexit 1\n"
     assert out.read_bytes() == "".join(serialize.limiting_matrix_to_csv(pipe.chi(3))).encode()
+
+
+# -- verify on two processes ------------------------------------------------------
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_split_verification_matches_one_process(forks, monkeypatch, g):
+    forked = verify.run_verification(g).to_dict()
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = verify.run_verification(g).to_dict()
+    assert len(forks) == 1
+    assert forked == alone
+    assert json.dumps(forked, indent=2) == json.dumps(alone, indent=2)
+
+
+@pytest.mark.parametrize("check", ["check_time_average", "check_reconstruction"])
+def test_split_verification_numeric_failure_exits_4_and_reaps_the_child(
+        forks, monkeypatch, capsys, check):
+    def fail(*args):
+        raise NumericError(f"{check} injected")
+
+    monkeypatch.setattr(verify, check, fail)
+    assert run("verify", "--max-generation", "3") == 4
+    assert len(forks) == 1
+    forked = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run("verify", "--max-generation", "3") == 4
+    assert len(forks) == 1
+    assert forked == capsys.readouterr()
+    assert forked.out == "" and forked.err == f"apwalks: numeric failure: {check} injected\n"

@@ -8,7 +8,10 @@ the eigensolver itself holds about four at once.
 
 from __future__ import annotations
 
+import os
 import tracemalloc
+
+import pytest
 
 from apwalks import serialize, verify
 from apwalks.dynamics import limiting_matrix
@@ -50,7 +53,11 @@ def test_chi_csv_rows_are_zeroed_one_row_at_a_time(pipe):
     assert peak < 0.25
 
 
-def test_verification_diagonalizes_its_largest_generation_first(monkeypatch):
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_verification_diagonalizes_its_largest_generation_first(monkeypatch, cpus):
+    # With two CPUs the forked child's calls are not recorded here; this
+    # process still diagonalizes every generation for the reconstruction check.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     orders = []
     real = verify.eigendecompose
 
