@@ -25,7 +25,6 @@ from .network import (
     generate_apollonian,
     laplacian,
     orbits,
-    shortest_path_length,
 )
 from .spectral import (
     EigenspaceGrouping,
@@ -80,5 +79,4 @@ __all__ = [
     "orbits",
     "quantum_probability",
     "run_verification",
-    "shortest_path_length",
 ]

@@ -237,15 +237,17 @@ def _resolve_output(args) -> str | None:
 def _writable(path: str | None) -> str | None:
     """Return ``path`` once it is known that ``open(path, "w")`` can create it.
 
-    Called before any work, so that a mistyped path costs nothing: a missing
-    parent directory, a parent that is not a directory and a path that is a
-    directory are usage errors here. ``_write`` still reports any other
-    failure to open.
+    Called before any work, so that a mistyped path costs nothing: an empty
+    path, a missing parent directory, a parent that is not a directory and a
+    path that is a directory are usage errors here. ``_write`` still reports
+    any other failure to open.
     """
     if path is None:
         return None
     try:
-        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+        if not path:  # as open("") fails; dirname("") below would stand for "."
+            code = errno.ENOENT
+        elif not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
             code = errno.ENOTDIR
         elif os.path.isdir(path):
             code = errno.EISDIR
@@ -256,19 +258,12 @@ def _writable(path: str | None) -> str | None:
     raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _tolerance(cli_value, env_name: str, fallback: float, flag: str) -> float:
-    """Resolve a tolerance option; it must be finite and positive."""
+def _tolerance(cli_value, env_name: str, fallback: float | None, flag: str) -> float | None:
+    """Resolve a tolerance option; a value that is set must be finite and positive."""
     tol = _setting(cli_value, env_name, float, fallback)
-    if not (math.isfinite(tol) and tol > 0):
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"{flag} must be finite and positive, got {tol}")
     return tol
-
-
-def _spectrum_for(net, args):
-    s = eigendecompose(laplacian(net))
-    tol = _tolerance(args.tol_degeneracy, "TOL_DEGENERACY",
-                     default_degeneracy_tolerance(s), "--tol-degeneracy")
-    return s, group_degenerate(s, tol)
 
 
 def _resolve_format(args, choices: tuple[str, ...], command: str) -> str:
@@ -332,8 +327,10 @@ def _cmd_evolve(args) -> int:
     if kind not in ("classical", "quantum", "both"):
         raise UsageError(f"--kind must be classical, quantum or both, got {kind!r}")
     fmt = _resolve_format(args, ("csv", "json"), "evolve")
+    if fmt == "json" and args.wide:
+        raise UsageError("--wide applies to CSV output only")
     output = _setting(args.output, "OUTPUT", str, None)
-    if kind != "both":
+    if kind != "both" or output == "":  # "" has no name to derive the two from
         outputs = {kind: _writable(output)}
     elif output is None:
         raise UsageError("--kind both requires --output (one file per kind)")
@@ -355,13 +352,17 @@ def _cmd_evolve(args) -> int:
 def _cmd_limit(args) -> int:
     generation = _resolve_generation(args)
     tol_cluster = _tolerance(args.tol_cluster, "TOL_CLUSTER", 1e-9, "--tol-cluster")
+    # Unset, the degeneracy tolerance depends on the spectrum (below).
+    tol_degeneracy = _tolerance(args.tol_degeneracy, "TOL_DEGENERACY", None, "--tol-degeneracy")
     fmt = _resolve_format(args, ("csv", "json"), "limit")
     output = _resolve_output(args)
     report_path = _writable(args.report)
     net = generate_apollonian(generation)
     source = _resolve_source(args, net)
-    s, grouping = _spectrum_for(net, args)
-    chi = limiting_matrix(s, grouping)
+    s = eigendecompose(laplacian(net))
+    if tol_degeneracy is None:
+        tol_degeneracy = default_degeneracy_tolerance(s)
+    chi = limiting_matrix(s, group_degenerate(s, tol_degeneracy))
     clustering = cluster_equal_limits(chi.column(source), tol_cluster, source=source)
     partition = orbits(net, corner_group(net), fixed_source=source)
     consistency = orbit_consistency(clustering, partition)

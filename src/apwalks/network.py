@@ -9,7 +9,6 @@ generation always yields the same labeled graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -86,10 +85,6 @@ class Network:
             if info.parent is not None
         }
 
-    def degree(self, node: int) -> int:
-        check_node(node, self.node_count)
-        return len(self.neighbors[node - 1])
-
     def nodes_of_generation(self, gen: int) -> tuple[int, ...]:
         return tuple(
             node
@@ -110,10 +105,6 @@ class NodePermutation:
     def __len__(self) -> int:
         return len(self.image)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.image, start=1))
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -121,16 +112,6 @@ class OrbitPartition:
 
     classes: tuple[tuple[int, ...], ...]
     group_used: str
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    def class_of(self, node: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if node in cls:
-                return cls
-        raise ValueError(f"node {node} not covered by this partition")
 
 
 def node_count_for_generation(generation: int) -> int:
@@ -200,25 +181,6 @@ def laplacian(net: Network) -> np.ndarray:
     for v in range(n):
         a[v, v] = len(net.neighbors[v])
     return a
-
-
-def shortest_path_length(net: Network, j: int, k: int) -> int:
-    """Minimal number of edges between nodes j and k (breadth-first)."""
-    check_node(j, net.node_count)
-    check_node(k, net.node_count)
-    if j == k:
-        return 0
-    seen = {j}
-    queue = deque([(j, 0)])
-    while queue:
-        node, dist = queue.popleft()
-        for nbr in net.neighbors[node - 1]:
-            if nbr == k:
-                return dist + 1
-            if nbr not in seen:
-                seen.add(nbr)
-                queue.append((nbr, dist + 1))
-    raise ValueError(f"nodes {j} and {k} are not connected")  # pragma: no cover
 
 
 def corner_automorphism(

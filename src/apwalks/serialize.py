@@ -1,8 +1,9 @@
 """Text formats for networks, spectra, series, and cluster reports.
 
-Every writer has a matching parser, and identical inputs produce
-byte-identical text: floats are rendered with 17 significant digits and
-probability entries in [-1e-12, 0) are clamped to 0 on output only.
+Identical inputs produce byte-identical text: floats are rendered with 17
+significant digits and probability entries in [-1e-12, 0) are clamped to 0
+on output only. No command reads this text back; ``np.loadtxt`` (CSV) and
+``json.loads`` (JSON) read it exactly.
 
 The CSV writers for eigenvectors, series and the limiting matrix return a
 ``CsvRows`` row source. Iterating it yields str chunks, the header and then
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LimitingMatrix, TransitionSnapshot
-from .network import Network, NodeInfo, generate_apollonian
+from .network import Network
 from .spectral import Spectrum
 from .symmetry import ChiClustering, OrbitConsistencyReport
 
@@ -133,30 +134,6 @@ def network_to_edge_list(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-def network_from_edge_list(text: str) -> Network:
-    """Rebuild a network from its edge-list text.
-
-    The header's generation regenerates the canonical network, which must
-    match the listed edges exactly.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("apollonian "):
-        raise ValueError("missing 'apollonian g=<G> n=<N>' header")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    try:
-        generation, n = int(fields["g"]), int(fields["n"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed edge-list header: {lines[0]!r}") from exc
-    edges = []
-    for ln in lines[1:]:
-        i, j = ln.split()
-        edges.append((int(i), int(j)))
-    net = generate_apollonian(generation)
-    if net.node_count != n or net.edges != tuple(edges):
-        raise ValueError("edge list does not match the canonical network")
-    return net
-
-
 def network_to_json(net: Network) -> str:
     doc = {
         "generation": net.generation,
@@ -173,24 +150,6 @@ def network_to_json(net: Network) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def network_from_json(text: str) -> Network:
-    doc = json.loads(text)
-    net = Network(
-        generation=doc["generation"],
-        node_count=len(doc["nodes"]),
-        edges=tuple(tuple(e) for e in doc["edges"]),
-        node_meta=tuple(
-            NodeInfo(n["gen"], tuple(n["parent"]) if n["parent"] else None)
-            for n in doc["nodes"]
-        ),
-        central_node=4 if doc["generation"] >= 1 else None,
-    )
-    reference = generate_apollonian(net.generation)
-    if net != reference:
-        raise ValueError("JSON document does not match the canonical network")
-    return net
-
-
 # -- spectrum ----------------------------------------------------------------
 
 def spectrum_to_csv(s: Spectrum) -> str:
@@ -201,27 +160,11 @@ def spectrum_to_csv(s: Spectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eigenvalues_from_csv(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines or lines[0] != "index,eigenvalue":
-        raise ValueError("missing 'index,eigenvalue' header")
-    return np.array([float(ln.split(",")[1]) for ln in lines[1:] if ln])
-
-
 def eigenvectors_to_csv(s: Spectrum) -> CsvRows:
     """The ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
     n = s.order
     header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1)) + "\n"
     return CsvRows(header, _node_labels(n), s.eigenvectors, long=False, probability=False)
-
-
-def eigenvectors_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("node,"):
-        raise ValueError("missing eigenvector header")
-    return np.array(
-        [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
-    )
 
 
 # -- probability series ------------------------------------------------------
@@ -246,30 +189,6 @@ def series_to_csv(
     return CsvRows(header, labels, values, long=not wide, probability=True)
 
 
-def series_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse either series layout into (times, probabilities[t, node])."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        raise ValueError("empty series file")
-    header = lines[0]
-    if header.startswith("t,p_1"):
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        data = np.array(rows)
-        return data[:, 0], data[:, 1:]
-    if header == "t,k,probability":
-        times: list[float] = []
-        probs: list[list[float]] = []
-        for ln in lines[1:]:
-            t_s, k_s, p_s = ln.split(",")
-            t, k, p = float(t_s), int(k_s), float(p_s)
-            if k == 1:
-                times.append(t)
-                probs.append([])
-            probs[-1].append(p)
-        return np.array(times), np.array(probs)
-    raise ValueError(f"unrecognized series header: {header!r}")
-
-
 def series_to_json(snapshots: list[TransitionSnapshot]) -> Iterator[str]:
     """Chunks of ``{"source", "kind", "snapshots": [{"t", "p"}, ...]}``, one per snapshot.
 
@@ -291,13 +210,6 @@ def series_to_json(snapshots: list[TransitionSnapshot]) -> Iterator[str]:
     return _json_chunks(head, items, "\n  ]\n}\n")
 
 
-def series_from_json(text: str) -> tuple[int, str, np.ndarray, np.ndarray]:
-    doc = json.loads(text)
-    times = np.array([s["t"] for s in doc["snapshots"]])
-    probs = np.array([s["p"] for s in doc["snapshots"]])
-    return doc["source"], doc["kind"], times, probs
-
-
 # -- limiting matrix ---------------------------------------------------------
 
 def limiting_matrix_to_csv(chi: LimitingMatrix) -> CsvRows:
@@ -305,18 +217,6 @@ def limiting_matrix_to_csv(chi: LimitingMatrix) -> CsvRows:
     # Source-major: the row for source j is column j of the matrix.
     return CsvRows("j,k,chi\n", _node_labels(chi.order), chi.entries.T,
                    long=True, probability=True)
-
-
-def limiting_matrix_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "j,k,chi":
-        raise ValueError("missing 'j,k,chi' header")
-    triples = [ln.split(",") for ln in lines[1:]]
-    n = max(int(j) for j, _, _ in triples)
-    chi = np.zeros((n, n))
-    for j_s, k_s, v_s in triples:
-        chi[int(k_s) - 1, int(j_s) - 1] = float(v_s)
-    return chi
 
 
 def limiting_matrix_to_json(chi: LimitingMatrix) -> Iterator[str]:
@@ -330,10 +230,6 @@ def limiting_matrix_to_json(chi: LimitingMatrix) -> Iterator[str]:
              for values in chi.entries)
     return _json_chunks(f'{{\n  "order": {chi.order},\n  "entries": [\n', items,
                         "\n  ]\n}\n")
-
-
-def limiting_matrix_from_json(text: str) -> np.ndarray:
-    return np.array(json.loads(text)["entries"])
 
 
 # -- cluster / orbit reports --------------------------------------------------
@@ -351,11 +247,3 @@ def cluster_report_to_json(
         "unexplained_pairs": [list(p) for p in consistency.unexplained_pairs],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def cluster_report_from_json(text: str) -> dict:
-    doc = json.loads(text)
-    for key in ("source", "tol", "clusters", "unexplained_pairs"):
-        if key not in doc:
-            raise ValueError(f"cluster report is missing {key!r}")
-    return doc

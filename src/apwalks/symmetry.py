@@ -40,7 +40,6 @@ class OrbitConsistencyReport:
     """How a value clustering relates to an automorphism orbit partition."""
 
     source: int
-    all_orbits_explained: bool
     split_orbits: tuple[tuple[int, ...], ...]
     unexplained_pairs: tuple[tuple[int, int], ...]
 
@@ -115,7 +114,6 @@ def orbit_consistency(
                     unexplained.append((k, l))
     return OrbitConsistencyReport(
         source=clustering.source,
-        all_orbits_explained=not split,
         split_orbits=split,
         unexplained_pairs=tuple(sorted(unexplained)),
     )

@@ -18,6 +18,7 @@ verdict's bytes do not depend on the CPU count.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -439,9 +440,6 @@ def run_verification(max_generation: int) -> VerificationReport:
     if fork.two_cpus():
         with fork.child(lambda part: _dump_other_checks(pipe, max_generation, part)) as join:
             reconstruction = _reconstruction_largest_first(pipe, max_generation)
-            # Imported only after the largest eigendecomposition, so that it
-            # does not add to the peak resident set.
-            import pickle
             checks = pickle.load(join())
         if isinstance(checks, Exception):
             raise checks
@@ -461,7 +459,6 @@ def _reconstruction_largest_first(pipe: Pipeline, max_generation: int) -> CheckR
 
 def _dump_other_checks(pipe: Pipeline, max_generation: int, part: BinaryIO) -> None:
     """Pickle ``_other_checks`` to ``part``, or the exception it raised (in the forked child)."""
-    import pickle
     try:
         checks = _other_checks(pipe, max_generation)
     except Exception as exc:

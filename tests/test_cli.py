@@ -38,7 +38,7 @@ def test_generate_g0_edge_list(capsys):
 def test_generate_json_round_trips(tmp_path, pipe):
     out = tmp_path / "net.json"
     assert run("generate", "-g", "2", "--format", "json", "-o", str(out)) == 0
-    assert serialize.network_from_json(out.read_text()) == pipe.net(2)
+    assert out.read_text() == serialize.network_to_json(pipe.net(2))
 
 
 def test_generate_beyond_cap_exits_3(capsys):
@@ -83,9 +83,9 @@ def test_spectrum_csv(tmp_path, pipe):
     out = tmp_path / "spec.csv"
     vecs = tmp_path / "vecs.csv"
     assert run("spectrum", "-g", "2", "-o", str(out), "--eigenvectors", str(vecs)) == 0
-    values = serialize.eigenvalues_from_csv(out.read_text())
+    values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
     assert np.array_equal(values, pipe.spectrum(2).eigenvalues)
-    q = serialize.eigenvectors_from_csv(vecs.read_text())
+    q = np.loadtxt(vecs, delimiter=",", skiprows=1)[:, 1:]
     assert np.array_equal(q, pipe.spectrum(2).eigenvectors)
 
 
@@ -96,25 +96,26 @@ def test_evolve_matches_g2_closed_form(tmp_path):
         "--t-min", "0.01", "--t-max", "12", "--t-steps", "400",
         "--t-scale", "log", "-o", str(out),
     ) == 0
-    times, probs = serialize.series_from_csv(out.read_text())
-    for t, row in zip(times, probs):
-        for k in range(1, 8):
-            assert abs(row[k - 1] - closed_form_g2(k, t)) <= 1e-10
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(rows) == 400 * 7
+    for t, k, p in rows:
+        assert abs(p - closed_form_g2(int(k), t)) <= 1e-10
 
 
 def test_evolve_classical_reaches_equipartition(tmp_path):
     out = tmp_path / "series.csv"
     assert run("evolve", "-g", "3", "-s", "4", "--kind", "classical",
                "-o", str(out)) == 0
-    times, probs = serialize.series_from_csv(out.read_text())
-    assert times[-1] == pytest.approx(100.0)
-    assert np.abs(probs[-1] - 1.0 / 16.0).max() <= 1e-6
+    last = np.loadtxt(out, delimiter=",", skiprows=1)[-16:]
+    assert np.array_equal(last[:, 1], np.arange(1, 17))
+    assert last[0, 0] == pytest.approx(100.0)
+    assert np.abs(last[:, 2] - 1.0 / 16.0).max() <= 1e-6
 
 
 def test_evolve_default_grid_is_log_2000(tmp_path):
     out = tmp_path / "series.csv"
     assert run("evolve", "-g", "1", "-o", str(out)) == 0
-    times, probs = serialize.series_from_csv(out.read_text())
+    times = np.loadtxt(out, delimiter=",", skiprows=1)[::4, 0]  # N = 4 rows per time
     assert len(times) == 2000
     assert times[0] == pytest.approx(0.01)
     ratios = times[1:] / times[:-1]
@@ -151,8 +152,9 @@ def test_evolve_source_zero_is_usage_error(capsys):
     ("generate", "-g", "2", "-s", "1"),
     ("spectrum", "-g", "2", "--source", "1"),
     ("orbits", "-g", "2", "--tol-cluster", "1e-3"),
+    ("evolve", "-g", "2", "--format", "json", "--wide"),
 ])
-def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys, no_work):
     assert run(*argv) == 2
 
 
@@ -171,9 +173,9 @@ def test_evolve_json(tmp_path):
     out = tmp_path / "series.json"
     assert run("evolve", "-g", "1", "--format", "json", "--t-steps", "4",
                "-o", str(out)) == 0
-    source, kind, times, probs = serialize.series_from_json(out.read_text())
-    assert source == 4 and kind == "quantum"
-    assert probs.shape == (4, 4)
+    doc = json.loads(out.read_text())
+    assert doc["source"] == 4 and doc["kind"] == "quantum"
+    assert np.array([snap["p"] for snap in doc["snapshots"]]).shape == (4, 4)
 
 
 def test_limit_g1_matrix(tmp_path):
@@ -181,7 +183,7 @@ def test_limit_g1_matrix(tmp_path):
     report_path = tmp_path / "report.json"
     assert run("limit", "-g", "1", "-o", str(chi_path),
                "--report", str(report_path)) == 0
-    chi = serialize.limiting_matrix_from_csv(chi_path.read_text())
+    chi = np.loadtxt(chi_path, delimiter=",", skiprows=1)[:, 2].reshape(4, 4).T
     expected = np.full((4, 4), 1.0 / 8.0)
     np.fill_diagonal(expected, 5.0 / 8.0)
     assert np.abs(chi - expected).max() <= 1e-12
@@ -204,17 +206,19 @@ def test_limit_g3_five_clusters(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--tol-cluster", "--tol-degeneracy"])
-def test_limit_infinite_tolerance_is_usage_error(tmp_path, flag, capsys):
+def test_limit_infinite_tolerance_is_usage_error(tmp_path, flag, capsys, no_work):
     report = tmp_path / "report.json"
     assert run("limit", "-g", "2", flag, "inf", "--report", str(report)) == 2
     assert "finite" in capsys.readouterr().err
     assert not report.exists()
 
 
-def test_limit_infinite_env_tolerance_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("APWALKS_TOL_CLUSTER", "inf")
-    assert run("limit", "-g", "2") == 2
-    assert "finite" in capsys.readouterr().err
+def test_limit_infinite_env_tolerance_is_usage_error(monkeypatch, capsys, no_work):
+    for variable in ("APWALKS_TOL_CLUSTER", "APWALKS_TOL_DEGENERACY"):
+        with monkeypatch.context() as env:
+            env.setenv(variable, "inf")
+            assert run("limit", "-g", "2") == 2
+            assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("output", [False, True])
@@ -285,6 +289,10 @@ def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, no_work, 
     (("limit", "-g", "2", "--report", "dir"), "dir", "Is a directory"),
     (("generate", "-g", "2", "-o", "dir"), "dir", "Is a directory"),
     (("evolve", "-g", "2", "--kind", "both", "-o", "s.csv"), "s.quantum.csv", "Is a directory"),
+    (("limit", "-g", "2", "-o", ""), "", "No such file or directory"),
+    (("spectrum", "-g", "2", "--eigenvectors", ""), "", "No such file or directory"),
+    (("verify", "--max-generation", "0", "-o", ""), "", "No such file or directory"),
+    (("evolve", "-g", "2", "--kind", "both", "-o", ""), "", "No such file or directory"),
 ])
 def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys, no_work,
                                                 argv, bad, reason):
@@ -352,19 +360,18 @@ def test_outputs_are_byte_identical(tmp_path):
 def test_every_output_round_trips(tmp_path, pipe):
     edge_path = tmp_path / "net.txt"
     run("generate", "-g", "3", "-o", str(edge_path))
-    assert serialize.network_from_edge_list(edge_path.read_text()) == pipe.net(3)
+    assert edge_path.read_text() == serialize.network_to_edge_list(pipe.net(3))
 
     series_path = tmp_path / "series.csv"
     run("evolve", "-g", "2", "--t-steps", "10", "-o", str(series_path))
-    times, probs = serialize.series_from_csv(series_path.read_text())
-    assert probs.shape == (10, 7)
+    assert np.loadtxt(series_path, delimiter=",", skiprows=1).shape == (10 * 7, 3)
 
     chi_path = tmp_path / "chi.csv"
     run("limit", "-g", "2", "-o", str(chi_path), "--report", str(tmp_path / "r.json"))
-    chi = serialize.limiting_matrix_from_csv(chi_path.read_text())
+    chi = np.loadtxt(chi_path, delimiter=",", skiprows=1)[:, 2].reshape(7, 7).T
     assert np.abs(chi - pipe.chi(2).entries).max() <= 1e-16
 
-    report = serialize.cluster_report_from_json((tmp_path / "r.json").read_text())
+    report = json.loads((tmp_path / "r.json").read_text())
     assert report["source"] == 4
 
 

@@ -33,62 +33,57 @@ def test_edge_list_round_trip(pipe):
     text = serialize.network_to_edge_list(net)
     assert text.startswith("apollonian g=3 n=16\n")
     assert text.count("\n") == 1 + 42
-    assert serialize.network_from_edge_list(text) == net
-
-
-def test_edge_list_rejects_corruption(pipe):
-    text = serialize.network_to_edge_list(pipe.net(2))
-    with pytest.raises(ValueError):
-        serialize.network_from_edge_list(text.replace("1 2\n", "1 7\n", 1))
-    with pytest.raises(ValueError):
-        serialize.network_from_edge_list("not a header\n1 2\n")
+    assert [tuple(map(int, ln.split())) for ln in text.splitlines()[1:]] == list(net.edges)
 
 
 def test_network_json_round_trip(pipe):
     net = pipe.net(2)
-    text = serialize.network_to_json(net)
-    assert serialize.network_from_json(text) == net
-
-
-def test_network_json_rejects_mismatch(pipe):
-    text = serialize.network_to_json(pipe.net(2))
-    with pytest.raises(ValueError):
-        serialize.network_from_json(text.replace('"gen": 1', '"gen": 2'))
+    doc = json.loads(serialize.network_to_json(net))
+    assert doc["generation"] == 2
+    assert doc["edges"] == [list(e) for e in net.edges]
+    assert [(n["id"], n["gen"], n["parent"]) for n in doc["nodes"]] == [
+        (1, 0, None), (2, 0, None), (3, 0, None), (4, 1, [1, 2, 3]),
+        (5, 2, [1, 2, 4]), (6, 2, [1, 3, 4]), (7, 2, [2, 3, 4]),
+    ]
 
 
 def test_spectrum_csv_round_trip(pipe):
     s = pipe.spectrum(2)
     text = serialize.spectrum_to_csv(s)
     assert text.splitlines()[0] == "index,eigenvalue"
-    parsed = serialize.eigenvalues_from_csv(text)
-    assert np.array_equal(parsed, s.eigenvalues)
+    parsed = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
+    assert np.array_equal(parsed[:, 0], np.arange(1, 8))
+    assert np.array_equal(parsed[:, 1], s.eigenvalues)
 
 
 def test_eigenvector_csv_round_trip(pipe):
     s = pipe.spectrum(2)
     text = "".join(serialize.eigenvectors_to_csv(s))
-    parsed = serialize.eigenvectors_from_csv(text)
-    assert np.array_equal(parsed, s.eigenvectors)
+    parsed = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
+    assert np.array_equal(parsed[:, 0], np.arange(1, 8))
+    assert np.array_equal(parsed[:, 1:], s.eigenvectors)
 
 
 def test_series_csv_round_trip_long_and_wide(pipe):
     series = evolve_series(pipe.spectrum(2), 4, "quantum", TimeGrid(0.0, 5.0, 7))
     long_text = "".join(serialize.series_to_csv(series, wide=False))
     wide_text = "".join(serialize.series_to_csv(series, wide=True))
-    t_long, p_long = serialize.series_from_csv(long_text)
-    t_wide, p_wide = serialize.series_from_csv(wide_text)
-    assert np.array_equal(t_long, t_wide)
-    assert np.array_equal(p_long, p_wide)
+    # Long rows are (t, k, p), one block of 7 nodes per time.
+    long = np.loadtxt(long_text.splitlines(), delimiter=",", skiprows=1).reshape(7, 7, 3)
+    wide = np.loadtxt(wide_text.splitlines(), delimiter=",", skiprows=1)
+    assert np.array_equal(long[:, :, 1], np.tile(np.arange(1, 8), (7, 1)))
+    assert np.array_equal(long[:, 0, 0], wide[:, 0])
+    assert np.array_equal(long[:, :, 2], wide[:, 1:])
     expected = np.array([snap.values for snap in series])
-    assert np.array_equal(p_long, expected)
+    assert np.array_equal(wide[:, 1:], expected)
 
 
 def test_series_json_round_trip(pipe):
     series = evolve_series(pipe.spectrum(1), 2, "classical", TimeGrid(0.0, 2.0, 5))
-    source, kind, times, probs = serialize.series_from_json(
-        "".join(serialize.series_to_json(series))
-    )
-    assert source == 2 and kind == "classical"
+    doc = json.loads("".join(serialize.series_to_json(series)))
+    assert doc["source"] == 2 and doc["kind"] == "classical"
+    probs = np.array([snap["p"] for snap in doc["snapshots"]])
+    times = np.array([snap["t"] for snap in doc["snapshots"]])
     assert np.array_equal(probs, np.array([s.values for s in series]))
     assert np.array_equal(times, np.array([s.time for s in series]))
 
@@ -99,23 +94,19 @@ def test_series_csv_rejects_empty_series_when_called():
         serialize.series_to_csv([])
 
 
-def test_series_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        serialize.series_from_csv("time,node,p\n0,1,1\n")
-
-
 def test_limiting_matrix_csv_round_trip(pipe):
     chi = pipe.chi(2)
     text = "".join(serialize.limiting_matrix_to_csv(chi))
     assert text.splitlines()[0] == "j,k,chi"
-    parsed = serialize.limiting_matrix_from_csv(text)
+    # Rows are (j, k, chi[k, j]), source-major.
+    parsed = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)[:, 2].reshape(7, 7).T
     assert np.array_equal(parsed, chi.entries)
 
 
 def test_limiting_matrix_json_round_trip(pipe):
     chi = pipe.chi(1)
-    parsed = serialize.limiting_matrix_from_json("".join(serialize.limiting_matrix_to_json(chi)))
-    assert np.array_equal(parsed, chi.entries)
+    doc = json.loads("".join(serialize.limiting_matrix_to_json(chi)))
+    assert np.array_equal(np.array(doc["entries"]), chi.entries)
 
 
 def test_cluster_report_schema(pipe):
@@ -123,20 +114,13 @@ def test_cluster_report_schema(pipe):
     clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
     partition = orbits(net, corner_group(net), fixed_source=4)
     consistency = orbit_consistency(clustering, partition)
-    doc = serialize.cluster_report_from_json(
-        serialize.cluster_report_to_json(clustering, consistency)
-    )
+    doc = json.loads(serialize.cluster_report_to_json(clustering, consistency))
     assert doc["source"] == 4
     assert doc["tol"] == 1e-9
     assert sorted(len(c["nodes"]) for c in doc["clusters"]) == [1, 3, 3, 3, 6]
     assert doc["unexplained_pairs"] == []
     values = [c["value"] for c in doc["clusters"]]
     assert values == sorted(values)
-
-
-def test_cluster_report_requires_keys():
-    with pytest.raises(ValueError):
-        serialize.cluster_report_from_json('{"source": 1}')
 
 
 def test_writers_are_deterministic(pipe):
