@@ -6,9 +6,9 @@ APWALKS_GENERATION=3); explicit flags always win. Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 capacity exceeded, 4 numeric failure.
 
 Two commands use a second CPU when this process may run on two or more
-(``fork.two_cpus``). Large CSV outputs (the limiting matrix, series and
-eigenvectors) are formatted by two processes: this one writes the first half
-of the rows while one forked child formats the rest. ``verify`` runs every
+(``fork.two_cpus``). Large CSV and JSON outputs (the limiting matrix, series
+and eigenvectors) are formatted by two processes: this one writes the first
+half of the rows while one forked child formats the rest. ``verify`` runs every
 check but the eigendecomposition reconstruction in one forked child while
 this process diagonalizes the largest generation and runs that check (see
 ``verify.run_verification``). Output bytes, and the verdict's check order,
@@ -52,7 +52,7 @@ from .spectral import (
     eigendecompose,
     group_degenerate,
 )
-from .serialize import CsvRows
+from .serialize import Rows
 from .symmetry import cluster_equal_limits, orbit_consistency
 from .verify import run_verification
 
@@ -86,7 +86,7 @@ def _setting(cli_value, env_name: str, cast, fallback):
         raise UsageError(f"invalid {ENV_PREFIX}{env_name}={raw!r}") from exc
 
 
-#: Fewest values in a CSV body for which ``_write`` has a forked child format
+#: Fewest values in a text body for which ``_write`` has a forked child format
 #: the second half of the rows. Forking, waiting and appending cost about 4 ms
 #: against about 1 us per value formatted, so with two idle CPUs the split
 #: breaks even near 10,000 values; measured (one BLAS thread): 24,800 values
@@ -118,35 +118,36 @@ def _split_row(fh: TextIO, chunks: Iterable[str]) -> int:
     """The first row a forked child should format, or 0 to format every row here.
 
     Splitting needs two CPUs (``fork.two_cpus``), a target that takes bytes
-    (``fh.buffer``, which ``io.StringIO`` lacks) and a ``CsvRows`` body of at
+    (``fh.buffer``, which ``io.StringIO`` lacks) and a ``Rows`` body of at
     least ``_SPLIT_MIN_VALUES`` values.
     """
-    if not (isinstance(chunks, CsvRows) and chunks.values.size >= _SPLIT_MIN_VALUES
+    if not (isinstance(chunks, Rows) and chunks.values.size >= _SPLIT_MIN_VALUES
             and hasattr(fh, "buffer") and fork.two_cpus()):
         return 0
     return len(chunks) // 2
 
 
 def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
-    """Write the chunks to ``fh``; a large ``CsvRows`` body on two processes.
+    """Write the chunks to ``fh``; a large ``Rows`` body on two processes.
 
-    This process writes the header and rows ``[0, mid)`` while a forked child
+    This process writes the head and rows ``[0, mid)`` while a forked child
     formats rows ``[mid, n)`` into an unlinked temporary file, which is then
-    copied to ``fh.buffer`` as bytes.
+    copied to ``fh.buffer`` as bytes, followed by the tail.
     """
     mid = _split_row(fh, chunks)
     if not mid:
         fh.writelines(chunks)
         return
-    fh.write(chunks.header)
+    fh.write(chunks.head)
     with fork.child(lambda part: _write_rows(chunks, mid, part)) as join:
         fh.writelines(chunks.rows(0, mid))
         part = join()
         fh.flush()
         shutil.copyfileobj(part, fh.buffer)
+    fh.write(chunks.tail)
 
 
-def _write_rows(chunks: CsvRows, start: int, part: BinaryIO) -> None:
+def _write_rows(chunks: Rows, start: int, part: BinaryIO) -> None:
     """Write rows ``start..`` of ``chunks`` to ``part`` as text (in the forked child)."""
     with open(part.fileno(), "w", closefd=False) as fh:
         fh.writelines(chunks.rows(start, len(chunks)))
@@ -329,9 +330,9 @@ def _cmd_evolve(args) -> int:
     fmt = _resolve_format(args, ("csv", "json"), "evolve")
     if fmt == "json" and args.wide:
         raise UsageError("--wide applies to CSV output only")
-    output = _setting(args.output, "OUTPUT", str, None)
-    if kind != "both" or output == "":  # "" has no name to derive the two from
-        outputs = {kind: _writable(output)}
+    output = _resolve_output(args)
+    if kind != "both":
+        outputs = {kind: output}
     elif output is None:
         raise UsageError("--kind both requires --output (one file per kind)")
     else:

@@ -5,21 +5,21 @@ significant digits and probability entries in [-1e-12, 0) are clamped to 0
 on output only. No command reads this text back; ``np.loadtxt`` (CSV) and
 ``json.loads`` (JSON) read it exactly.
 
-The CSV writers for eigenvectors, series and the limiting matrix return a
-``CsvRows`` row source. Iterating it yields str chunks, the header and then
-one chunk per row, formatted only as they are read, so a caller can write
-each row as soon as it is formatted; the text is ``"".join`` of the chunks.
-``CsvRows.rows(start, stop)`` yields the chunks of one row range alone, so
-two processes can format disjoint ranges of one text; ``len`` is the number
-of rows and ``values.size`` the number of values in the body. The JSON
-writers for series and the limiting matrix also yield one chunk per row; the
-other writers return the whole text.
+Every text of many rows, the spectrum, eigenvector, series and limiting-matrix
+CSV and the series and limiting-matrix JSON, comes back as one ``Rows`` row
+source. Iterating it yields str chunks: the head, one chunk per row,
+formatted only as it is read, and the tail, so a caller can write each row as
+soon as it is formatted; the text is ``"".join`` of the chunks.
+``Rows.rows(start, stop)`` yields the chunks of one row range alone, so two
+processes can format disjoint ranges of one text; ``len`` is the number of
+rows and ``values.size`` the number of values in the body. The network and
+cluster-report writers return the whole text.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,78 +50,60 @@ def _zeroed(values, probability: bool) -> np.ndarray:
     return np.where(zero, 0.0, values)
 
 
-def _format_rows(
-    labels: list[str], values: np.ndarray, *, long: bool, probability: bool
-) -> Iterator[str]:
-    """CSV lines for a 2-D array, one ``"%"`` operation and one chunk per row.
-
-    Wide layout: one line ``label,v_1,...,v_n`` per row. Long layout: one line
-    ``label,k,v_k`` per entry, row-major. Every line ends in ``"\\n"``. Every
-    value prints exactly as ``format_probability`` (``probability=True``) or
-    ``format_float`` would print it: ``"%.17g"`` matches them except that it
-    keeps the sign of ``-0.0``, so zero and, for probabilities, the clamp band
-    become ``0.0`` before formatting, one row at a time.
-    """
-    n = values.shape[1]
-    if long:
-        template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
-        args: list = [None] * (2 * n)
-        for label, row in zip(labels, values):
-            args[0::2] = [label] * n
-            args[1::2] = _zeroed(row, probability).tolist()
-            yield template % tuple(args)
-    else:
-        template = "%s" + ",%.17g" * n + "\n"
-        for label, row in zip(labels, values):
-            yield template % (label, *_zeroed(row, probability).tolist())
-
-
 def _node_labels(n: int) -> list[str]:
     return [str(k) for k in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class CsvRows:
-    """A CSV text as its header and the rows of ``values``, formatted on demand.
+def _separated(labels: list[str]) -> list[str]:
+    """``labels`` with the JSON ``",\\n"`` separator before all but the first."""
+    return labels[:1] + [",\n" + label for label in labels[1:]]
 
-    Iterating yields the header and then one chunk per row, in order. Row i
-    is ``labels[i]`` and ``values[i]`` in the ``_format_rows`` layout.
+
+@dataclass(frozen=True)
+class Rows:
+    """A text as ``head``, one chunk per row of ``values``, and ``tail``, formatted on demand.
+
+    Chunk i is ``template % (labels[i], *row)``, where ``row`` is ``values[i]``
+    with zero and, for ``probability`` values, the clamp band set to ``0.0``:
+    ``"%.17g"`` prints a value exactly as ``format_float`` or
+    ``format_probability`` would except that it keeps the sign of ``-0.0``,
+    and ``%r`` prints it as ``json`` does when it is finite. With ``long`` the
+    template holds a ``%s`` slot before each value, and ``labels[i]`` fills
+    every one of them.
     """
 
-    header: str
+    head: str
+    template: str
     labels: list[str]
     values: np.ndarray
-    long: bool
     probability: bool
+    tail: str = ""
+    long: bool = False
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __iter__(self) -> Iterator[str]:
-        yield self.header
+        yield self.head
         yield from self.rows(0, len(self))
+        yield self.tail
 
     def rows(self, start: int, stop: int) -> Iterator[str]:
-        """The chunks of rows ``start`` to ``stop - 1``, without the header."""
-        return _format_rows(self.labels[start:stop], self.values[start:stop],
-                            long=self.long, probability=self.probability)
-
-
-def _json_chunks(head: str, items: Iterable[str], tail: str) -> Iterator[str]:
-    """``head``, then each item with a ``",\\n"`` before all but the first, then ``tail``."""
-    yield head
-    separator = ""
-    for item in items:
-        yield separator + item
-        separator = ",\n"
-    yield tail
+        """The chunks of rows ``start`` to ``stop - 1``, without the head or the tail."""
+        n = self.values.shape[1]
+        args: list = [None] * (2 * n)
+        for label, row in zip(self.labels[start:stop], self.values[start:stop]):
+            zeroed = _zeroed(row, self.probability).tolist()
+            if self.long:
+                args[0::2] = [label] * n
+                args[1::2] = zeroed
+                yield self.template % tuple(args)
+            else:
+                yield self.template % (label, *zeroed)
 
 
 def _json_list_template(n: int, indent: int) -> str:
-    """``json.dumps(indent=2)`` layout of an n-float list at ``indent`` spaces, as ``%r`` slots.
-
-    ``%r`` prints a float exactly as ``json`` does when it is finite.
-    """
+    """``json.dumps(indent=2)`` layout of an n-float list at ``indent`` spaces, as ``%r`` slots."""
     inner = " " * (indent + 2)
     return "[\n" + ",\n".join([inner + "%r"] * n) + "\n" + " " * indent + "]"
 
@@ -152,84 +134,87 @@ def network_to_json(net: Network) -> str:
 
 # -- spectrum ----------------------------------------------------------------
 
-def spectrum_to_csv(s: Spectrum) -> str:
-    lines = ["index,eigenvalue"]
-    lines.extend(
-        f"{i},{format_float(v)}" for i, v in enumerate(s.eigenvalues, start=1)
-    )
-    return "\n".join(lines) + "\n"
+def spectrum_to_csv(s: Spectrum) -> Rows:
+    """The ``index,eigenvalue`` CSV: the header, then one row per eigenvalue."""
+    return Rows("index,eigenvalue\n", "%s,%.17g\n", _node_labels(s.order),
+                s.eigenvalues[:, np.newaxis], probability=False)
 
 
-def eigenvectors_to_csv(s: Spectrum) -> CsvRows:
+def eigenvectors_to_csv(s: Spectrum) -> Rows:
     """The ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
     n = s.order
     header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1)) + "\n"
-    return CsvRows(header, _node_labels(n), s.eigenvectors, long=False, probability=False)
+    return Rows(header, "%s" + ",%.17g" * n + "\n", _node_labels(n), s.eigenvectors,
+                probability=False)
 
 
 # -- probability series ------------------------------------------------------
 
-def series_to_csv(
-    snapshots: list[TransitionSnapshot], wide: bool = False
-) -> CsvRows:
-    """The series CSV: the header, then one row per snapshot.
+def _series_values(snapshots: list[TransitionSnapshot]) -> np.ndarray:
+    """The snapshots' values, one row per snapshot.
 
-    The input is checked here, when the function is called, and not when the
+    An empty series is refused here, when a writer is called, and not when its
     chunks are first read, so a bad call raises before any output is opened.
     """
     if not snapshots:
         raise ValueError("cannot serialize an empty series")
-    n = len(snapshots[0].values)
+    return np.array([snap.values for snap in snapshots])
+
+
+def series_to_csv(
+    snapshots: list[TransitionSnapshot], wide: bool = False
+) -> Rows:
+    """The series CSV: the header, then one row per snapshot.
+
+    Wide layout: one line ``t,p_1,...,p_N`` per snapshot. Long layout: one
+    line ``t,k,p_k`` per entry, snapshot-major.
+    """
+    values = _series_values(snapshots)
+    n = values.shape[1]
+    labels = [format_float(snap.time) for snap in snapshots]
     if wide:
         header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1)) + "\n"
-    else:
-        header = "t,k,probability\n"
-    labels = [format_float(snap.time) for snap in snapshots]
-    values = np.array([snap.values for snap in snapshots])
-    return CsvRows(header, labels, values, long=not wide, probability=True)
+        return Rows(header, "%s" + ",%.17g" * n + "\n", labels, values, probability=True)
+    template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
+    return Rows("t,k,probability\n", template, labels, values, probability=True, long=True)
 
 
-def series_to_json(snapshots: list[TransitionSnapshot]) -> Iterator[str]:
-    """Chunks of ``{"source", "kind", "snapshots": [{"t", "p"}, ...]}``, one per snapshot.
+def series_to_json(snapshots: list[TransitionSnapshot]) -> Rows:
+    """``{"source", "kind", "snapshots": [{"t", "p"}, ...]}``, one row per snapshot.
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"`` with
     every value printed as it reads back from ``format_float`` (times) or
-    ``format_probability`` (probabilities). The input is checked when the
-    function is called, as in ``series_to_csv``.
+    ``format_probability`` (probabilities).
     """
-    if not snapshots:
-        raise ValueError("cannot serialize an empty series")
+    values = _series_values(snapshots)
     first = snapshots[0]
     head = (f'{{\n  "source": {first.source},\n  "kind": {json.dumps(first.kind)},\n'
             '  "snapshots": [\n')
-    item = ('    {\n      "t": %r,\n      "p": '
-            + _json_list_template(len(first.values), 6) + "\n    }")
     times = _zeroed([snap.time for snap in snapshots], probability=False).tolist()
-    items = (item % (t, *_zeroed(snap.values, probability=True).tolist())
-             for t, snap in zip(times, snapshots))
-    return _json_chunks(head, items, "\n  ]\n}\n")
+    labels = _separated([f'    {{\n      "t": {t!r}' for t in times])
+    template = '%s,\n      "p": ' + _json_list_template(values.shape[1], 6) + "\n    }"
+    return Rows(head, template, labels, values, probability=True, tail="\n  ]\n}\n")
 
 
 # -- limiting matrix ---------------------------------------------------------
 
-def limiting_matrix_to_csv(chi: LimitingMatrix) -> CsvRows:
+def limiting_matrix_to_csv(chi: LimitingMatrix) -> Rows:
     """The ``j,k,chi`` CSV: the header, then one row of N lines per source j."""
     # Source-major: the row for source j is column j of the matrix.
-    return CsvRows("j,k,chi\n", _node_labels(chi.order), chi.entries.T,
-                   long=True, probability=True)
+    template = "".join(f"%s,{k},%.17g\n" for k in range(1, chi.order + 1))
+    return Rows("j,k,chi\n", template, _node_labels(chi.order), chi.entries.T,
+                probability=True, long=True)
 
 
-def limiting_matrix_to_json(chi: LimitingMatrix) -> Iterator[str]:
-    """Chunks of ``{"order", "entries": [[...], ...]}``, one per matrix row.
+def limiting_matrix_to_json(chi: LimitingMatrix) -> Rows:
+    """``{"order", "entries": [[...], ...]}``, one row per matrix row.
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"`` with
     every entry printed as it reads back from ``format_probability``.
     """
-    row = "    " + _json_list_template(chi.order, 4)
-    items = (row % tuple(_zeroed(values, probability=True).tolist())
-             for values in chi.entries)
-    return _json_chunks(f'{{\n  "order": {chi.order},\n  "entries": [\n', items,
-                        "\n  ]\n}\n")
+    return Rows(f'{{\n  "order": {chi.order},\n  "entries": [\n',
+                "%s    " + _json_list_template(chi.order, 4), _separated([""] * chi.order),
+                chi.entries, probability=True, tail="\n  ]\n}\n")
 
 
 # -- cluster / orbit reports --------------------------------------------------

@@ -74,25 +74,29 @@ def default_degeneracy_tolerance(s: Spectrum) -> float:
     return 1e-8 * max(1.0, float(abs(s.eigenvalues[-1])))
 
 
-def group_degenerate(s: Spectrum, tol: float) -> EigenspaceGrouping:
-    """Cluster adjacent eigenvalues whose gap is at most ``tol``.
+def gap_runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Half-open index ranges of ascending ``values``, split wherever a gap exceeds ``tol``.
 
-    Greedy left-to-right on the ascending eigenvalues: a new group starts
-    whenever the gap to the previous eigenvalue exceeds the tolerance.
+    This is the one rule for equal values: adjacent values at most ``tol``
+    apart share a run, so a run can span more than ``tol`` in all.
 
     Raises:
         ValueError: if ``tol`` is not finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    values = s.eigenvalues
-    if np.any(np.diff(values) < 0):
+    cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(values)]))
+
+
+def group_degenerate(s: Spectrum, tol: float) -> EigenspaceGrouping:
+    """Group adjacent eigenvalues whose gap is at most ``tol`` (``gap_runs``).
+
+    Raises:
+        ValueError: if ``tol`` is not finite and positive, or the eigenvalues
+            are not ascending.
+    """
+    groups = gap_runs(s.eigenvalues, tol)
+    if np.any(np.diff(s.eigenvalues) < 0):
         raise ValueError("eigenvalues must be ascending")
-    groups: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            groups.append((start, i))
-            start = i
-    groups.append((start, len(values)))
     return EigenspaceGrouping(groups=tuple(groups), tolerance=tol)

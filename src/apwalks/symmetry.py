@@ -8,13 +8,13 @@ numerically but not implied by the corner group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import SUM_TOL
 from .network import OrbitPartition
+from .spectral import gap_runs
 
 
 @dataclass(frozen=True)
@@ -47,33 +47,27 @@ class OrbitConsistencyReport:
 def cluster_equal_limits(
     chi_column: np.ndarray, tol: float, source: int = 0
 ) -> ChiClustering:
-    """Greedily merge sorted column values whose adjacent gap is <= tol.
+    """Cluster the column's sorted values by ``spectral.gap_runs``.
 
     Raises:
         ValueError: if ``tol`` is not finite and positive or the column is
             not a probability distribution.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     column = np.asarray(chi_column, dtype=float)
+    order = np.argsort(column, kind="stable")
+    ascending = column[order]
+    runs = gap_runs(ascending, tol)
     # Negated: a NaN entry makes the sum NaN and fails the check.
     if not abs(column.sum() - 1.0) <= SUM_TOL:
         raise ValueError(
             f"chi column must sum to 1 within {SUM_TOL:g}, got {column.sum()!r}"
         )
-    order = np.argsort(column, kind="stable")
-    clusters: list[list[int]] = [[int(order[0]) + 1]]
-    for idx in order[1:]:
-        node = int(idx) + 1
-        if column[idx] - column[clusters[-1][-1] - 1] <= tol:
-            clusters[-1].append(node)
-        else:
-            clusters.append([node])
     return ChiClustering(
         source=source,
         tolerance=tol,
-        clusters=tuple(tuple(sorted(c)) for c in clusters),
-        values=tuple(float(np.mean(column[np.array(c) - 1])) for c in clusters),
+        clusters=tuple(tuple((np.sort(order[a:b]) + 1).tolist()) for a, b in runs),
+        # The mean in ascending-value order: another order can move the last bit.
+        values=tuple(float(np.mean(ascending[a:b])) for a, b in runs),
     )
 
 

@@ -75,10 +75,7 @@ class VerificationReport:
                     "name": c.name,
                     "generation": c.generation,
                     "passed": bool(c.passed),
-                    "detail": {
-                        key: float(v) if isinstance(v, float) else v
-                        for key, v in c.detail.items()
-                    },
+                    "detail": dict(c.detail),
                 }
                 for c in self.checks
             ],

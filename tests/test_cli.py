@@ -293,6 +293,9 @@ def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, no_work, 
     (("spectrum", "-g", "2", "--eigenvectors", ""), "", "No such file or directory"),
     (("verify", "--max-generation", "0", "-o", ""), "", "No such file or directory"),
     (("evolve", "-g", "2", "--kind", "both", "-o", ""), "", "No such file or directory"),
+    (("evolve", "-g", "2", "--kind", "both", "-o", "."), ".", "Is a directory"),
+    (("evolve", "-g", "2", "--kind", "both", "-o", "/"), "/", "Is a directory"),
+    (("evolve", "-g", "2", "--kind", "both", "-o", "dir/"), "dir/", "Is a directory"),
 ])
 def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys, no_work,
                                                 argv, bad, reason):
@@ -429,11 +432,11 @@ def test_chi_json_is_written_row_by_row(tmp_path, pipe):
     assert peak < out.stat().st_size / 2
 
 
-# -- CSV bodies formatted by two processes ---------------------------------------
+# -- text bodies formatted by two processes --------------------------------------
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Split every CSV body, as on two CPUs, and count the forks."""
+    """Split every row-source body, as on two CPUs, and count the forks."""
     calls = []
     real_fork = os.fork
 
@@ -455,10 +458,15 @@ def split_writers(pipe):
         "long": serialize.series_to_csv(series),
         "wide": serialize.series_to_csv(series, wide=True),
         "eigenvectors": serialize.eigenvectors_to_csv(s),
+        "chi-json": serialize.limiting_matrix_to_json(pipe.chi(4)),
+        "series-json": serialize.series_to_json(series),
     }
 
 
-@pytest.mark.parametrize("name", ["chi", "long", "wide", "eigenvectors"])
+SPLIT_WRITERS = ["chi", "long", "wide", "eigenvectors", "chi-json", "series-json"]
+
+
+@pytest.mark.parametrize("name", SPLIT_WRITERS)
 def test_split_file_bytes_match_one_process(tmp_path, pipe, forks, name):
     rows = split_writers(pipe)[name]
     out = tmp_path / f"{name}.csv"
@@ -468,7 +476,7 @@ def test_split_file_bytes_match_one_process(tmp_path, pipe, forks, name):
 
 
 @pytest.mark.parametrize("capture", ["capsys", "capfd"])
-@pytest.mark.parametrize("name", ["chi", "long", "wide", "eigenvectors"])
+@pytest.mark.parametrize("name", SPLIT_WRITERS)
 def test_split_stdout_bytes_match_one_process(request, pipe, forks, name, capture):
     # capsys's stdout has no file descriptor, capfd's is a real file; both
     # take the child's bytes through their buffer.
@@ -481,7 +489,7 @@ def test_split_stdout_bytes_match_one_process(request, pipe, forks, name, captur
     assert cap.readouterr().out == "before" + "".join(rows) + "after"
 
 
-@pytest.mark.parametrize("name", ["chi", "long", "wide", "eigenvectors"])
+@pytest.mark.parametrize("name", SPLIT_WRITERS)
 def test_no_split_to_a_text_only_stdout(pipe, forks, name):
     # io.StringIO has no byte buffer for the child's rows: format them here.
     rows = split_writers(pipe)[name]
@@ -493,14 +501,14 @@ def test_no_split_to_a_text_only_stdout(pipe, forks, name):
 
 @pytest.mark.parametrize("failing", ["child", "parent"])
 def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing):
-    class FailingRows(serialize.CsvRows):
+    class FailingRows(serialize.Rows):
         def rows(self, start, stop):
             if (start > 0) == (failing == "child"):
                 raise OSError(f"{failing} failed")
             return super().rows(start, stop)
 
     good = serialize.limiting_matrix_to_csv(pipe.chi(4))
-    rows = FailingRows(good.header, good.labels, good.values, good.long, good.probability)
+    rows = FailingRows(**vars(good))
     expected = "exited with 1" if failing == "child" else "parent failed"
     with pytest.raises((RuntimeError, OSError), match=expected):
         cli._write(rows, str(tmp_path / "chi.csv"))

@@ -49,7 +49,7 @@ def test_network_json_round_trip(pipe):
 
 def test_spectrum_csv_round_trip(pipe):
     s = pipe.spectrum(2)
-    text = serialize.spectrum_to_csv(s)
+    text = "".join(serialize.spectrum_to_csv(s))
     assert text.splitlines()[0] == "index,eigenvalue"
     parsed = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
     assert np.array_equal(parsed[:, 0], np.arange(1, 8))
@@ -129,7 +129,7 @@ def test_writers_are_deterministic(pipe):
     chi = pipe.chi(3)
     series = evolve_series(s, 4, "quantum", TimeGrid(0.01, 10.0, 20, "logarithmic"))
     assert serialize.network_to_edge_list(net) == serialize.network_to_edge_list(net)
-    assert serialize.spectrum_to_csv(s) == serialize.spectrum_to_csv(s)
+    assert "".join(serialize.spectrum_to_csv(s)) == "".join(serialize.spectrum_to_csv(s))
     assert "".join(serialize.series_to_csv(series)) == "".join(serialize.series_to_csv(series))
     assert "".join(serialize.limiting_matrix_to_csv(chi)) == "".join(serialize.limiting_matrix_to_csv(chi))
 
@@ -184,7 +184,10 @@ def test_row_formatter_matches_per_value_formatters(long, probability):
         rng.uniform(0.0, 1.0, 25) * 10.0 ** rng.integers(-300, 300, 25),
     ]).reshape(5, -1)
     labels = ["0", "1e-300", "a", "17", "0.33333333333333331"]
-    text = "".join(serialize._format_rows(labels, values, long=long, probability=probability))
+    n = values.shape[1]
+    template = ("".join(f"%s,{k},%.17g\n" for k in range(1, n + 1)) if long
+                else "%s" + ",%.17g" * n + "\n")
+    text = "".join(serialize.Rows("", template, labels, values, probability, long=long))
     fmt = serialize.format_probability if probability else serialize.format_float
     if long:
         expected = [f"{lab},{k},{fmt(v)}" for lab, row in zip(labels, values)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apwalks.network import laplacian
 from apwalks.spectral import (
     Spectrum,
     default_degeneracy_tolerance,
     eigendecompose,
+    gap_runs,
     group_degenerate,
 )
 
@@ -139,6 +142,23 @@ def test_grouping_respects_gap_structure(pipe):
                 assert e[stop - 1] - e[start] <= tol
         for (_, stop), (start, _) in zip(grouping.groups, grouping.groups[1:]):
             assert e[start] - e[stop - 1] > tol
+
+
+def greedy_runs(values, tol):
+    """The left-to-right loop ``gap_runs`` replaces, kept as its reference."""
+    runs, start = [], 0
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > tol:
+            runs.append((start, i))
+            start = i
+    return runs + [(start, len(values))]
+
+
+# Multiples of 1e-9 against tol=1e-9 put many gaps within rounding of the tolerance.
+@given(st.lists(st.integers(0, 12), max_size=30).map(sorted), st.sampled_from([1e-9, 2e-9]))
+def test_gap_runs_matches_the_greedy_loop(steps, tol):
+    values = np.array(steps, dtype=float) * 1e-9
+    assert gap_runs(values, tol) == greedy_runs(values, tol)
 
 
 def test_default_tolerance_scales():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from apwalks import symmetry
 from apwalks.network import corner_group, orbits
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
 
@@ -148,3 +154,27 @@ def test_cluster_lookup(pipe):
     clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
     assert [c for c in clustering.clusters if 4 in c] == [(4,)]
     assert not any(77 in c for c in clustering.clusters)
+
+
+def test_groupings_and_clusters_do_not_depend_on_blas_threads():
+    # The chi bytes at G=5 differ between one and two OpenBLAS threads; the
+    # default eigenvalue grouping and the 1e-9 clusters of every source do not.
+    script = """
+import hashlib
+from apwalks.symmetry import cluster_equal_limits
+from apwalks.verify import Pipeline
+pipe = Pipeline()
+chi = pipe.chi(5)
+clusters = [cluster_equal_limits(chi.column(j), 1e-9, source=j).clusters
+            for j in range(1, chi.order + 1)]
+print(hashlib.sha256(repr((pipe.grouping(5).groups, clusters)).encode()).hexdigest())
+"""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(symmetry.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
