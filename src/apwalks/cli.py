@@ -3,14 +3,17 @@
 Subcommands: generate, spectrum, evolve, limit, orbits, verify. Any flag's
 default can be overridden by an APWALKS_* environment variable (for example
 APWALKS_GENERATION=3); explicit flags always win. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 capacity exceeded, 4 numeric failure.
+1 verification failure, 2 usage error, 3 capacity exceeded (a generation
+above ``GENERATION_CAP`` or an ``evolve`` series of more than
+``SERIES_VALUE_CAP`` values), 4 numeric failure.
 
-Two commands use a second CPU when this process may run on two or more
-(``fork.two_cpus``). Large CSV and JSON outputs (the limiting matrix, series
-and eigenvectors) are formatted by two processes: this one writes the first
-half of the rows while one forked child formats the rest. ``verify`` runs every
-check but the eigendecomposition reconstruction in one forked child while
-this process diagonalizes the largest generation and runs that check (see
+Four commands use a second CPU when this process may run on two or more
+(``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
+split large CSV and JSON bodies (the eigenvectors, series and limiting
+matrix): this process writes the first half of the rows while one forked
+child formats the rest. ``verify`` splits its checks: it runs every check
+but the eigendecomposition reconstruction in one forked child while this
+process diagonalizes the largest generation and runs that check (see
 ``verify.run_verification``). Output bytes, and the verdict's check order,
 are the same as from one process, and on one CPU everything runs in this
 process. There is no flag for it. The CPU count is the affinity mask only;
@@ -40,10 +43,13 @@ from typing import BinaryIO, TextIO
 from . import fork, serialize
 from .dynamics import TimeGrid, evolve_series, limiting_matrix
 from .network import (
+    GENERATION_CAP,
+    SERIES_VALUE_CAP,
     CapacityError,
     corner_group,
     generate_apollonian,
     laplacian,
+    node_count_for_generation,
     orbits,
 )
 from .spectral import (
@@ -324,6 +330,14 @@ def _time_grid(args) -> TimeGrid:
 def _cmd_evolve(args) -> int:
     generation = _resolve_generation(args)
     grid = _time_grid(args)
+    # A generation above its cap is refused when the network is built.
+    if generation <= GENERATION_CAP:
+        n = node_count_for_generation(generation)
+        if grid.steps * n > SERIES_VALUE_CAP:
+            raise CapacityError(
+                f"a series of {grid.steps} times on N = {n} nodes exceeds the cap "
+                f"of {SERIES_VALUE_CAP} values"
+            )
     kind = _setting(args.kind, "KIND", str, "quantum")
     if kind not in ("classical", "quantum", "both"):
         raise UsageError(f"--kind must be classical, quantum or both, got {kind!r}")

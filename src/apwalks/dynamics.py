@@ -32,11 +32,21 @@ and the coherent rows are the squared norms of the cosine and sine parts of
 finite-time average and the revival scan all call it. The revival scan asks
 for one target node: V^T shrinks to that node's eigenvector row, and each
 block yields one column, the return probability pi_jj. A block holds at
-most ``_BLOCK_ENTRIES`` phase entries (times x modes), so each of the
-kernel's temporaries stays near 1 MB whatever the grid length. The sum runs
-over single modes, never over degeneracy groups, so the series depend on no
-degeneracy tolerance and carry no phase error from the spread inside a
-group: they are exact up to the rounding of the products.
+most ``_BLOCK_ENTRIES`` phase entries (times x modes) and at most as many
+result entries, so each of the kernel's temporaries stays near 1 MB
+whatever the grid length.
+
+Point probabilities and series sum over every mode. The revival scan and
+the finite-time average sum over the modes that reach the source j only
+(``_source_modes``): the modes with the smallest weights q_n[j]^2 are
+dropped while their sum D stays at most (N eps)^2, eps the machine epsilon.
+By Cauchy-Schwarz every amplitude a_kj(t) then moves by at most
+sqrt(D) <= N eps, and the return amplitude a_jj(t) by at most D, at any t;
+so, up to rounding, the probabilities move by at most 2 N eps + (N eps)^2
+and the return probability by at most 2 (N eps)^2 + (N eps)^4. The central node of
+G=3 keeps 5 of 16 modes, that of G=7 65 of 1096. No sum runs over
+degeneracy groups, so the series depend on no degeneracy tolerance and
+carry no phase error from the spread inside a group.
 
 Time is measured in units of the inverse hopping rate throughout.
 """
@@ -64,11 +74,11 @@ SUM_TOL = 1e-10
 #: Grid density used by the revival search when none is specified.
 DEFAULT_REVIVAL_POINTS = 100_000
 
-#: Phase entries (times x modes) per time block: bounds the kernel's
-#: temporaries; the block length follows from the order N. At G=3 (N=16) a
-#: block is 8192 times; at G=7 it is 119 times, which multiply as fast as
-#: larger blocks. Blocks of 2**20 entries ran no faster and raised peak
-#: memory at G=3 by 30-40 MB.
+#: Phase or result entries per time block: bounds the kernel's temporaries;
+#: the block length follows from the wider of the mode count and the result
+#: width. Over all N modes, a block at G=3 (N=16) is 8192 times; at G=7 it
+#: is 119 times, which multiply as fast as larger blocks. Blocks of 2**20
+#: entries ran no faster and raised peak memory at G=3 by 30-40 MB.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -81,9 +91,9 @@ _BLOCK_ENTRIES = 2**17
 _PAIR_MAX_DIM = 4
 
 
-def _block_rows(s: Spectrum) -> int:
-    """Times per block for this spectrum: about ``_BLOCK_ENTRIES`` entries."""
-    return max(1, _BLOCK_ENTRIES // s.order)
+def _block_rows(width: int) -> int:
+    """Times per block when its widest array has ``width`` columns."""
+    return max(1, _BLOCK_ENTRIES // width)
 
 
 @dataclass(frozen=True)
@@ -200,25 +210,30 @@ def _propagate(
     times: np.ndarray,
     kind: TransitionKind,
     target: int | None = None,
+    modes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distributions from node j, one row per time: a (len(times) x N) array.
 
     With a ``target`` node, only that node's probability is formed: the
-    result is one (len(times) x 1) column. Each block of times is two real
-    GEMMs at most; the coherent rows are |cos part|^2 + |sin part|^2 of the
-    amplitudes.
+    result is one (len(times) x 1) column. With ``modes`` (ascending mode
+    indices, from ``_source_modes``) the sums run over those modes only;
+    without, over all N. Each block of times is two real GEMMs at most; the
+    coherent rows are |cos part|^2 + |sin part|^2 of the amplitudes.
     """
     if kind not in ("classical", "quantum"):
         raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
     check_node(j, s.order)
-    w = s.eigenvectors[j - 1, :]
-    vt = s.eigenvectors.T
+    e, v = s.eigenvalues, s.eigenvectors
+    if modes is not None:
+        e, v = e[modes], v[:, modes]
+    w = v[j - 1, :]
+    vt = v.T
     if target is not None:
         vt = vt[:, target - 1 : target]
     out = np.empty((len(times), vt.shape[1]))
-    rows = _block_rows(s)
+    rows = _block_rows(max(vt.shape))
     for lo in range(0, len(times), rows):
-        arg = np.outer(times[lo : lo + rows], s.eigenvalues)
+        arg = np.outer(times[lo : lo + rows], e)
         if kind == "classical":
             out[lo : lo + rows] = (np.exp(-arg) * w) @ vt
         else:
@@ -226,6 +241,22 @@ def _propagate(
             im = (np.sin(arg) * w) @ vt
             out[lo : lo + rows] = re * re + im * im
     return out
+
+
+def _source_modes(s: Spectrum, j: int) -> np.ndarray:
+    """Ascending indices of the modes that reach node j.
+
+    The modes of smallest weight q_n[j]^2 are dropped while the dropped
+    weights sum to at most (N eps)^2, so every amplitude from j moves by at
+    most N eps and the return amplitude by at most (N eps)^2 (module
+    docstring).
+    """
+    check_node(j, s.order)
+    weights = s.eigenvectors[j - 1] ** 2
+    order = np.argsort(weights, kind="stable")
+    floor = (s.order * np.finfo(float).eps) ** 2
+    dropped = np.count_nonzero(np.cumsum(weights[order]) <= floor)
+    return np.sort(order[dropped:])
 
 
 def _probability(
@@ -316,12 +347,16 @@ def max_return_probability(
 
     The window must start strictly after t = 0 (the trivial maximum). The
     search is a dense scan; the grid resolution is the caller's to report.
-    The earliest of equal maxima wins.
+    The earliest of equal maxima wins. The sum runs over the modes that reach
+    j (``_source_modes``): up to rounding, each value is within
+    2 (N eps)^2 + (N eps)^4 of the sum over all N modes, eps the machine
+    epsilon.
     """
     if not window.start > 0:
         raise ValueError("revival search window must exclude t = 0")
+    modes = _source_modes(s, j)
     times = window.times()
-    probs = _propagate(s, j, times, "quantum", target=j)[:, 0]
+    probs = _propagate(s, j, times, "quantum", target=j, modes=modes)[:, 0]
     i = int(np.argmax(probs))
     return float(times[i]), float(probs[i])
 
@@ -339,7 +374,10 @@ def finite_time_average(
     """Trapezoidal average of the coherent distribution over [0, horizon].
 
     This is a consistency check only: the limiting probabilities are defined
-    by their infinite-horizon spectral form, never by this average.
+    by their infinite-horizon spectral form, never by this average. The sum
+    runs over the modes that reach j (``_source_modes``), so up to rounding
+    each entry is within 2 N eps + (N eps)^2 of the sum over all N modes, eps
+    the machine epsilon; it reads no degeneracy grouping.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
@@ -352,9 +390,10 @@ def finite_time_average(
     times = np.linspace(0.0, horizon, samples)
     weights = np.ones(samples)
     weights[[0, -1]] = 0.5
+    modes = _source_modes(s, j)
     acc = np.zeros(s.order)
-    rows = _block_rows(s)
+    rows = _block_rows(s.order)
     for lo in range(0, samples, rows):
         block = slice(lo, lo + rows)
-        acc += weights[block] @ _propagate(s, j, times[block], "quantum")
+        acc += weights[block] @ _propagate(s, j, times[block], "quantum", modes=modes)
     return acc / (samples - 1)

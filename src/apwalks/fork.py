@@ -1,7 +1,7 @@
 """Run one share of a job in a forked child while this process runs the other.
 
-The CLI's CSV writer and the verification runner both split their work this
-way. ``two_cpus`` is their one trigger: it reads the affinity mask only, so a
+The CLI's writer of large CSV and JSON bodies and the verification runner
+both split their work this way. ``two_cpus`` is their one trigger: it reads the affinity mask only, so a
 cgroup CPU quota or a busy second CPU leaves a split with no gain and the cost
 of the fork.
 """

@@ -19,6 +19,13 @@ import numpy as np
 #: eigendecomposition stays interactive up to this size.
 GENERATION_CAP = 7
 
+#: Most values (times x nodes) one probability series may hold. ``evolve``
+#: holds its series twice, as the propagation kernel's output and as the
+#: writer's array, so a grid is refused before any work when one copy would
+#: exceed this: 2**26 values is 0.5 GB per copy, about 30 times the default
+#: grid of 2000 times at G=7.
+SERIES_VALUE_CAP = 2**26
+
 #: All six permutations of the three corner nodes, identity first.
 CORNER_PERMUTATIONS: tuple[tuple[int, int, int], ...] = tuple(
     sorted(permutations((1, 2, 3)))

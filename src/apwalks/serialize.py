@@ -1,9 +1,10 @@
 """Text formats for networks, spectra, series, and cluster reports.
 
 Identical inputs produce byte-identical text: floats are rendered with 17
-significant digits and probability entries in [-1e-12, 0) are clamped to 0
-on output only. No command reads this text back; ``np.loadtxt`` (CSV) and
-``json.loads`` (JSON) read it exactly.
+significant digits and probability entries in [``dynamics.ENTRY_FLOOR``, 0),
+the band a snapshot tolerates below zero, are clamped to 0 on output only.
+No command reads this text back; ``np.loadtxt`` (CSV) and ``json.loads``
+(JSON) read it exactly.
 
 Every text of many rows, the spectrum, eigenvector, series and limiting-matrix
 CSV and the series and limiting-matrix JSON, comes back as one ``Rows`` row
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LimitingMatrix, TransitionSnapshot
+from .dynamics import ENTRY_FLOOR, LimitingMatrix, TransitionSnapshot
 from .network import Network
 from .spectral import Spectrum
 from .symmetry import ChiClustering, OrbitConsistencyReport
@@ -38,7 +39,7 @@ def format_float(x: float) -> str:
 
 def format_probability(x: float) -> str:
     """Probability entries only: clamp the tolerated negative band to 0."""
-    if -1e-12 <= x < 0.0:
+    if ENTRY_FLOOR <= x < 0.0:
         x = 0.0
     return format_float(x)
 
@@ -46,7 +47,7 @@ def format_probability(x: float) -> str:
 def _zeroed(values, probability: bool) -> np.ndarray:
     """``values`` as floats with ``-0.0`` and, for probabilities, the clamp band set to ``0.0``."""
     values = np.asarray(values, dtype=float)
-    zero = (values >= -1e-12) & (values <= 0.0) if probability else values == 0.0
+    zero = (values >= ENTRY_FLOOR) & (values <= 0.0) if probability else values == 0.0
     return np.where(zero, 0.0, values)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np

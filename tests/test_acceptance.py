@@ -8,7 +8,6 @@ measure a fresh computation, not cached fixtures.
 import time
 
 import numpy as np
-import pytest
 
 from apwalks.dynamics import (
     classical_probability,
@@ -16,16 +15,11 @@ from apwalks.dynamics import (
     closed_form_g2,
     default_revival_window,
     finite_time_average,
-    limiting_matrix,
     max_return_probability,
     quantum_probability,
 )
 from apwalks.network import corner_group, generate_apollonian, laplacian, orbits
-from apwalks.spectral import (
-    default_degeneracy_tolerance,
-    eigendecompose,
-    group_degenerate,
-)
+from apwalks.spectral import eigendecompose
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
 
 # Observed on the default 100000-point window over (0.1, 200]; kept as a

@@ -13,7 +13,7 @@ import pytest
 from apwalks import cli, serialize, verify
 from apwalks.cli import main
 from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
-from apwalks.network import GENERATION_CAP
+from apwalks.network import GENERATION_CAP, SERIES_VALUE_CAP, node_count_for_generation
 from apwalks.spectral import NumericError
 
 
@@ -308,6 +308,25 @@ def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys, n
     assert out == ""
     assert err == f"apwalks: usage error: cannot write {bad}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "s.quantum.csv"]
+
+
+@pytest.mark.parametrize("generation, steps", [
+    (1, 10**12),
+    (GENERATION_CAP, SERIES_VALUE_CAP // node_count_for_generation(GENERATION_CAP) + 1),
+])
+def test_evolve_series_beyond_the_value_cap_exits_3_before_any_work(tmp_path, capsys, no_work,
+                                                                   generation, steps):
+    out = tmp_path / "s.csv"
+    assert run("evolve", "-g", str(generation), "--t-steps", str(steps), "-o", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("apwalks: capacity error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_evolve_series_at_the_value_cap_is_built(no_work):
+    steps = SERIES_VALUE_CAP // node_count_for_generation(GENERATION_CAP)
+    with pytest.raises(pytest.fail.Exception, match="network built"):
+        run("evolve", "-g", str(GENERATION_CAP), "--t-steps", str(steps))
 
 
 def test_orbits_command(capsys):

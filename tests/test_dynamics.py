@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apwalks import dynamics
 from apwalks.dynamics import (
@@ -16,7 +18,7 @@ from apwalks.dynamics import (
     max_return_probability,
     quantum_probability,
 )
-from apwalks.network import corner_group, laplacian
+from apwalks.network import corner_group, laplacian, node_count_for_generation
 from apwalks.spectral import EigenspaceGrouping, NumericError, Spectrum, group_degenerate
 from apwalks.symmetry import cluster_equal_limits
 
@@ -477,6 +479,77 @@ def test_max_return_probability_matches_reference_across_blocks(pipe, j):
     t_star, p_star = max_return_probability(s, j, window)
     assert t_star == times[i]
     assert abs(p_star - reference[i]) <= 1e-13
+
+
+# -- modes that reach the source ----------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def sources(draw, max_generation):
+    g = draw(st.integers(0, max_generation))
+    return g, draw(st.integers(1, node_count_for_generation(g)))
+
+
+@given(sources(max_generation=5))
+def test_source_modes_drop_at_most_the_weight_floor(pipe, source):
+    g, j = source
+    s = pipe.spectrum(g)
+    modes = dynamics._source_modes(s, j)
+    assert np.all(np.diff(modes) > 0)
+    weights = s.eigenvectors[j - 1] ** 2
+    assert np.delete(weights, modes).sum() <= (s.order * EPS) ** 2
+    # Only the smallest weights are dropped.
+    assert np.delete(weights, modes).max(initial=0.0) <= weights[modes].min()
+
+
+@pytest.mark.parametrize("g, kept", [(3, 5), (7, 65)])
+def test_central_node_reaches_few_modes(pipe, g, kept):
+    s = pipe.spectrum(g)
+    assert len(dynamics._source_modes(s, 4)) == kept
+
+
+def _sampled_sources():
+    """Every source at G <= 4; the center, a corner, the last node and two more at G = 5-6."""
+    cases = [(g, j) for g in range(5) for j in range(1, node_count_for_generation(g) + 1)]
+    for g in (5, 6):
+        n = node_count_for_generation(g)
+        cases += [(g, j) for j in (1, 4, 5, n // 2, n)]
+    return cases
+
+
+SOURCES = _sampled_sources()
+
+
+def test_restricted_revival_scan_matches_every_mode_scan(pipe):
+    window = TimeGrid(0.05, 200.0, 4000)
+    times = window.times()
+    for g, j in SOURCES:
+        s = pipe.spectrum(g)
+        reference = dynamics._propagate(s, j, times, "quantum", target=j)[:, 0]
+        i = int(np.argmax(reference))
+        t_star, p_star = max_return_probability(s, j, window)
+        assert t_star == times[i], (g, j)
+        assert abs(p_star - reference[i]) <= 4 * s.order * EPS, (g, j)
+
+
+def test_restricted_time_average_matches_every_mode_average(pipe):
+    samples = 2000
+    times = np.linspace(0.0, 40.0, samples)
+    weights = np.ones(samples)
+    weights[[0, -1]] = 0.5
+    for g, j in SOURCES:
+        s = pipe.spectrum(g)
+        reference = weights @ dynamics._propagate(s, j, times, "quantum") / (samples - 1)
+        average = finite_time_average(s, j, 40.0, samples)
+        assert np.abs(average - reference).max() <= 4 * s.order * EPS, (g, j)
+
+
+def test_revival_scan_at_g7_keeps_its_maximum(pipe):
+    t_star, p_star = max_return_probability(pipe.spectrum(7), 4, default_revival_window())
+    assert t_star == pytest.approx(0.1959529595295953, abs=1e-12)
+    assert p_star == pytest.approx(0.9976519358432645, abs=1e-12)
 
 
 # -- long-time consistency ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,30 @@ def test_all_lists_exactly_the_reexported_names():
     reexported = {name for name, value in vars(apwalks).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(apwalks.__all__) == sorted(reexported)
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads; names in its ``__all__`` count as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).parents[1]
+    modules = sorted([*(root / "src" / "apwalks").glob("*.py"), *(root / "tests").glob("*.py")])
+    assert len(modules) > 10
+    assert [entry for path in modules for entry in _unread_imports(path)] == []
