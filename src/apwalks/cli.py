@@ -1,8 +1,7 @@
 """Command-line front end: generation -> spectrum -> dynamics -> analysis.
 
-Subcommands: generate, spectrum, evolve, limit, orbits, verify. Any flag's
-default can be overridden by an APWALKS_* environment variable (for example
-APWALKS_GENERATION=3); explicit flags always win. Exit codes: 0 success,
+Subcommands: generate, spectrum, evolve, limit, orbits, verify. Every
+setting is a flag, with its default in the parser. Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 capacity exceeded (a generation
 above ``GENERATION_CAP`` or an ``evolve`` series of more than
 ``SERIES_VALUE_CAP`` values), 4 numeric failure.
@@ -62,8 +61,6 @@ from .serialize import Rows
 from .symmetry import cluster_equal_limits, orbit_consistency
 from .verify import run_verification
 
-ENV_PREFIX = "APWALKS_"
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -73,23 +70,6 @@ EXIT_NUMERIC = 4
 
 class UsageError(ValueError):
     """Bad flag values or combinations."""
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _setting(cli_value, env_name: str, cast, fallback):
-    """Resolve one option: explicit flag > environment variable > default."""
-    if cli_value is not None:
-        return cli_value
-    raw = _env(env_name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"invalid {ENV_PREFIX}{env_name}={raw!r}") from exc
 
 
 #: Fewest values in a text body for which ``_write`` has a forked child format
@@ -160,8 +140,8 @@ def _write_rows(chunks: Rows, start: int, part: BinaryIO) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, source: bool = True) -> None:
-    parser.add_argument("-g", "--generation", type=int, default=None,
-                        help="network generation (required unless APWALKS_GENERATION is set)")
+    parser.add_argument("-g", "--generation", type=int, required=True,
+                        help="network generation")
     if source:
         parser.add_argument("-s", "--source", type=int, default=None,
                             help="source node, 1-based (default: central node)")
@@ -178,33 +158,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit the network as an edge list or JSON")
     _add_common(p, source=False)
-    p.add_argument("--format", choices=("edgelist", "json"), default=None)
+    p.add_argument("--format", choices=("edgelist", "json"), default="edgelist",
+                   help="output format (default %(default)s)")
 
     p = sub.add_parser("spectrum", help="emit eigenvalues (and optionally eigenvectors)")
     _add_common(p, source=False)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default %(default)s)")
     p.add_argument("--eigenvectors", default=None, metavar="PATH",
                    help="also write the eigenvector matrix to PATH")
 
     p = sub.add_parser("evolve", help="emit a transition-probability time series")
     _add_common(p)
-    p.add_argument("--t-min", type=float, default=None, help="first sample time (default 0.01)")
-    p.add_argument("--t-max", type=float, default=None, help="last sample time (default 100)")
-    p.add_argument("--t-steps", type=int, default=None, help="number of sample times (default 2000)")
-    p.add_argument("--t-scale", choices=("lin", "log"), default=None,
-                   help="sample spacing (default log)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--kind", choices=("classical", "quantum", "both"), default=None)
+    p.add_argument("--t-min", type=float, default=0.01,
+                   help="first sample time (default %(default)s)")
+    p.add_argument("--t-max", type=float, default=100.0,
+                   help="last sample time (default %(default)s)")
+    p.add_argument("--t-steps", type=int, default=2000,
+                   help="number of sample times (default %(default)s)")
+    p.add_argument("--t-scale", choices=("lin", "log"), default="log",
+                   help="sample spacing (default %(default)s)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default %(default)s)")
+    p.add_argument("--kind", choices=("classical", "quantum", "both"), default="quantum",
+                   help="walk to propagate (default %(default)s)")
     p.add_argument("--wide", action="store_true",
                    help="CSV layout t,p_1..p_N instead of t,k,probability")
 
     p = sub.add_parser("limit", help="long-time limiting probabilities and value clusters")
     _add_common(p)
     p.add_argument("--tol-degeneracy", type=float, default=None,
-                   help="eigenvalue gap below which eigenvalues are degenerate")
-    p.add_argument("--tol-cluster", type=float, default=None,
-                   help="gap below which limiting probabilities are equal (default 1e-9)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+                   help="eigenvalue gap below which eigenvalues are degenerate "
+                        "(default: scaled to the spectrum)")
+    p.add_argument("--tol-cluster", type=float, default=1e-9,
+                   help="gap below which limiting probabilities are equal (default %(default)s)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default %(default)s)")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write the cluster report JSON to PATH (default: stdout)")
 
@@ -212,33 +201,27 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the built-in verification checks")
-    p.add_argument("--max-generation", type=int, default=None,
-                   help="largest generation the checks may build (default 3)")
+    p.add_argument("--max-generation", type=int, default=3,
+                   help="largest generation the checks may build (default %(default)s)")
     p.add_argument("-o", "--output", default=None, help="also write the JSON verdict to PATH")
     return parser
 
 
-def _resolve_generation(args) -> int:
-    generation = _setting(args.generation, "GENERATION", int, None)
-    if generation is None:
-        raise UsageError("--generation is required (or set APWALKS_GENERATION)")
-    if generation < 0:
-        raise UsageError(f"--generation must be non-negative, got {generation}")
-    return generation
+def _generation(args) -> int:
+    if args.generation < 0:
+        raise UsageError(f"--generation must be non-negative, got {args.generation}")
+    return args.generation
 
 
-def _resolve_source(args, net) -> int:
-    default = net.central_node if net.central_node is not None else 1
-    source = _setting(args.source, "SOURCE", int, default)
-    if not 1 <= source <= net.node_count:
+def _source(args, net) -> int:
+    """``--source``, or the central node (node 1 at G=0) when it is not given."""
+    if args.source is None:
+        return net.central_node if net.central_node is not None else 1
+    if not 1 <= args.source <= net.node_count:
         raise UsageError(
-            f"--source must be in 1..{net.node_count}, got {source}"
+            f"--source must be in 1..{net.node_count}, got {args.source}"
         )
-    return source
-
-
-def _resolve_output(args) -> str | None:
-    return _writable(_setting(args.output, "OUTPUT", str, None))
+    return args.source
 
 
 def _writable(path: str | None) -> str | None:
@@ -265,28 +248,18 @@ def _writable(path: str | None) -> str | None:
     raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _tolerance(cli_value, env_name: str, fallback: float | None, flag: str) -> float | None:
-    """Resolve a tolerance option; a value that is set must be finite and positive."""
-    tol = _setting(cli_value, env_name, float, fallback)
+def _tolerance(tol: float | None, flag: str) -> float | None:
+    """A tolerance flag's value; one that is set must be finite and positive."""
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"{flag} must be finite and positive, got {tol}")
     return tol
 
 
-def _resolve_format(args, choices: tuple[str, ...], command: str) -> str:
-    """Resolve ``--format`` (default ``choices[0]``); an unknown one is a usage error."""
-    fmt = _setting(args.format, "FORMAT", str, choices[0])
-    if fmt not in choices:
-        raise UsageError(f"unsupported format {fmt!r} for {command}")
-    return fmt
-
-
 def _cmd_generate(args) -> int:
-    generation = _resolve_generation(args)
-    fmt = _resolve_format(args, ("edgelist", "json"), "generate")
-    output = _resolve_output(args)
+    generation = _generation(args)
+    output = _writable(args.output)
     net = generate_apollonian(generation)
-    if fmt == "json":
+    if args.format == "json":
         text = serialize.network_to_json(net)
     else:
         text = serialize.network_to_edge_list(net)
@@ -295,13 +268,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    generation = _resolve_generation(args)
-    fmt = _resolve_format(args, ("csv", "json"), "spectrum")
-    output = _resolve_output(args)
+    generation = _generation(args)
+    output = _writable(args.output)
     eigenvectors = _writable(args.eigenvectors)
     net = generate_apollonian(generation)
     s = eigendecompose(laplacian(net))
-    if fmt == "json":
+    if args.format == "json":
         doc = {"order": s.order,
                "eigenvalues": [float(serialize.format_float(v)) for v in s.eigenvalues]}
         text = json.dumps(doc, indent=2) + "\n"
@@ -314,21 +286,15 @@ def _cmd_spectrum(args) -> int:
 
 
 def _time_grid(args) -> TimeGrid:
-    t_min = _setting(args.t_min, "T_MIN", float, 0.01)
-    t_max = _setting(args.t_max, "T_MAX", float, 100.0)
-    t_steps = _setting(args.t_steps, "T_STEPS", int, 2000)
-    t_scale = _setting(args.t_scale, "T_SCALE", str, "log")
-    if t_scale not in ("lin", "log"):
-        raise UsageError(f"--t-scale must be lin or log, got {t_scale!r}")
-    spacing = "logarithmic" if t_scale == "log" else "linear"
+    spacing = "logarithmic" if args.t_scale == "log" else "linear"
     try:
-        return TimeGrid(start=t_min, end=t_max, steps=t_steps, spacing=spacing)
+        return TimeGrid(start=args.t_min, end=args.t_max, steps=args.t_steps, spacing=spacing)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_evolve(args) -> int:
-    generation = _resolve_generation(args)
+    generation = _generation(args)
     grid = _time_grid(args)
     # A generation above its cap is refused when the network is built.
     if generation <= GENERATION_CAP:
@@ -338,15 +304,11 @@ def _cmd_evolve(args) -> int:
                 f"a series of {grid.steps} times on N = {n} nodes exceeds the cap "
                 f"of {SERIES_VALUE_CAP} values"
             )
-    kind = _setting(args.kind, "KIND", str, "quantum")
-    if kind not in ("classical", "quantum", "both"):
-        raise UsageError(f"--kind must be classical, quantum or both, got {kind!r}")
-    fmt = _resolve_format(args, ("csv", "json"), "evolve")
-    if fmt == "json" and args.wide:
+    if args.format == "json" and args.wide:
         raise UsageError("--wide applies to CSV output only")
-    output = _resolve_output(args)
-    if kind != "both":
-        outputs = {kind: output}
+    output = _writable(args.output)
+    if args.kind != "both":
+        outputs = {args.kind: output}
     elif output is None:
         raise UsageError("--kind both requires --output (one file per kind)")
     else:
@@ -354,26 +316,25 @@ def _cmd_evolve(args) -> int:
         outputs = {one_kind: _writable(str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
                    for one_kind in ("classical", "quantum")}
     net = generate_apollonian(generation)
-    source = _resolve_source(args, net)
+    source = _source(args, net)
     s = eigendecompose(laplacian(net))
     for one_kind, target in outputs.items():
         series = evolve_series(s, source, one_kind, grid)
-        chunks = (serialize.series_to_json(series) if fmt == "json"
+        chunks = (serialize.series_to_json(series) if args.format == "json"
                   else serialize.series_to_csv(series, wide=args.wide))
         _write(chunks, target)
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
-    generation = _resolve_generation(args)
-    tol_cluster = _tolerance(args.tol_cluster, "TOL_CLUSTER", 1e-9, "--tol-cluster")
+    generation = _generation(args)
+    tol_cluster = _tolerance(args.tol_cluster, "--tol-cluster")
     # Unset, the degeneracy tolerance depends on the spectrum (below).
-    tol_degeneracy = _tolerance(args.tol_degeneracy, "TOL_DEGENERACY", None, "--tol-degeneracy")
-    fmt = _resolve_format(args, ("csv", "json"), "limit")
-    output = _resolve_output(args)
+    tol_degeneracy = _tolerance(args.tol_degeneracy, "--tol-degeneracy")
+    output = _writable(args.output)
     report_path = _writable(args.report)
     net = generate_apollonian(generation)
-    source = _resolve_source(args, net)
+    source = _source(args, net)
     s = eigendecompose(laplacian(net))
     if tol_degeneracy is None:
         tol_degeneracy = default_degeneracy_tolerance(s)
@@ -384,19 +345,17 @@ def _cmd_limit(args) -> int:
     report = serialize.cluster_report_to_json(clustering, consistency)
 
     if output is not None:
-        _write(serialize.limiting_matrix_to_json(chi) if fmt == "json"
+        _write(serialize.limiting_matrix_to_json(chi) if args.format == "json"
                else serialize.limiting_matrix_to_csv(chi), output)
     _write(report, report_path)
     return EXIT_OK
 
 
 def _cmd_orbits(args) -> int:
-    generation = _resolve_generation(args)
-    output = _resolve_output(args)
+    generation = _generation(args)
+    output = _writable(args.output)
     net = generate_apollonian(generation)
-    fixed = None
-    if args.source is not None or _env("SOURCE") is not None:
-        fixed = _resolve_source(args, net)
+    fixed = None if args.source is None else _source(args, net)
     partition = orbits(net, corner_group(net), fixed_source=fixed)
     doc = {
         "generation": net.generation,
@@ -409,13 +368,12 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_generation = _setting(args.max_generation, "MAX_GENERATION", int, 3)
-    if max_generation < 0:
+    if args.max_generation < 0:
         raise UsageError(
-            f"--max-generation must be non-negative, got {max_generation}"
+            f"--max-generation must be non-negative, got {args.max_generation}"
         )
-    output = _resolve_output(args)
-    report = run_verification(max_generation)
+    output = _writable(args.output)
+    report = run_verification(args.max_generation)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     _write(text, None)
     if output is not None:

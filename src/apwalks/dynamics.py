@@ -71,9 +71,6 @@ ENTRY_CEIL = 1.0 + 1e-12
 #: A snapshot's entries must sum to one within this tolerance.
 SUM_TOL = 1e-10
 
-#: Grid density used by the revival search when none is specified.
-DEFAULT_REVIVAL_POINTS = 100_000
-
 #: Phase or result entries per time block: bounds the kernel's temporaries;
 #: the block length follows from the wider of the mode count and the result
 #: width. Over all N modes, a block at G=3 (N=16) is 8192 times; at G=7 it
@@ -361,11 +358,9 @@ def max_return_probability(
     return float(times[i]), float(probs[i])
 
 
-def default_revival_window(
-    t_min: float = 0.1, t_max: float = 200.0, points: int = DEFAULT_REVIVAL_POINTS
-) -> TimeGrid:
-    """Dense linear window used for partial-revival searches."""
-    return TimeGrid(start=t_min, end=t_max, steps=points, spacing="linear")
+def default_revival_window() -> TimeGrid:
+    """Dense linear window used for partial-revival searches: 100,000 times in [0.1, 200]."""
+    return TimeGrid(start=0.1, end=200.0, steps=100_000, spacing="linear")
 
 
 def finite_time_average(

@@ -126,7 +126,7 @@ def node_count_for_generation(generation: int) -> int:
     return 3 + (3**generation - 1) // 2
 
 
-def generate_apollonian(generation: int, cap: int = GENERATION_CAP) -> Network:
+def generate_apollonian(generation: int) -> Network:
     """Build the Apollonian network of the given generation.
 
     Canonical labeling: nodes 1-3 are the corners; each generation visits the
@@ -137,16 +137,16 @@ def generate_apollonian(generation: int, cap: int = GENERATION_CAP) -> Network:
 
     Raises:
         ValueError: if ``generation`` is negative.
-        CapacityError: if ``generation`` exceeds ``cap``.
+        CapacityError: if ``generation`` exceeds ``GENERATION_CAP``.
     """
     if not isinstance(generation, (int, np.integer)) or isinstance(generation, bool):
         raise ValueError(f"generation must be an integer, got {generation!r}")
     if generation < 0:
         raise ValueError(f"generation must be non-negative, got {generation}")
-    if generation > cap:
+    if generation > GENERATION_CAP:
         raise CapacityError(
-            f"generation {generation} exceeds the cap of {cap} "
-            f"(N = {node_count_for_generation(cap)} nodes)"
+            f"generation {generation} exceeds the cap of {GENERATION_CAP} "
+            f"(N = {node_count_for_generation(GENERATION_CAP)} nodes)"
         )
 
     meta: list[NodeInfo] = [NodeInfo(0, None)] * 3

@@ -26,6 +26,8 @@ import numpy as np
 
 from . import fork
 from .dynamics import (
+    ENTRY_FLOOR,
+    SUM_TOL,
     LimitingMatrix,
     TimeGrid,
     classical_probability,
@@ -287,7 +289,7 @@ def check_unitarity_stochasticity(pipe: Pipeline, max_g: int) -> CheckResult:
             for snap in (quantum_probability(s, j, t), classical_probability(s, j, t)):
                 worst_sum = max(worst_sum, abs(float(snap.values.sum()) - 1.0))
                 worst_entry = min(worst_entry, float(snap.values.min()))
-    passed = worst_sum <= 1e-10 and worst_entry >= -1e-12
+    passed = worst_sum <= SUM_TOL and worst_entry >= ENTRY_FLOOR
     return CheckResult(
         "property_unitarity_stochasticity",
         top,

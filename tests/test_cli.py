@@ -62,21 +62,22 @@ def test_help_exits_zero(capsys):
     assert run("--help") == 0
 
 
-def test_env_override_for_generation(monkeypatch, capsys):
-    monkeypatch.setenv("APWALKS_GENERATION", "1")
-    assert run("generate") == 0
-    assert capsys.readouterr().out.splitlines()[0] == "apollonian g=1 n=4"
-
-
-def test_env_override_loses_to_flag(monkeypatch, capsys):
-    monkeypatch.setenv("APWALKS_GENERATION", "1")
-    assert run("generate", "-g", "0") == 0
-    assert capsys.readouterr().out.splitlines()[0] == "apollonian g=0 n=3"
-
-
-def test_malformed_env_value_is_usage_error(monkeypatch):
-    monkeypatch.setenv("APWALKS_GENERATION", "three")
+def test_environment_sets_nothing(monkeypatch, capsys):
+    # Every setting is a flag: variables named like the flags change no output.
+    argvs = [("generate", "-g", "2"), ("evolve", "-g", "2", "--t-steps", "5"),
+             ("limit", "-g", "3", "-s", "4"), ("verify", "--max-generation", "2")]
+    clean = []
+    for argv in argvs:
+        assert run(*argv) == 0
+        clean.append(capsys.readouterr().out)
+    for name, value in [("GENERATION", "three"), ("FORMAT", "xml"), ("KIND", "xml"),
+                        ("TOL_CLUSTER", "inf"), ("OUTPUT", "/nonexistent/x")]:
+        monkeypatch.setenv("APWALKS_" + name, value)
+    for argv, out in zip(argvs, clean):
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == out
     assert run("generate") == 2
+    assert "required: -g/--generation" in capsys.readouterr().err
 
 
 def test_spectrum_csv(tmp_path, pipe):
@@ -213,43 +214,31 @@ def test_limit_infinite_tolerance_is_usage_error(tmp_path, flag, capsys, no_work
     assert not report.exists()
 
 
-def test_limit_infinite_env_tolerance_is_usage_error(monkeypatch, capsys, no_work):
-    for variable in ("APWALKS_TOL_CLUSTER", "APWALKS_TOL_DEGENERACY"):
-        with monkeypatch.context() as env:
-            env.setenv(variable, "inf")
-            assert run("limit", "-g", "2") == 2
-            assert "finite" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("output", [False, True])
 def test_limit_bad_format_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, output):
     chi_path = tmp_path / "chi.xml"
-    monkeypatch.setenv("APWALKS_FORMAT", "xml")
     monkeypatch.setattr(cli, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
-    argv = ("limit", "-g", "2", *(("-o", str(chi_path)) if output else ()))
+    argv = ("limit", "-g", "2", "--format", "xml", *(("-o", str(chi_path)) if output else ()))
     assert run(*argv) == 2
     assert "xml" in capsys.readouterr().err
     assert not chi_path.exists()
 
 
-@pytest.mark.parametrize("argv,variable", [
-    (("spectrum", "-g", "2"), "APWALKS_FORMAT"),
-    (("evolve", "-g", "2", "-o", "s.csv"), "APWALKS_KIND"),
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "-g", "2", "--format", "xml"),
+    ("evolve", "-g", "2", "--kind", "xml", "-o", "s.csv"),
 ])
-def test_bad_env_value_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv, variable):
+def test_bad_choice_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(variable, "xml")
     monkeypatch.setattr(cli, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
     assert run(*argv) == 2
-    err = capsys.readouterr().err
-    assert "xml" in err and len(err.splitlines()) == 1
+    assert "xml" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 def test_generate_bad_format_is_usage_error_before_any_work(monkeypatch, capsys):
-    monkeypatch.setenv("APWALKS_FORMAT", "xml")
     monkeypatch.setattr(cli, "generate_apollonian", lambda g: pytest.fail("network built"))
-    assert run("generate", "-g", "2") == 2
+    assert run("generate", "-g", "2", "--format", "xml") == 2
     assert "xml" in capsys.readouterr().err
 
 

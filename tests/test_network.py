@@ -122,9 +122,6 @@ def test_generation_validation():
         generate_apollonian(-1)
     with pytest.raises(ValueError):
         generate_apollonian(2.5)
-    # a custom cap widens or narrows the check
-    with pytest.raises(CapacityError):
-        generate_apollonian(3, cap=2)
 
 
 def test_node_count_helper():

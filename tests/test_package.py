@@ -51,3 +51,23 @@ def test_every_imported_name_is_read():
     modules = sorted([*(root / "src" / "apwalks").glob("*.py"), *(root / "tests").glob("*.py")])
     assert len(modules) > 10
     assert [entry for path in modules for entry in _unread_imports(path)] == []
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """Where ``path`` reads the process environment through ``os``."""
+    names = {"environ", "environb", "getenv"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    reads += [node for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in names for alias in node.names)]
+    return [f"{path.name}:{node.lineno}" for node in reads]
+
+
+def test_no_module_reads_the_environment():
+    # Every setting is a flag or a parameter; none comes from the environment.
+    modules = sorted((Path(__file__).parents[1] / "src" / "apwalks").glob("*.py"))
+    assert len(modules) > 5
+    assert [entry for path in modules for entry in _environment_reads(path)] == []
