@@ -2,9 +2,10 @@
 
 Subcommands: generate, spectrum, evolve, limit, orbits, verify. Every
 setting is a flag, with its default in the parser. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 capacity exceeded (a generation
-above ``GENERATION_CAP`` or an ``evolve`` series of more than
-``SERIES_VALUE_CAP`` values), 4 numeric failure.
+1 verification failure, 2 usage error (also an output path or stdout that
+cannot be opened, written or closed, such as a full device or a closed pipe),
+3 capacity exceeded (a generation above ``GENERATION_CAP`` or an ``evolve``
+series of more than ``SERIES_VALUE_CAP`` values), 4 numeric failure.
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -45,7 +46,6 @@ from .network import (
     GENERATION_CAP,
     SERIES_VALUE_CAP,
     CapacityError,
-    corner_group,
     generate_apollonian,
     laplacian,
     node_count_for_generation,
@@ -85,19 +85,27 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
     """Write text, or each chunk as it is produced, to ``output`` or stdout.
 
     Raises:
-        UsageError: if ``output`` cannot be opened for writing.
+        UsageError: if ``output`` cannot be opened, written or closed, or
+            stdout cannot be written (``stdout`` names it in the message).
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
-    if output is None:
-        _write_to(sys.stdout, chunks)
-        return
     try:
-        fh = open(output, "w")
+        if output is None:
+            _write_to(sys.stdout, chunks)
+            sys.stdout.flush()
+        else:
+            with open(output, "w") as fh:
+                _write_to(fh, chunks)
     except OSError as exc:
-        raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
-    with fh:
-        _write_to(fh, chunks)
+        if output is None:
+            # Python's shutdown flush of stdout would fail again and print more.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(
+            f"cannot write {output or 'stdout'}: {exc.strerror or exc}"
+        ) from exc
 
 
 def _split_row(fh: TextIO, chunks: Iterable[str]) -> int:
@@ -107,7 +115,8 @@ def _split_row(fh: TextIO, chunks: Iterable[str]) -> int:
     (``fh.buffer``, which ``io.StringIO`` lacks) and a ``Rows`` body of at
     least ``_SPLIT_MIN_VALUES`` values.
     """
-    if not (isinstance(chunks, Rows) and chunks.values.size >= _SPLIT_MIN_VALUES
+    if not (isinstance(chunks, Rows)
+            and len(chunks) * len(chunks.values[0]) >= _SPLIT_MIN_VALUES
             and hasattr(fh, "buffer") and fork.two_cpus()):
         return 0
     return len(chunks) // 2
@@ -273,13 +282,8 @@ def _cmd_spectrum(args) -> int:
     eigenvectors = _writable(args.eigenvectors)
     net = generate_apollonian(generation)
     s = eigendecompose(laplacian(net))
-    if args.format == "json":
-        doc = {"order": s.order,
-               "eigenvalues": [float(serialize.format_float(v)) for v in s.eigenvalues]}
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = serialize.spectrum_to_csv(s)
-    _write(text, output)
+    _write(serialize.spectrum_to_json(s) if args.format == "json"
+           else serialize.spectrum_to_csv(s), output)
     if eigenvectors is not None:
         _write(serialize.eigenvectors_to_csv(s), eigenvectors)
     return EXIT_OK
@@ -340,7 +344,7 @@ def _cmd_limit(args) -> int:
         tol_degeneracy = default_degeneracy_tolerance(s)
     chi = limiting_matrix(s, group_degenerate(s, tol_degeneracy))
     clustering = cluster_equal_limits(chi.column(source), tol_cluster, source=source)
-    partition = orbits(net, corner_group(net), fixed_source=source)
+    partition = orbits(net, fixed_source=source)
     consistency = orbit_consistency(clustering, partition)
     report = serialize.cluster_report_to_json(clustering, consistency)
 
@@ -356,7 +360,7 @@ def _cmd_orbits(args) -> int:
     output = _writable(args.output)
     net = generate_apollonian(generation)
     fixed = None if args.source is None else _source(args, net)
-    partition = orbits(net, corner_group(net), fixed_source=fixed)
+    partition = orbits(net, fixed_source=fixed)
     doc = {
         "generation": net.generation,
         "fixed_source": fixed,

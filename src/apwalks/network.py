@@ -20,10 +20,10 @@ import numpy as np
 GENERATION_CAP = 7
 
 #: Most values (times x nodes) one probability series may hold. ``evolve``
-#: holds its series twice, as the propagation kernel's output and as the
-#: writer's array, so a grid is refused before any work when one copy would
-#: exceed this: 2**26 values is 0.5 GB per copy, about 30 times the default
-#: grid of 2000 times at G=7.
+#: holds its series once, as the propagation kernel's output, which the
+#: writer reads row by row; a grid is refused before any work when it would
+#: exceed this: 2**26 values is 0.5 GB, about 30 times the default grid of
+#: 2000 times at G=7.
 SERIES_VALUE_CAP = 2**26
 
 #: All six permutations of the three corner nodes, identity first.
@@ -71,10 +71,6 @@ class Network:
     central_node: int | None
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, indexed by ``node - 1``."""
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -109,13 +105,10 @@ class NodePermutation:
     def __call__(self, node: int) -> int:
         return self.image[node - 1]
 
-    def __len__(self) -> int:
-        return len(self.image)
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Disjoint node classes closed under a set of automorphisms."""
+    """Disjoint node classes closed under a group of automorphisms."""
 
     classes: tuple[tuple[int, ...], ...]
     group_used: str
@@ -218,60 +211,20 @@ def corner_group(net: Network) -> tuple[NodePermutation, ...]:
     return tuple(corner_automorphism(net, p) for p in CORNER_PERMUTATIONS)
 
 
-def is_automorphism(net: Network, perm: NodePermutation) -> bool:
-    """True when ``perm`` is a bijection on the nodes that preserves edges."""
-    if len(perm) != net.node_count:
-        return False
-    if sorted(perm.image) != list(range(1, net.node_count + 1)):
-        return False
-    return all(
-        tuple(sorted((perm(i), perm(j)))) in net.edge_set for i, j in net.edges
-    )
+def orbits(net: Network, fixed_source: int | None = None) -> OrbitPartition:
+    """Partition the nodes into orbits of the corner group (``corner_group``).
 
-
-def orbits(
-    net: Network,
-    perms: tuple[NodePermutation, ...] | list[NodePermutation],
-    fixed_source: int | None = None,
-) -> OrbitPartition:
-    """Partition the nodes into orbits of the group generated by ``perms``.
-
-    When ``fixed_source`` is given, only permutations fixing that node are
-    applied (the stabilizer of the source within the supplied set).
-
-    Raises:
-        ValueError: if any permutation is not an automorphism of ``net``.
+    When ``fixed_source`` is given, only the automorphisms fixing that node
+    act (its stabilizer within the corner group). Either set is a group, so
+    a node's orbit is the set of its images under the acting automorphisms.
+    Each class is sorted, and the classes are sorted by their smallest node.
     """
-    for perm in perms:
-        if not is_automorphism(net, perm):
-            raise ValueError("orbits() requires valid automorphisms")
+    perms = corner_group(net)
     if fixed_source is not None:
         check_node(fixed_source, net.node_count)
         perms = [p for p in perms if p(fixed_source) == fixed_source]
-
-    # Orbits of the generated subgroup are the connected components of the
-    # relation node ~ perm(node) taken over the generators.
-    parent = list(range(net.node_count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for node in range(1, net.node_count + 1):
-            ra, rb = find(node), find(perm(node))
-            if ra != rb:
-                parent[rb] = ra
-
-    classes: dict[int, list[int]] = {}
-    for node in range(1, net.node_count + 1):
-        classes.setdefault(find(node), []).append(node)
-    ordered = tuple(
-        tuple(members) for _, members in sorted(classes.items())
-    )
+    classes = {tuple(sorted({p(v) for p in perms})) for v in range(1, net.node_count + 1)}
     used = f"{len(perms)} automorphisms"
     if fixed_source is not None:
         used += f" fixing node {fixed_source}"
-    return OrbitPartition(classes=ordered, group_used=used)
+    return OrbitPartition(classes=tuple(sorted(classes)), group_used=used)

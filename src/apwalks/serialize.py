@@ -7,13 +7,13 @@ No command reads this text back; ``np.loadtxt`` (CSV) and ``json.loads``
 (JSON) read it exactly.
 
 Every text of many rows, the spectrum, eigenvector, series and limiting-matrix
-CSV and the series and limiting-matrix JSON, comes back as one ``Rows`` row
-source. Iterating it yields str chunks: the head, one chunk per row,
-formatted only as it is read, and the tail, so a caller can write each row as
-soon as it is formatted; the text is ``"".join`` of the chunks.
+CSV and the spectrum, series and limiting-matrix JSON, comes back as one
+``Rows`` row source. Iterating it yields str chunks: the head, one chunk per
+row, formatted only as it is read, and the tail, so a caller can write each
+row as soon as it is formatted; the text is ``"".join`` of the chunks.
 ``Rows.rows(start, stop)`` yields the chunks of one row range alone, so two
 processes can format disjoint ranges of one text; ``len`` is the number of
-rows and ``values.size`` the number of values in the body. The network and
+rows and ``len(values[0])`` the number of values in each row. The network and
 cluster-report writers return the whole text.
 """
 
@@ -64,9 +64,10 @@ def _separated(labels: list[str]) -> list[str]:
 class Rows:
     """A text as ``head``, one chunk per row of ``values``, and ``tail``, formatted on demand.
 
-    Chunk i is ``template % (labels[i], *row)``, where ``row`` is ``values[i]``
-    with zero and, for ``probability`` values, the clamp band set to ``0.0``:
-    ``"%.17g"`` prints a value exactly as ``format_float`` or
+    ``values`` is a 2-D array or a list of equal-length 1-D arrays, one per
+    row. Chunk i is ``template % (labels[i], *row)``, where ``row`` is
+    ``values[i]`` with zero and, for ``probability`` values, the clamp band
+    set to ``0.0``: ``"%.17g"`` prints a value exactly as ``format_float`` or
     ``format_probability`` would except that it keeps the sign of ``-0.0``,
     and ``%r`` prints it as ``json`` does when it is finite. With ``long`` the
     template holds a ``%s`` slot before each value, and ``labels[i]`` fills
@@ -76,7 +77,7 @@ class Rows:
     head: str
     template: str
     labels: list[str]
-    values: np.ndarray
+    values: np.ndarray | list[np.ndarray]
     probability: bool
     tail: str = ""
     long: bool = False
@@ -91,7 +92,7 @@ class Rows:
 
     def rows(self, start: int, stop: int) -> Iterator[str]:
         """The chunks of rows ``start`` to ``stop - 1``, without the head or the tail."""
-        n = self.values.shape[1]
+        n = len(self.values[0])
         args: list = [None] * (2 * n)
         for label, row in zip(self.labels[start:stop], self.values[start:stop]):
             zeroed = _zeroed(row, self.probability).tolist()
@@ -141,6 +142,17 @@ def spectrum_to_csv(s: Spectrum) -> Rows:
                 s.eigenvalues[:, np.newaxis], probability=False)
 
 
+def spectrum_to_json(s: Spectrum) -> Rows:
+    """``{"order", "eigenvalues": [...]}``, one row per eigenvalue.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"`` with
+    every eigenvalue printed as it reads back from ``format_float``.
+    """
+    return Rows(f'{{\n  "order": {s.order},\n  "eigenvalues": [\n', "%s    %r",
+                _separated([""] * s.order), s.eigenvalues[:, np.newaxis], probability=False,
+                tail="\n  ]\n}\n")
+
+
 def eigenvectors_to_csv(s: Spectrum) -> Rows:
     """The ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
     n = s.order
@@ -151,15 +163,15 @@ def eigenvectors_to_csv(s: Spectrum) -> Rows:
 
 # -- probability series ------------------------------------------------------
 
-def _series_values(snapshots: list[TransitionSnapshot]) -> np.ndarray:
-    """The snapshots' values, one row per snapshot.
+def _series_values(snapshots: list[TransitionSnapshot]) -> list[np.ndarray]:
+    """The snapshots' values, one row per snapshot, without a copy.
 
     An empty series is refused here, when a writer is called, and not when its
     chunks are first read, so a bad call raises before any output is opened.
     """
     if not snapshots:
         raise ValueError("cannot serialize an empty series")
-    return np.array([snap.values for snap in snapshots])
+    return [snap.values for snap in snapshots]
 
 
 def series_to_csv(
@@ -171,7 +183,7 @@ def series_to_csv(
     line ``t,k,p_k`` per entry, snapshot-major.
     """
     values = _series_values(snapshots)
-    n = values.shape[1]
+    n = len(values[0])
     labels = [format_float(snap.time) for snap in snapshots]
     if wide:
         header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1)) + "\n"
@@ -193,7 +205,7 @@ def series_to_json(snapshots: list[TransitionSnapshot]) -> Rows:
             '  "snapshots": [\n')
     times = _zeroed([snap.time for snap in snapshots], probability=False).tolist()
     labels = _separated([f'    {{\n      "t": {t!r}' for t in times])
-    template = '%s,\n      "p": ' + _json_list_template(values.shape[1], 6) + "\n    }"
+    template = '%s,\n      "p": ' + _json_list_template(len(values[0]), 6) + "\n    }"
     return Rows(head, template, labels, values, probability=True, tail="\n  ]\n}\n")
 
 

@@ -215,7 +215,7 @@ def check_cluster_structure_g3(pipe: Pipeline) -> CheckResult:
     net = pipe.net(3)
     chi = pipe.chi(3)
     clustering = cluster_equal_limits(chi.column(4), 1e-9, source=4)
-    partition = orbits(net, corner_group(net), fixed_source=4)
+    partition = orbits(net, fixed_source=4)
     sizes_ok = sorted(clustering.sizes) == [1, 3, 3, 3, 6]
     match = {frozenset(c) for c in clustering.clusters} == {
         frozenset(c) for c in partition.classes
@@ -240,7 +240,7 @@ def check_unexplained_pairs(pipe: Pipeline, g: int) -> CheckResult:
     chi = pipe.chi(g)
     source = _gen3_source_adjacent_to_center(net)
     clustering = cluster_equal_limits(chi.column(source), 1e-9, source=source)
-    partition = orbits(net, corner_group(net), fixed_source=source)
+    partition = orbits(net, fixed_source=source)
     report = orbit_consistency(clustering, partition)
     gen3 = set(net.nodes_of_generation(3))
     column = chi.column(source)

@@ -117,7 +117,7 @@ def test_criterion_6_localization(pipe):
 def test_criterion_7_cluster_structure(pipe):
     net = pipe.net(3)
     clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
-    partition = orbits(net, corner_group(net), fixed_source=4)
+    partition = orbits(net, fixed_source=4)
     sizes = sorted(clustering.sizes)
     matches = {frozenset(c) for c in clustering.clusters} == {
         frozenset(c) for c in partition.classes
@@ -135,7 +135,7 @@ def test_criterion_8_unexplained_equalities(pipe):
     )
     column = pipe.chi(3).column(source)
     clustering = cluster_equal_limits(column, 1e-9, source=source)
-    partition = orbits(net, corner_group(net), fixed_source=source)
+    partition = orbits(net, fixed_source=source)
     consistency = orbit_consistency(clustering, partition)
     gen3 = set(net.nodes_of_generation(3))
     pairs = [

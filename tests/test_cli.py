@@ -271,6 +271,50 @@ def test_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys, no_work, 
     assert not missing.exists()
 
 
+# The CLI in a subprocess of its own session, splitting large bodies as on two CPUs.
+_CLI_ON_TWO_CPUS = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                    "from apwalks import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+
+def _spawn_cli(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-c", _CLI_ON_TWO_CPUS, *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+
+
+def _assert_failed_write(proc, err, path, reason):
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == [f"apwalks: usage error: cannot write {path}: {reason}"]
+    with pytest.raises(ProcessLookupError):  # no forked child outlives the command
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, path", [
+    (("limit", "-g", "3", "-o", "/dev/full"), "/dev/full"),
+    (("verify", "-o", "/dev/full"), "/dev/full"),
+    (("evolve", "-g", "3", "--t-steps", "5"), "stdout"),
+])
+def test_write_to_a_full_device_is_usage_error(argv, path):
+    with open("/dev/full", "w") as full:
+        proc = _spawn_cli(argv, full if path == "stdout" else subprocess.DEVNULL)
+        _, err = proc.communicate(timeout=60)
+    _assert_failed_write(proc, err, path, "No space left on device")
+
+
+def test_write_to_a_closed_pipe_is_usage_error():
+    # 200 times at G=6 exceed the split threshold: the parent's write fails
+    # while a forked child formats the second half of the rows.
+    assert 200 * node_count_for_generation(6) >= cli._SPLIT_MIN_VALUES
+    proc = _spawn_cli(["evolve", "-g", "6", "--t-steps", "200"], subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    _assert_failed_write(proc, err, "stdout", "Broken pipe")
+
+
 @pytest.mark.parametrize("argv, bad, reason", [
     (("limit", "-g", "2", "-o", "file/chi.csv"), "file/chi.csv", "Not a directory"),
     (("spectrum", "-g", "2", "--eigenvectors", "file/v.csv"), "file/v.csv", "Not a directory"),
@@ -517,8 +561,10 @@ def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing
 
     good = serialize.limiting_matrix_to_csv(pipe.chi(4))
     rows = FailingRows(**vars(good))
-    expected = "exited with 1" if failing == "child" else "parent failed"
-    with pytest.raises((RuntimeError, OSError), match=expected):
+    # A failed write of the parent's rows is a usage error naming the path.
+    error, expected = ((RuntimeError, "exited with 1") if failing == "child"
+                       else (cli.UsageError, "cannot write .*chi.csv: parent failed"))
+    with pytest.raises(error, match=expected):
         cli._write(rows, str(tmp_path / "chi.csv"))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):

@@ -1,9 +1,10 @@
-"""Peak-memory bounds of the stages that hold N x N arrays.
+"""Peak-memory bounds of the stages that hold N x N arrays or a whole series.
 
 ``tracemalloc`` sees numpy's data buffers, so each bound counts the arrays a
 stage allocates, in units of one N x N float matrix (N^2 * 8 bytes), with the
 spectrum it reads already computed. At G=7 one such matrix is 9.6 MB, and
-the eigensolver itself holds about four at once.
+the eigensolver itself holds about four at once. The series writer's bound
+counts in units of the series it reads (times x N floats).
 """
 
 from __future__ import annotations
@@ -14,22 +15,27 @@ import tracemalloc
 import pytest
 
 from apwalks import serialize, verify
-from apwalks.dynamics import limiting_matrix
+from apwalks.dynamics import TimeGrid, evolve_series, limiting_matrix
 from apwalks.network import node_count_for_generation
 from apwalks.verify import check_reconstruction, run_verification
 
 G = 6
 
 
-def _peak_matrices(fn, n: int) -> float:
-    """Peak traced allocation while ``fn()`` runs, in N x N float matrices."""
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs, in bytes."""
     tracemalloc.start()
     try:
         fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (n * n * 8)
+    return peak
+
+
+def _peak_matrices(fn, n: int) -> float:
+    """Peak traced allocation while ``fn()`` runs, in N x N float matrices."""
+    return _peak_bytes(fn) / (n * n * 8)
 
 
 def test_reconstruction_check_holds_one_buffer_and_one_temporary(pipe):
@@ -51,6 +57,13 @@ def test_chi_csv_rows_are_zeroed_one_row_at_a_time(pipe):
     rows = serialize.limiting_matrix_to_csv(chi)
     peak = _peak_matrices(lambda: sum(map(len, rows)), chi.order)
     assert peak < 0.25
+
+
+def test_series_csv_reads_the_snapshots_without_a_copy(pipe):
+    s = pipe.spectrum(G)
+    series = evolve_series(s, 4, "quantum", TimeGrid(0.01, 100.0, 2000, "logarithmic"))
+    one_series = len(series) * s.order * 8
+    assert _peak_bytes(lambda: serialize.series_to_csv(series)) / one_series < 0.25
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])

@@ -10,7 +10,6 @@ from apwalks.network import (
     corner_automorphism,
     corner_group,
     generate_apollonian,
-    is_automorphism,
     laplacian,
     node_count_for_generation,
     orbits,
@@ -182,7 +181,9 @@ def test_corner_automorphism_rejects_bad_permutation(pipe):
 def test_corner_extensions_preserve_edges(pipe, g):
     net = pipe.net(g)
     for perm in corner_group(net):
-        assert is_automorphism(net, perm)
+        assert sorted(perm.image) == list(range(1, net.node_count + 1))
+        mapped = {tuple(sorted((perm(i), perm(j)))) for i, j in net.edges}
+        assert mapped == set(net.edges)
 
 
 def test_corner_extension_is_homomorphism(pipe):
@@ -213,7 +214,7 @@ def test_automorphisms_preserve_degree_and_distance(pipe, g):
 
 def test_orbits_g3_fixed_center(pipe):
     net = pipe.net(3)
-    part = orbits(net, corner_group(net), fixed_source=4)
+    part = orbits(net, fixed_source=4)
     assert sorted(len(c) for c in part.classes) == [1, 3, 3, 3, 6]
     classes = {frozenset(c) for c in part.classes}
     assert frozenset({4}) in classes
@@ -225,7 +226,7 @@ def test_orbits_g3_fixed_center(pipe):
 
 def test_orbits_g2_fixed_center(pipe):
     net = pipe.net(2)
-    part = orbits(net, corner_group(net), fixed_source=4)
+    part = orbits(net, fixed_source=4)
     assert {frozenset(c) for c in part.classes} == {
         frozenset({4}),
         frozenset({1, 2, 3}),
@@ -233,23 +234,33 @@ def test_orbits_g2_fixed_center(pipe):
     }
 
 
-def test_orbits_identity_only(pipe):
-    net = pipe.net(2)
-    identity = corner_automorphism(net, (1, 2, 3))
-    part = orbits(net, [identity])
-    assert part.classes == tuple((v,) for v in range(1, net.node_count + 1))
+@pytest.mark.parametrize("source, count, group", [
+    (None, 187, "6 automorphisms"),
+    (4, 187, "6 automorphisms fixing node 4"),
+    (8, 552, "2 automorphisms fixing node 8"),
+    (64, 1096, "1 automorphisms fixing node 64"),
+])
+def test_orbit_counts_g7(pipe, source, count, group):
+    part = orbits(pipe.net(7), fixed_source=source)
+    assert (len(part.classes), part.group_used) == (count, group)
 
 
-def test_orbits_reject_non_automorphism(pipe):
-    net = pipe.net(2)
-    bogus = NodePermutation(tuple([2, 1] + list(range(3, 8))))  # swaps 1,2 only
-    with pytest.raises(ValueError):
-        orbits(net, [bogus])
+@pytest.mark.parametrize("g", range(0, 6))
+def test_orbits_are_stabilizer_images_for_every_source(pipe, g):
+    net = pipe.net(g)
+    nodes = list(range(1, net.node_count + 1))
+    for j in nodes:
+        stabilizer = [p for p in corner_group(net) if p(j) == j]
+        classes = orbits(net, fixed_source=j).classes
+        assert sorted(v for c in classes for v in c) == nodes
+        for c in classes:
+            assert c == tuple(sorted({p(c[0]) for p in stabilizer}))
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
 
 
 def test_orbit_partition_lookup(pipe):
     net = pipe.net(3)
-    part = orbits(net, corner_group(net), fixed_source=4)
+    part = orbits(net, fixed_source=4)
     assert next(c for c in part.classes if 9 in c) == (9, 10, 12, 13, 15, 16)
 
 

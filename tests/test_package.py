@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import types
 from pathlib import Path
 
 import apwalks
+from apwalks import cli, verify
 
 
 def test_cli_import_leaves_signal_and_traceback_unloaded():
@@ -71,3 +74,54 @@ def test_no_module_reads_the_environment():
     modules = sorted((Path(__file__).parents[1] / "src" / "apwalks").glob("*.py"))
     assert len(modules) > 5
     assert [entry for path in modules for entry in _environment_reads(path)] == []
+
+
+
+BENCH_RUN = Path(__file__).parents[1] / "bench" / "run.py"
+LAYERS = ("network", "spectral", "dynamics", "symmetry", "serialize")
+
+
+def _bench_span_functions(tree: ast.AST) -> set[tuple[str, str]]:
+    """``(layer, function)`` of every ``"layer.function..."`` span name the bench reads.
+
+    Metric names are the keys of its dict literals; every other string that
+    starts with a layer name, a dot and a name is a span name or its prefix.
+    """
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key in node.keys}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys:
+            layer, _, rest = node.value.partition(".")
+            function = rest.partition(".")[0]
+            if layer in LAYERS and function:
+                found.add((layer, function))
+    return found
+
+
+def test_bench_span_names_are_functions_the_cli_or_verify_binds():
+    # The bench wraps the layer functions bound in apwalks.cli and
+    # apwalks.verify (every public function, for serialize); a span name that
+    # no longer matches one reads 0 instead of failing. Parsed, not imported:
+    # importing bench/run.py pins BLAS variables in os.environ.
+    found = _bench_span_functions(ast.parse(BENCH_RUN.read_text()))
+    assert ("network", "orbits") in found and len(found) > 10
+    for layer, function in sorted(found):
+        fn = getattr(importlib.import_module(f"apwalks.{layer}"), function, None)
+        assert inspect.isfunction(fn), f"{layer}.{function}"
+        if layer == "serialize":
+            assert not function.startswith("_"), f"{layer}.{function}"
+        else:
+            assert fn in (vars(cli).get(function), vars(verify).get(function)), \
+                f"{layer}.{function}"
+
+
+def test_bench_verify_checks_are_check_functions():
+    tree = ast.parse(BENCH_RUN.read_text())
+    checks = next(ast.literal_eval(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "VERIFY_CHECKS"
+                          for t in node.targets))
+    assert len(checks) > 10
+    for name in checks:
+        assert inspect.isfunction(getattr(verify, f"check_{name}", None)), name

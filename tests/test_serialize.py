@@ -6,7 +6,7 @@ import pytest
 
 from apwalks import serialize
 from apwalks.dynamics import LimitingMatrix, TimeGrid, TransitionSnapshot, evolve_series
-from apwalks.network import corner_group, orbits
+from apwalks.network import orbits
 from apwalks.spectral import Spectrum
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
 
@@ -112,7 +112,7 @@ def test_limiting_matrix_json_round_trip(pipe):
 def test_cluster_report_schema(pipe):
     net = pipe.net(3)
     clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
-    partition = orbits(net, corner_group(net), fixed_source=4)
+    partition = orbits(net, fixed_source=4)
     consistency = orbit_consistency(clustering, partition)
     doc = json.loads(serialize.cluster_report_to_json(clustering, consistency))
     assert doc["source"] == 4
@@ -289,3 +289,19 @@ def test_chi_json_matches_json_dumps(pipe):
         chunks = list(serialize.limiting_matrix_to_json(matrix))
         assert len(chunks) == matrix.order + 2
         assert "".join(chunks) == reference_chi_json(matrix)
+
+
+def reference_spectrum_json(s):
+    doc = {"order": s.order,
+           "eigenvalues": [float(serialize.format_float(v)) for v in s.eigenvalues]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("g", range(0, 5))
+def test_spectrum_json_matches_json_dumps(pipe, g):
+    s = pipe.spectrum(g)
+    edges = np.array([-0.0, -1e-15, 5e-324, 1.0 / 3.0, *s.eigenvalues[4:]])
+    for spectrum in (s, Spectrum(eigenvalues=edges, eigenvectors=np.eye(len(edges)))):
+        chunks = list(serialize.spectrum_to_json(spectrum))
+        assert len(chunks) == spectrum.order + 2
+        assert "".join(chunks) == reference_spectrum_json(spectrum)

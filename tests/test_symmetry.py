@@ -52,7 +52,7 @@ def test_g3_central_source_clusters(pipe):
 def test_g3_clusters_match_orbits(pipe):
     net = pipe.net(3)
     clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
-    partition = orbits(net, corner_group(net), fixed_source=4)
+    partition = orbits(net, fixed_source=4)
     assert {frozenset(c) for c in clustering.clusters} == {
         frozenset(c) for c in partition.classes
     }
@@ -67,7 +67,7 @@ def test_g2_central_source_consistency(pipe):
     # does not imply, and the report must say so
     net = pipe.net(2)
     clustering = cluster_equal_limits(pipe.chi(2).column(4), 1e-9, source=4)
-    partition = orbits(net, corner_group(net), fixed_source=4)
+    partition = orbits(net, fixed_source=4)
     report = orbit_consistency(clustering, partition)
     assert report.split_orbits == ()
     assert report.unexplained_pairs == tuple(
@@ -81,7 +81,7 @@ def test_g3_offcenter_source_has_unexplained_pair(pipe):
     net = pipe.net(3)
     column = pipe.chi(3).column(9)
     clustering = cluster_equal_limits(column, 1e-9, source=9)
-    partition = orbits(net, corner_group(net), fixed_source=9)
+    partition = orbits(net, fixed_source=9)
     assert partition.classes == tuple((v,) for v in range(1, 17))
     report = orbit_consistency(clustering, partition)
     assert (13, 15) in report.unexplained_pairs
@@ -94,7 +94,7 @@ def test_g4_offcenter_source_has_unexplained_pairs(pipe):
     net = pipe.net(4)
     column = pipe.chi(4).column(9)
     clustering = cluster_equal_limits(column, 1e-9, source=9)
-    partition = orbits(net, corner_group(net), fixed_source=9)
+    partition = orbits(net, fixed_source=9)
     report = orbit_consistency(clustering, partition)
     assert len(report.unexplained_pairs) >= 1
     for k, l in report.unexplained_pairs:
@@ -104,7 +104,7 @@ def test_g4_offcenter_source_has_unexplained_pairs(pipe):
 def test_orbit_consistency_rejects_universe_mismatch(pipe):
     clustering = cluster_equal_limits(pipe.chi(2).column(4), 1e-9, source=4)
     net3 = pipe.net(3)
-    partition = orbits(net3, corner_group(net3), fixed_source=4)
+    partition = orbits(net3, fixed_source=4)
     with pytest.raises(ValueError):
         orbit_consistency(clustering, partition)
 
