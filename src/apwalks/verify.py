@@ -450,8 +450,8 @@ def run_verification(max_generation: int) -> VerificationReport:
 
 
 def _reconstruction_largest_first(pipe: Pipeline, max_generation: int) -> CheckResult:
-    # The largest eigendecomposition first: its transient is the run's peak,
-    # and it runs while the fewest other arrays are alive.
+    # The largest eigendecomposition first, while the fewest other arrays
+    # are alive: its transient is the largest after this check's own.
     pipe.spectrum(max_generation)
     return check_reconstruction(pipe, max_generation)
 

@@ -76,6 +76,36 @@ def test_no_module_reads_the_environment():
     assert [entry for path in modules for entry in _environment_reads(path)] == []
 
 
+def _solver_uses(path: Path) -> list[str]:
+    """Where ``path`` calls a ``linalg`` eigensolver or imports ``ctypes``."""
+    solvers = {"eigh", "eigvalsh", "eig"}
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            used = (node.attr in solvers and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            used = (module.partition(".")[0] == "ctypes"
+                    or module.endswith("linalg") and any(a.name in solvers for a in node.names))
+        elif isinstance(node, ast.Import):
+            used = any(a.name.partition(".")[0] == "ctypes" for a in node.names)
+        else:
+            used = False
+        if used:
+            uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def test_only_spectral_diagonalizes():
+    # spectral is the one place the matrix is diagonalized, with the solver
+    # that holds the fewest N x N arrays.
+    modules = sorted((Path(__file__).parents[1] / "src" / "apwalks").glob("*.py"))
+    assert len(modules) > 5
+    found = {path.name: _solver_uses(path) for path in modules}
+    assert found.pop("spectral.py")
+    assert [entry for entries in found.values() for entry in entries] == []
+
 
 BENCH_RUN = Path(__file__).parents[1] / "bench" / "run.py"
 LAYERS = ("network", "spectral", "dynamics", "symmetry", "serialize")

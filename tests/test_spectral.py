@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from apwalks import spectral
 from apwalks.network import laplacian
 from apwalks.spectral import (
     Spectrum,
@@ -67,11 +69,82 @@ def test_positive_semidefinite(pipe, g):
 
 
 def test_determinism(pipe):
-    h = laplacian(pipe.net(3))
-    a = eigendecompose(h)
-    b = eigendecompose(h)
+    # eigendecompose overwrites its input, so each call gets a fresh Laplacian.
+    a = eigendecompose(laplacian(pipe.net(3)))
+    b = eigendecompose(laplacian(pipe.net(3)))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def _assert_same_bits_as_numpy(h):
+    values, vectors = np.linalg.eigh(h.copy())
+    s = eigendecompose(h)
+    assert np.array_equal(s.eigenvalues, values)
+    assert np.array_equal(s.eigenvectors, vectors)
+
+
+@pytest.mark.parametrize("g", range(0, 8))
+def test_laplacian_spectrum_is_numpy_eigh_bit_for_bit(pipe, g):
+    _assert_same_bits_as_numpy(laplacian(pipe.net(g)))
+
+
+def test_mirrored_zeros_of_opposite_sign_give_numpy_eigh_bits(rng):
+    # eigh reads the lower triangle; a Householder sign follows h[1, 0]'s.
+    h = rng.standard_normal((6, 6))
+    h += h.T
+    h[1, 0], h[0, 1] = -0.0, 0.0
+    _assert_same_bits_as_numpy(h)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Exactly symmetric matrices of order 1-40, with float or small-integer entries."""
+    n = draw(st.integers(1, 40))
+    entries = draw(st.sampled_from([
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        st.integers(-3, 3).map(float),  # degenerate eigenvalues
+    ]))
+    lower = np.tril(draw(arrays(np.float64, (n, n), elements=entries)))
+    return lower + np.tril(lower, -1).T
+
+
+@given(symmetric_matrices())
+def test_symmetric_spectrum_is_numpy_eigh_bit_for_bit(h):
+    _assert_same_bits_as_numpy(h)
+
+
+def test_fallback_is_numpy_eigh_and_keeps_its_input(pipe, monkeypatch):
+    h = laplacian(pipe.net(4))
+    kept = h.copy()
+    monkeypatch.setattr(spectral, "_DSYEVD", None)
+    _assert_same_bits_as_numpy(h)
+    assert np.array_equal(h, kept)
+
+
+@pytest.mark.parametrize(("info", "error"), [(3, spectral.NumericError), (-4, RuntimeError)])
+def test_solver_failures_raise(monkeypatch, info, error):
+    def fail(*args):
+        args[10].value = info  # the INFO argument
+
+    monkeypatch.setattr(spectral, "_DSYEVD", fail)
+    with pytest.raises(error):
+        eigendecompose(np.eye(3))
+
+
+def test_eigenvectors_are_a_read_only_c_array_of_their_own(pipe):
+    h = laplacian(pipe.net(4))
+    s = eigendecompose(h)
+    assert s.eigenvectors.flags.c_contiguous
+    assert not s.eigenvectors.flags.writeable
+    assert not np.shares_memory(s.eigenvectors, h)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_rejects_non_finite(bad):
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(m)
 
 
 def test_rejects_non_symmetric():
