@@ -257,6 +257,14 @@ def _writable(path: str | None) -> str | None:
     raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _distinct(first: str | None, second: str | None) -> None:
+    """Refuse two outputs that would be one regular file; ``/dev/null`` may repeat."""
+    if (first is not None and second is not None
+            and os.path.realpath(first) == os.path.realpath(second)
+            and (os.path.isfile(second) or not os.path.exists(second))):
+        raise UsageError(f"cannot write {second}: another output, {first}, is the same file")
+
+
 def _tolerance(tol: float | None, flag: str) -> float | None:
     """A tolerance flag's value; one that is set must be finite and positive."""
     if tol is not None and not (math.isfinite(tol) and tol > 0):
@@ -280,6 +288,7 @@ def _cmd_spectrum(args) -> int:
     generation = _generation(args)
     output = _writable(args.output)
     eigenvectors = _writable(args.eigenvectors)
+    _distinct(output, eigenvectors)
     net = generate_apollonian(generation)
     s = eigendecompose(laplacian(net))
     _write(serialize.spectrum_to_json(s) if args.format == "json"
@@ -319,6 +328,7 @@ def _cmd_evolve(args) -> int:
         path = Path(output)
         outputs = {one_kind: _writable(str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
                    for one_kind in ("classical", "quantum")}
+        _distinct(*outputs.values())
     net = generate_apollonian(generation)
     source = _source(args, net)
     s = eigendecompose(laplacian(net))
@@ -337,6 +347,7 @@ def _cmd_limit(args) -> int:
     tol_degeneracy = _tolerance(args.tol_degeneracy, "--tol-degeneracy")
     output = _writable(args.output)
     report_path = _writable(args.report)
+    _distinct(output, report_path)
     net = generate_apollonian(generation)
     source = _source(args, net)
     s = eigendecompose(laplacian(net))

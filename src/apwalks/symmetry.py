@@ -39,8 +39,6 @@ class ChiClustering:
 class OrbitConsistencyReport:
     """How a value clustering relates to an automorphism orbit partition."""
 
-    source: int
-    split_orbits: tuple[tuple[int, ...], ...]
     unexplained_pairs: tuple[tuple[int, int], ...]
 
 
@@ -74,10 +72,9 @@ def cluster_equal_limits(
 def orbit_consistency(
     clustering: ChiClustering, orbit_partition: OrbitPartition
 ) -> OrbitConsistencyReport:
-    """Check that every orbit lands inside a single value cluster.
+    """List every same-cluster pair of nodes the orbits do NOT relate.
 
-    Also lists every same-cluster pair of nodes the orbits do NOT relate;
-    those equalities are real but unexplained by the supplied group.
+    Those equalities are real but unexplained by the supplied group.
 
     Raises:
         ValueError: if the two partitions cover different node sets.
@@ -92,23 +89,11 @@ def orbit_consistency(
         for idx, cls in enumerate(orbit_partition.classes)
         for node in cls
     }
-    cluster_of = {
-        node: idx for idx, cluster in enumerate(clustering.clusters) for node in cluster
-    }
-    split = tuple(
-        cls
-        for cls in orbit_partition.classes
-        if len({cluster_of[n] for n in cls}) > 1
-    )
     unexplained: list[tuple[int, int]] = []
     for cluster in clustering.clusters:
         for i, k in enumerate(cluster):
             for l in cluster[i + 1 :]:
                 if orbit_of[k] != orbit_of[l]:
                     unexplained.append((k, l))
-    return OrbitConsistencyReport(
-        source=clustering.source,
-        split_orbits=split,
-        unexplained_pairs=tuple(sorted(unexplained)),
-    )
+    return OrbitConsistencyReport(unexplained_pairs=tuple(sorted(unexplained)))
 

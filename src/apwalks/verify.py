@@ -331,10 +331,8 @@ def check_equivariance(pipe: Pipeline, max_g: int) -> CheckResult:
             t = float(rng.uniform(0.0, 20.0))
             snap = quantum_probability(s, j, t)
             mapped = quantum_probability(s, sigma(j), t)
-            for k in range(1, n + 1):
-                worst = max(
-                    worst, abs(snap.value_at(k) - mapped.value_at(sigma(k)))
-                )
+            image = np.array(sigma.image) - 1
+            worst = max(worst, float(np.abs(snap.values - mapped.values[image]).max()))
     return CheckResult(
         "property_automorphism_equivariance",
         top,

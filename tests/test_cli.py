@@ -343,6 +343,35 @@ def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys, n
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "s.quantum.csv"]
 
 
+@pytest.mark.parametrize("argv, first, second", [
+    (("limit", "-g", "2", "-o", "same.csv", "--report", "same.csv"), "same.csv", "same.csv"),
+    (("spectrum", "-g", "2", "-o", "v.csv", "--eigenvectors", "./v.csv"), "v.csv", "./v.csv"),
+    (("limit", "-g", "2", "-o", "link.csv", "--report", "chi.csv"), "link.csv", "chi.csv"),
+    (("evolve", "-g", "2", "--kind", "both", "-o", "s.csv"), "s.classical.csv", "s.quantum.csv"),
+], ids=["same-name", "same-path", "symlink", "evolve-both-symlink"])
+def test_two_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys, no_work,
+                                                     argv, first, second):
+    # The second write would replace the first with exit 0.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("chi.csv", "link.csv")
+    os.symlink("s.classical.csv", "s.quantum.csv")
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"apwalks: usage error: cannot write {second}: "
+                   f"another output, {first}, is the same file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "s.quantum.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "-g", "2", "-o", os.devnull, "--report", os.devnull),
+    ("spectrum", "-g", "2", "-o", os.devnull, "--eigenvectors", os.devnull),
+])
+def test_two_outputs_may_name_one_device(argv, capsys):
+    assert run(*argv) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("generation, steps", [
     (1, 10**12),
     (GENERATION_CAP, SERIES_VALUE_CAP // node_count_for_generation(GENERATION_CAP) + 1),

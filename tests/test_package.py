@@ -22,15 +22,16 @@ def test_cli_import_leaves_signal_and_traceback_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_all_lists_exactly_the_reexported_names():
-    assert all(hasattr(apwalks, name) for name in apwalks.__all__)
-    reexported = {name for name, value in vars(apwalks).items()
-                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert sorted(apwalks.__all__) == sorted(reexported)
+def test_package_binds_no_public_name():
+    # Every public name is declared once, in its module; the package
+    # namespace holds only the submodules that have been imported.
+    public = [name for name, value in vars(apwalks).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert public == []
 
 
 def _unread_imports(path: Path) -> list[str]:
-    """Names ``path`` imports but never reads; names in its ``__all__`` count as read."""
+    """Names ``path`` imports but never reads."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     for node in ast.walk(tree):
@@ -42,10 +43,6 @@ def _unread_imports(path: Path) -> list[str]:
                 imported[name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read.update(ast.literal_eval(node.value))
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
 
 

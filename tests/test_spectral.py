@@ -234,6 +234,25 @@ def test_gap_runs_matches_the_greedy_loop(steps, tol):
     assert gap_runs(values, tol) == greedy_runs(values, tol)
 
 
+@pytest.mark.parametrize("g, count", enumerate([2, 2, 5, 10, 20, 40, 80, 160]))
+def test_eigenspace_count(pipe, g, count):
+    # 5 * 2**(G - 2) eigenspaces from G = 2 on: an exact count, not a tolerance.
+    assert len(pipe.grouping(g).groups) == count
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_eigenspaces_reaching_the_central_node(pipe, g):
+    # 2**(G - 1) + 1 eigenspaces carry weight on node 4 from G = 3 on. The
+    # weights fall on either side of a wide gap: the smallest reaching weight
+    # is 1.1e-6 (G = 7), the largest other one 2.2e-26.
+    row = pipe.spectrum(g).eigenvectors[3]
+    weights = np.array([np.sum(row[a:b] ** 2) for a, b in pipe.grouping(g).groups])
+    reaching = weights > 1e-12
+    assert reaching.sum() == (2 if g == 2 else 2 ** (g - 1) + 1)
+    assert weights[reaching].min() > 1e-6
+    assert weights[~reaching].max() < 1e-20
+
+
 def test_default_tolerance_scales():
     s = _spectrum_from_values([0.0, 1e3])
     assert default_degeneracy_tolerance(s) == 1e-8 * 1e3
