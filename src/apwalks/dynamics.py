@@ -22,7 +22,9 @@ evaluates it through the exact pair-product identity
 modes contributes its m(m+1)/2 pair columns q_a o q_b, the off-diagonal ones
 scaled by sqrt(2) to count both orders, to one N x K matrix P, and
 chi = P P^T is a single matrix product. Each larger eigenspace adds its
-squared projector into chi through one reused N x N buffer.
+squared projector into chi one row stripe at a time (``_stripes``), so
+beside chi and P no N x N array is formed; ``LimitingMatrix`` checks
+symmetry over the same stripes.
 
 One kernel, ``_propagate``, evaluates p and pi for a whole block of times as
 phase-matrix products on the eigenvectors: with T the block's times and V
@@ -87,10 +89,35 @@ _BLOCK_ENTRIES = 2**17
 #: 0.19 s at 40, against 0.74 s for squaring every projector separately.
 _PAIR_MAX_DIM = 4
 
+#: Entries (2 MB) per row stripe of the N x N products and differences formed
+#: after the solve, so that none needs a second N x N array beside chi or the
+#: reconstruction residual. Up to G=6 (N=367) one stripe is the whole matrix
+#: and each product stays one BLAS call: splitting a G=6 product changes its
+#: last bits (stripes of 2**17 entries move 1,226 chi entries by up to
+#: 3.3e-16). At G=7 a stripe is 239 rows; every split tried there (64 to 256
+#: rows) gave the bits of the single product, in the time of the single
+#: product within run-to-run noise (one BLAS thread).
+_STRIPE_ENTRIES = 2**18
+
 
 def _block_rows(width: int) -> int:
     """Times per block when its widest array has ``width`` columns."""
     return max(1, _BLOCK_ENTRIES // width)
+
+
+def _stripes(n: int) -> list[slice]:
+    """Row slices of an n-column matrix, each of at most ``_STRIPE_ENTRIES`` entries."""
+    rows = max(1, _STRIPE_ENTRIES // n)
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T| over a square matrix, one row stripe at a time."""
+    worst = 0.0
+    for rows in _stripes(len(m)):
+        d = m[rows] - m[:, rows].T
+        worst = max(worst, float(np.abs(d, out=d).max()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -120,6 +147,7 @@ class TransitionSnapshot:
             )
 
     def value_at(self, node: int) -> float:
+        check_node(node, len(self.values))
         return float(self.values[node - 1])
 
 
@@ -138,8 +166,7 @@ class LimitingMatrix:
         low, high = entries.min(), entries.max()
         if not (np.isfinite(low) and np.isfinite(high)):
             raise NumericError("limiting matrix has a non-finite entry")
-        asymmetry = entries - entries.T  # the checks' one N x N temporary
-        if not np.abs(asymmetry, out=asymmetry).max() <= 1e-12:
+        if not _asymmetry(entries) <= 1e-12:
             raise NumericError("limiting matrix is not symmetric")
         if not low >= 0.0:
             raise NumericError("limiting matrix has a negative entry")
@@ -154,9 +181,12 @@ class LimitingMatrix:
         return self.entries.shape[0]
 
     def column(self, j: int) -> np.ndarray:
+        check_node(j, self.order)
         return self.entries[:, j - 1]
 
     def value(self, k: int, j: int) -> float:
+        check_node(k, self.order)
+        check_node(j, self.order)
         return float(self.entries[k - 1, j - 1])
 
 
@@ -301,7 +331,7 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     """Long-time averages for every source/target pair at once.
 
     Small eigenspaces share one product of pair columns; each larger one is
-    squared in a reused buffer (see the module docstring).
+    squared one row stripe at a time (see the module docstring).
     """
     _check_grouping(s, grouping)
     v = s.eigenvectors
@@ -315,13 +345,17 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     pairs[:, a != b] *= math.sqrt(2.0)
     chi = pairs @ pairs.T
     del pairs
-    buffer = np.empty_like(chi)
+    stripes = _stripes(s.order)
+    buffer = np.empty((stripes[0].stop, s.order))
     for start, stop in large:
         block = v[:, start:stop]
-        np.matmul(block, block.T, out=buffer)
-        buffer *= buffer
-        chi += buffer
-    del buffer  # freed before the checks in LimitingMatrix allocate theirs
+        for rows in stripes:
+            k = rows.stop - rows.start
+            np.matmul(block[rows], block.T, out=buffer[:k])
+            buffer[:k] *= buffer[:k]
+            chi[rows] += buffer[:k]
+    # No view of buffer is bound, so this frees it before LimitingMatrix's checks.
+    del buffer
     return LimitingMatrix(entries=chi)
 
 

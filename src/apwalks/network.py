@@ -103,6 +103,7 @@ class NodePermutation:
     image: tuple[int, ...]
 
     def __call__(self, node: int) -> int:
+        check_node(node, len(self.image))
         return self.image[node - 1]
 
 

@@ -30,6 +30,7 @@ from .dynamics import (
     SUM_TOL,
     LimitingMatrix,
     TimeGrid,
+    _stripes,
     classical_probability,
     closed_form_g1,
     closed_form_g2,
@@ -341,6 +342,25 @@ def check_equivariance(pipe: Pipeline, max_g: int) -> CheckResult:
     )
 
 
+def _reconstruction_residual(s: Spectrum, net: Network) -> np.ndarray:
+    """Q E Q^T - H, with the bits of the dense formula and no second N x N array.
+
+    Q E is formed one row stripe at a time (``dynamics._stripes``), each
+    stripe's product written into the result. H comes off in place from the
+    edge list: x + 1 rounds as x - (-1) off the diagonal, x - 0 = x, and the
+    degree comes off the diagonal.
+    """
+    q, e = s.eigenvectors, s.eigenvalues
+    x = np.empty((s.order, s.order))
+    for rows in _stripes(s.order):
+        np.matmul(q[rows] * e, q.T, out=x[rows])
+    i, j = np.array(net.edges).T - 1
+    x[i, j] += 1.0
+    x[j, i] += 1.0
+    x[np.diag_indices(s.order)] -= np.bincount(np.r_[i, j], minlength=s.order)
+    return x
+
+
 def check_reconstruction(pipe: Pipeline, max_g: int) -> CheckResult:
     worst_rec = 0.0
     worst_orth = 0.0
@@ -348,11 +368,10 @@ def check_reconstruction(pipe: Pipeline, max_g: int) -> CheckResult:
         s = pipe.spectrum(g)
         q, e = s.eigenvectors, s.eigenvalues
         radius = max(1.0, float(np.abs(e).max()))
-        # One N x N buffer for both residuals: |Q E Q^T - H| equals |H - Q E Q^T|
+        # One N x N array for both residuals: |Q E Q^T - H| equals |H - Q E Q^T|
         # bit for bit, and subtracting 1 on the diagonal only equals
         # subtracting the identity.
-        x = (q * e) @ q.T
-        x -= laplacian(pipe.net(g))
+        x = _reconstruction_residual(s, pipe.net(g))
         rec = float(np.abs(x, out=x).max()) / radius
         np.matmul(q.T, q, out=x)
         x[np.diag_indices(s.order)] -= 1.0

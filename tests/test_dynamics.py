@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -61,6 +63,27 @@ def reference_limit_matrix(s, grouping):
     return np.column_stack(
         [reference_limit_column(s, grouping, j) for j in range(1, s.order + 1)]
     )
+
+
+def one_buffer_limit_matrix(s, grouping):
+    """chi as one product of pair columns plus each large eigenspace squared whole."""
+    v = s.eigenvectors
+    small = [g for g in grouping.groups if g[1] - g[0] <= dynamics._PAIR_MAX_DIM]
+    large = [g for g in grouping.groups if g[1] - g[0] > dynamics._PAIR_MAX_DIM]
+    index = [(a, b) for start, stop in small
+             for a in range(start, stop) for b in range(a, stop)]
+    a, b = np.array(index, dtype=int).reshape(-1, 2).T
+    pairs = v[:, a]
+    pairs *= v[:, b]
+    pairs[:, a != b] *= np.sqrt(2.0)
+    chi = pairs @ pairs.T
+    buffer = np.empty_like(chi)
+    for start, stop in large:
+        block = v[:, start:stop]
+        np.matmul(block, block.T, out=buffer)
+        buffer *= buffer
+        chi += buffer
+    return chi
 
 
 # -- classical walk -----------------------------------------------------------
@@ -218,6 +241,17 @@ def test_snapshot_values_read_only(pipe):
         snap.values[0] = 0.0
 
 
+@pytest.mark.parametrize("node", [0, 8, -1, True])
+def test_node_accessors_reject_nodes_outside_1_to_n(pipe, node):
+    # At G=2 (N=7) an index of node - 1 would read node 7 for 0 and node 6 for -1.
+    chi = pipe.chi(2)
+    snap = quantum_probability(pipe.spectrum(2), 4, 1.0)
+    reads = (chi.column, lambda k: chi.value(k, 1), lambda j: chi.value(1, j), snap.value_at)
+    for read in reads:
+        with pytest.raises(ValueError, match="node index"):
+            read(node)
+
+
 @pytest.mark.parametrize("g", range(0, 6))
 def test_unitarity_and_stochasticity(pipe, rng, g):
     s = pipe.spectrum(g)
@@ -323,6 +357,35 @@ def test_limiting_matrix_clusters_match_reference(pipe, g):
         reference = reference_limit_column(s, grouping, j)
         got = cluster_equal_limits(chi.column(j), 1e-9, source=j)
         assert got.clusters == cluster_equal_limits(reference, 1e-9, source=j).clusters
+
+
+@pytest.mark.parametrize("g", range(0, 8))
+def test_striped_limiting_matrix_equals_the_one_buffer_formula(pipe, g):
+    s, grouping = pipe.spectrum(g), pipe.grouping(g)
+    chi = limiting_matrix(s, grouping).entries
+    assert chi.tobytes() == one_buffer_limit_matrix(s, grouping).tobytes()
+
+
+@given(st.integers(0, 5), st.integers(1, 2**12), st.integers(0, 2**32 - 1))
+def test_small_stripes_keep_chi_and_its_asymmetry(pipe, g, entries, seed):
+    s, grouping = pipe.spectrum(g), pipe.grouping(g)
+    noisy = np.random.default_rng(seed).normal(scale=1e-13, size=(s.order, s.order))
+    with mock.patch.object(dynamics, "_STRIPE_ENTRIES", entries):
+        chi = limiting_matrix(s, grouping).entries
+        noisy += chi
+        asymmetry = [dynamics._asymmetry(m) for m in (chi, noisy)]
+    reference = one_buffer_limit_matrix(s, grouping)
+    assert np.abs(chi - reference).max() <= 4 * s.order * np.finfo(float).eps
+    assert asymmetry == [np.abs(m - m.T).max() for m in (chi, noisy)]
+
+
+def test_asymmetry_in_the_last_stripe_is_caught(pipe, monkeypatch):
+    entries = pipe.chi(3).entries.copy()  # N = 16
+    entries[-1, -2] += 1e-9
+    monkeypatch.setattr(dynamics, "_STRIPE_ENTRIES", 2 * 16)
+    assert [r.start for r in dynamics._stripes(16)][-1] == 14
+    with pytest.raises(NumericError, match="not symmetric"):
+        LimitingMatrix(entries=entries)
 
 
 def test_limiting_rejects_mismatched_grouping(pipe):

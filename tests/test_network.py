@@ -186,6 +186,13 @@ def test_corner_extensions_preserve_edges(pipe, g):
         assert mapped == set(net.edges)
 
 
+@pytest.mark.parametrize("node", [0, 8, -1, True])
+def test_permutation_rejects_nodes_outside_1_to_n(pipe, node):
+    # At G=2 (N=7) an index of node - 1 would map 0 to the image of node 7.
+    with pytest.raises(ValueError, match="node index"):
+        corner_group(pipe.net(2))[1](node)
+
+
 def test_corner_extension_is_homomorphism(pipe):
     net = pipe.net(3)
 

@@ -13,6 +13,7 @@ from apwalks.spectral import (
     gap_runs,
     group_degenerate,
 )
+from apwalks.verify import _reconstruction_residual
 
 
 def _spectrum_from_values(values):
@@ -48,6 +49,15 @@ def test_reconstruction_and_orthonormality(pipe, g):
     assert np.abs(h - (q * e) @ q.T).max() <= 1e-10 * radius
     assert np.abs(q.T @ q - np.eye(s.order)).max() <= 1e-12
     assert np.all(np.diff(e) >= 0)
+
+
+@pytest.mark.parametrize("g", range(0, 8))
+def test_striped_reconstruction_residual_is_the_dense_one_bit_for_bit(pipe, g):
+    # verify's residual: Q E in row stripes, the Laplacian taken off in place.
+    s = pipe.spectrum(g)
+    q, e = s.eigenvectors, s.eigenvalues
+    dense = (q * e) @ q.T - laplacian(pipe.net(g))
+    assert _reconstruction_residual(s, pipe.net(g)).tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("g", range(0, 6))
