@@ -5,7 +5,8 @@ setting is a flag, with its default in the parser. Exit codes: 0 success,
 1 verification failure, 2 usage error (also an output path or stdout that
 cannot be opened, written or closed, such as a full device or a closed pipe),
 3 capacity exceeded (a generation above ``GENERATION_CAP`` or an ``evolve``
-series of more than ``SERIES_VALUE_CAP`` values), 4 numeric failure.
+series of more than ``SERIES_VALUE_CAP`` values), 4 numeric failure (also
+eigenvalues too close to group, ``spectral.default_degeneracy_tolerance``).
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import shutil
 import stat
@@ -196,11 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="long-time limiting probabilities and value clusters")
     _add_common(p)
-    p.add_argument("--tol-degeneracy", type=float, default=None,
-                   help="eigenvalue gap below which eigenvalues are degenerate "
-                        "(default: scaled to the spectrum)")
-    p.add_argument("--tol-cluster", type=float, default=1e-9,
-                   help="gap below which limiting probabilities are equal (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default %(default)s)")
     p.add_argument("--report", default=None, metavar="PATH",
@@ -263,13 +258,6 @@ def _distinct(first: str | None, second: str | None) -> None:
             and os.path.realpath(first) == os.path.realpath(second)
             and (os.path.isfile(second) or not os.path.exists(second))):
         raise UsageError(f"cannot write {second}: another output, {first}, is the same file")
-
-
-def _tolerance(tol: float | None, flag: str) -> float | None:
-    """A tolerance flag's value; one that is set must be finite and positive."""
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"{flag} must be finite and positive, got {tol}")
-    return tol
 
 
 def _cmd_generate(args) -> int:
@@ -342,19 +330,14 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_limit(args) -> int:
     generation = _generation(args)
-    tol_cluster = _tolerance(args.tol_cluster, "--tol-cluster")
-    # Unset, the degeneracy tolerance depends on the spectrum (below).
-    tol_degeneracy = _tolerance(args.tol_degeneracy, "--tol-degeneracy")
     output = _writable(args.output)
     report_path = _writable(args.report)
     _distinct(output, report_path)
     net = generate_apollonian(generation)
     source = _source(args, net)
     s = eigendecompose(laplacian(net))
-    if tol_degeneracy is None:
-        tol_degeneracy = default_degeneracy_tolerance(s)
-    chi = limiting_matrix(s, group_degenerate(s, tol_degeneracy))
-    clustering = cluster_equal_limits(chi.column(source), tol_cluster, source=source)
+    chi = limiting_matrix(s, group_degenerate(s, default_degeneracy_tolerance(s)))
+    clustering = cluster_equal_limits(chi.column(source), source)
     partition = orbits(net, fixed_source=source)
     consistency = orbit_consistency(clustering, partition)
     report = serialize.cluster_report_to_json(clustering, consistency)

@@ -246,11 +246,17 @@ def _propagate(
     indices, from ``_source_modes``) the sums run over those modes only;
     without, over all N. Each block of times is two real GEMMs at most; the
     coherent rows are |cos part|^2 + |sin part|^2 of the amplitudes.
+
+    ``s`` is a connected graph's Laplacian: its one zero eigenvalue is its
+    smallest, and the classical kernel takes it as exactly 0 (as computed it
+    is a few 1e-15 off, and exp(-t E_0) drifts from 1 from t = 1e5 on).
     """
     if kind not in ("classical", "quantum"):
         raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
     check_node(j, s.order)
     e, v = s.eigenvalues, s.eigenvectors
+    if kind == "classical":
+        e = np.concatenate(([0.0], e[1:]))
     if modes is not None:
         e, v = e[modes], v[:, modes]
     w = v[j - 1, :]

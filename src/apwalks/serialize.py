@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import ENTRY_FLOOR, LimitingMatrix, TransitionSnapshot
 from .network import Network
 from .spectral import Spectrum
-from .symmetry import ChiClustering, OrbitConsistencyReport
+from .symmetry import CLUSTER_TOL, ChiClustering, OrbitConsistencyReport
 
 
 def format_float(x: float) -> str:
@@ -237,7 +237,7 @@ def cluster_report_to_json(
 ) -> str:
     doc = {
         "source": clustering.source,
-        "tol": clustering.tolerance,
+        "tol": CLUSTER_TOL,
         "clusters": [
             {"value": float(format_probability(value)), "nodes": list(nodes)}
             for value, nodes in zip(clustering.values, clustering.clusters)

@@ -130,8 +130,28 @@ def eigendecompose(h: np.ndarray) -> Spectrum:
 
 
 def default_degeneracy_tolerance(s: Spectrum) -> float:
-    """Scale-aware gap tolerance separating structural degeneracies."""
-    return 1e-8 * max(1.0, float(abs(s.eigenvalues[-1])))
+    """The gap tolerance between rounding spread and real gaps, measured on ``s``.
+
+    The floor N eps max(1, |E|max) stands for the spread rounding leaves
+    inside an eigenspace. The tolerance is the geometric mean of the floor and
+    the narrowest gap above it (1.3e-7 at G=7, from 4.7e-11 and 3.7e-4), or
+    the floor itself when no gap is above it.
+
+    Raises:
+        NumericError: if that gap is under 1e3 floors, so that rounding and
+            real gaps cannot be told apart.
+    """
+    e = s.eigenvalues
+    floor = len(e) * np.finfo(float).eps * max(1.0, float(np.abs(e).max()))
+    gaps = np.diff(e)
+    gaps = gaps[gaps > floor]
+    if not gaps.size:
+        return floor
+    gap = float(gaps.min())
+    if gap < 1e3 * floor:
+        raise NumericError(f"eigenvalues too close to group: narrowest gap {gap:.3e} "
+                           f"is under 1e3 times the rounding floor {floor:.3e}")
+    return math.sqrt(floor * gap)
 
 
 def gap_runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:

@@ -16,6 +16,10 @@ from .dynamics import SUM_TOL
 from .network import OrbitPartition
 from .spectral import gap_runs
 
+#: Limiting probabilities this close are equal. An absolute tolerance on chi
+#: merges different limits at G>=6 (ROADMAP item 1 replaces it).
+CLUSTER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ChiClustering:
@@ -26,7 +30,6 @@ class ChiClustering:
     """
 
     source: int
-    tolerance: float
     clusters: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
 
@@ -42,19 +45,16 @@ class OrbitConsistencyReport:
     unexplained_pairs: tuple[tuple[int, int], ...]
 
 
-def cluster_equal_limits(
-    chi_column: np.ndarray, tol: float, source: int = 0
-) -> ChiClustering:
-    """Cluster the column's sorted values by ``spectral.gap_runs``.
+def cluster_equal_limits(chi_column: np.ndarray, source: int) -> ChiClustering:
+    """Cluster the column of limits from ``source`` by ``spectral.gap_runs`` at ``CLUSTER_TOL``.
 
     Raises:
-        ValueError: if ``tol`` is not finite and positive or the column is
-            not a probability distribution.
+        ValueError: if the column is not a probability distribution.
     """
     column = np.asarray(chi_column, dtype=float)
     order = np.argsort(column, kind="stable")
     ascending = column[order]
-    runs = gap_runs(ascending, tol)
+    runs = gap_runs(ascending, CLUSTER_TOL)
     # Negated: a NaN entry makes the sum NaN and fails the check.
     if not abs(column.sum() - 1.0) <= SUM_TOL:
         raise ValueError(
@@ -62,7 +62,6 @@ def cluster_equal_limits(
         )
     return ChiClustering(
         source=source,
-        tolerance=tol,
         clusters=tuple(tuple((np.sort(order[a:b]) + 1).tolist()) for a, b in runs),
         # The mean in ascending-value order: another order can move the last bit.
         values=tuple(float(np.mean(ascending[a:b])) for a, b in runs),

@@ -215,7 +215,7 @@ def check_localization(pipe: Pipeline, g: int) -> CheckResult:
 def check_cluster_structure_g3(pipe: Pipeline) -> CheckResult:
     net = pipe.net(3)
     chi = pipe.chi(3)
-    clustering = cluster_equal_limits(chi.column(4), 1e-9, source=4)
+    clustering = cluster_equal_limits(chi.column(4), 4)
     partition = orbits(net, fixed_source=4)
     sizes_ok = sorted(clustering.sizes) == [1, 3, 3, 3, 6]
     match = {frozenset(c) for c in clustering.clusters} == {
@@ -240,26 +240,18 @@ def check_unexplained_pairs(pipe: Pipeline, g: int) -> CheckResult:
     net = pipe.net(g)
     chi = pipe.chi(g)
     source = _gen3_source_adjacent_to_center(net)
-    clustering = cluster_equal_limits(chi.column(source), 1e-9, source=source)
+    clustering = cluster_equal_limits(chi.column(source), source)
     partition = orbits(net, fixed_source=source)
     report = orbit_consistency(clustering, partition)
     gen3 = set(net.nodes_of_generation(3))
-    column = chi.column(source)
-    pairs = [
-        (k, l)
-        for k, l in report.unexplained_pairs
-        if k in gen3 and l in gen3
-    ]
-    verified = [
-        (k, l) for k, l in pairs if abs(column[k - 1] - column[l - 1]) <= 1e-9
-    ]
+    pairs = [(k, l) for k, l in report.unexplained_pairs if k in gen3 and l in gen3]
     return CheckResult(
         f"unexplained_equal_pairs_g{g}",
         g,
-        bool(verified),
+        bool(pairs),
         {
             "source": source,
-            "pairs": [list(p) for p in verified],
+            "pairs": [list(p) for p in pairs],
             "all_unexplained_pairs": [list(p) for p in report.unexplained_pairs],
         },
     )

@@ -116,7 +116,7 @@ def test_criterion_6_localization(pipe):
 
 def test_criterion_7_cluster_structure(pipe):
     net = pipe.net(3)
-    clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
+    clustering = cluster_equal_limits(pipe.chi(3).column(4), 4)
     partition = orbits(net, fixed_source=4)
     sizes = sorted(clustering.sizes)
     matches = {frozenset(c) for c in clustering.clusters} == {
@@ -134,7 +134,7 @@ def test_criterion_8_unexplained_equalities(pipe):
         if net.central_node in net.neighbors[n - 1]
     )
     column = pipe.chi(3).column(source)
-    clustering = cluster_equal_limits(column, 1e-9, source=source)
+    clustering = cluster_equal_limits(column, source)
     partition = orbits(net, fixed_source=source)
     consistency = orbit_consistency(clustering, partition)
     gen3 = set(net.nodes_of_generation(3))

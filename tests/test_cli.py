@@ -14,7 +14,7 @@ from apwalks import cli, serialize, verify
 from apwalks.cli import main
 from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
 from apwalks.network import GENERATION_CAP, SERIES_VALUE_CAP, node_count_for_generation
-from apwalks.spectral import NumericError
+from apwalks.spectral import NumericError, Spectrum
 
 
 def run(*argv):
@@ -154,6 +154,8 @@ def test_evolve_source_zero_is_usage_error(capsys):
     ("spectrum", "-g", "2", "--source", "1"),
     ("orbits", "-g", "2", "--tol-cluster", "1e-3"),
     ("evolve", "-g", "2", "--format", "json", "--wide"),
+    ("limit", "-g", "2", "--tol-cluster", "1e-3"),
+    ("limit", "-g", "2", "--tol-degeneracy", "1e-3"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys, no_work):
     assert run(*argv) == 2
@@ -206,12 +208,16 @@ def test_limit_g3_five_clusters(capsys):
     assert doc["unexplained_pairs"] == []
 
 
-@pytest.mark.parametrize("flag", ["--tol-cluster", "--tol-degeneracy"])
-def test_limit_infinite_tolerance_is_usage_error(tmp_path, flag, capsys, no_work):
-    report = tmp_path / "report.json"
-    assert run("limit", "-g", "2", flag, "inf", "--report", str(report)) == 2
-    assert "finite" in capsys.readouterr().err
-    assert not report.exists()
+def test_limit_on_eigenvalues_too_close_to_group_exits_4(tmp_path, monkeypatch, capsys):
+    # The narrowest gap above the rounding floor is 100 floors, not the 1e3 needed.
+    floor = 3 * np.finfo(float).eps
+    values = np.array([0.0, 1.0 - 100 * floor, 1.0])
+    monkeypatch.setattr(cli, "eigendecompose", lambda h: Spectrum(values, np.eye(3)))
+    chi_path, report = tmp_path / "chi.csv", tmp_path / "report.json"
+    assert run("limit", "-g", "2", "-o", str(chi_path), "--report", str(report)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("apwalks: numeric failure: ") and err.count("\n") == 1
+    assert not chi_path.exists() and not report.exists()
 
 
 @pytest.mark.parametrize("output", [False, True])

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -51,6 +52,19 @@ def test_every_imported_name_is_read():
     modules = sorted([*(root / "src" / "apwalks").glob("*.py"), *(root / "tests").glob("*.py")])
     assert len(modules) > 10
     assert [entry for path in modules for entry in _unread_imports(path)] == []
+
+
+def test_every_cli_option_is_read():
+    # A flag that no handler reads is a setting with no effect.
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for p in (parser, *commands.choices.values()) for action in p._actions
+             if not isinstance(action, argparse._HelpAction)}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert "command" in dests and "t_scale" in dests
+    assert sorted(dests - read) == []
 
 
 def _environment_reads(path: Path) -> list[str]:

@@ -111,7 +111,7 @@ def test_limiting_matrix_json_round_trip(pipe):
 
 def test_cluster_report_schema(pipe):
     net = pipe.net(3)
-    clustering = cluster_equal_limits(pipe.chi(3).column(4), 1e-9, source=4)
+    clustering = cluster_equal_limits(pipe.chi(3).column(4), 4)
     partition = orbits(net, fixed_source=4)
     consistency = orbit_consistency(clustering, partition)
     doc = json.loads(serialize.cluster_report_to_json(clustering, consistency))

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from apwalks import spectral
 from apwalks.network import laplacian
 from apwalks.spectral import (
+    NumericError,
     Spectrum,
     default_degeneracy_tolerance,
     eigendecompose,
@@ -263,8 +264,50 @@ def test_eigenspaces_reaching_the_central_node(pipe, g):
     assert weights[~reaching].max() < 1e-20
 
 
-def test_default_tolerance_scales():
-    s = _spectrum_from_values([0.0, 1e3])
-    assert default_degeneracy_tolerance(s) == 1e-8 * 1e3
-    s = _spectrum_from_values([0.0, 0.5])
-    assert default_degeneracy_tolerance(s) == 1e-8
+def _floor(values):
+    return len(values) * np.finfo(float).eps * max(1.0, float(np.abs(values).max()))
+
+
+@pytest.mark.parametrize("g", range(0, 8))
+def test_measured_tolerance_keeps_the_fixed_rule_groups(pipe, g):
+    s = pipe.spectrum(g)
+    e = s.eigenvalues
+    # The rule the measured tolerance replaced: 1e-8 max(1, lambda_max).
+    assert list(pipe.grouping(g).groups) == gap_runs(e, 1e-8 * max(1.0, float(e[-1])))
+    tol = default_degeneracy_tolerance(s)
+    gaps = np.diff(e)
+    between = np.array([stop - 1 for _, stop in pipe.grouping(g).groups[:-1]], dtype=int)
+    assert 30 * np.delete(gaps, between).max(initial=0.0) <= tol
+    assert 30 * tol <= gaps[between].min()
+
+
+def test_gap_near_the_rounding_floor_raises():
+    values = [0.0, 1.0, 1.0 + 100 * _floor([0.0, 1.0, 1.0])]
+    with pytest.raises(NumericError, match="too close"):
+        default_degeneracy_tolerance(_spectrum_from_values(values))
+
+
+def test_one_eigenvalue_gets_the_floor():
+    assert default_degeneracy_tolerance(_spectrum_from_values([5.0])) == _floor([5.0])
+
+
+@st.composite
+def planted_spectra(draw):
+    """Eigenvalue clusters at least 1e-3 lambda_max apart, each spread over floor/10."""
+    steps = draw(st.lists(st.integers(0, 999), max_size=7, unique=True))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(steps) + 1,
+                          max_size=len(steps) + 1))
+    scale = draw(st.floats(0.1, 1e3))
+    centres = scale * np.array(sorted([*steps, 1000])) / 1000
+    spread = _floor(np.full(sum(sizes), scale)) / 10
+    values = [c + spread * draw(st.floats(0.0, 1.0)) for c, m in zip(centres, sizes)
+              for _ in range(m)]
+    stops = np.cumsum(sizes).tolist()
+    return np.sort(values), list(zip([0, *stops[:-1]], stops))
+
+
+@given(planted_spectra())
+def test_measured_tolerance_recovers_planted_clusters(planted):
+    values, groups = planted
+    s = _spectrum_from_values(values)
+    assert gap_runs(values, default_degeneracy_tolerance(s)) == groups
