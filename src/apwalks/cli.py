@@ -1,12 +1,19 @@
 """Command-line front end: generation -> spectrum -> dynamics -> analysis.
 
 Subcommands: generate, spectrum, evolve, limit, orbits, verify. Every
-setting is a flag, with its default in the parser. Exit codes: 0 success,
-1 verification failure, 2 usage error (also an output path or stdout that
-cannot be opened, written or closed, such as a full device or a closed pipe),
-3 capacity exceeded (a generation above ``GENERATION_CAP`` or an ``evolve``
-series of more than ``SERIES_VALUE_CAP`` values), 4 numeric failure (also
-eigenvalues too close to group, ``spectral.default_degeneracy_tolerance``).
+setting is a flag, with its default in the parser. ``main`` is the one place
+that maps a failure to an exit code, one exception type per code:
+
+- 0: success.
+- 1: ``verify`` ran and one of its checks failed.
+- 2 (``ValueError`` or ``OSError``): usage error. A bad flag value or
+  combination, an output path or stdout that cannot be opened, written or
+  closed (such as a full device or a closed pipe), or a forked child that
+  fails (``fork.child``), which may print its own traceback above the line.
+- 3 (``network.CapacityError``): a generation above ``GENERATION_CAP`` or an
+  ``evolve`` series of more than ``SERIES_VALUE_CAP`` values.
+- 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
+  to group (``spectral.default_degeneracy_tolerance``).
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -68,10 +75,6 @@ EXIT_CAPACITY = 3
 EXIT_NUMERIC = 4
 
 
-class UsageError(ValueError):
-    """Bad flag values or combinations."""
-
-
 #: Fewest values in a text body for which ``_write`` has a forked child format
 #: the second half of the rows. Forking, waiting and appending cost about 4 ms
 #: against about 1 us per value formatted, so with two idle CPUs the split
@@ -85,8 +88,9 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
     """Write text, or each chunk as it is produced, to ``output`` or stdout.
 
     Raises:
-        UsageError: if ``output`` cannot be opened, written or closed, or
-            stdout cannot be written (``stdout`` names it in the message).
+        ValueError: if ``output`` cannot be opened, written or closed, or
+            stdout cannot be written (``stdout`` names it in the message),
+            also when a forked child that formats part of it fails.
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
@@ -103,7 +107,7 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise UsageError(
+        raise ValueError(
             f"cannot write {output or 'stdout'}: {exc.strerror or exc}"
         ) from exc
 
@@ -197,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="long-time limiting probabilities and value clusters")
     _add_common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default %(default)s)")
+                   help="format of the -o limiting-matrix file; the report is always "
+                        "JSON (default %(default)s)")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write the cluster report JSON to PATH (default: stdout)")
 
@@ -211,20 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _generation(args) -> int:
-    if args.generation < 0:
-        raise UsageError(f"--generation must be non-negative, got {args.generation}")
-    return args.generation
-
-
 def _source(args, net) -> int:
     """``--source``, or the central node (node 1 at G=0) when it is not given."""
     if args.source is None:
         return net.central_node if net.central_node is not None else 1
     if not 1 <= args.source <= net.node_count:
-        raise UsageError(
-            f"--source must be in 1..{net.node_count}, got {args.source}"
-        )
+        raise ValueError(f"--source must be in 1..{net.node_count}, got {args.source}")
     return args.source
 
 
@@ -249,7 +246,7 @@ def _writable(path: str | None) -> str | None:
             return path
     except OSError as exc:
         code = exc.errno
-    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _distinct(first: str | None, second: str | None) -> None:
@@ -257,13 +254,12 @@ def _distinct(first: str | None, second: str | None) -> None:
     if (first is not None and second is not None
             and os.path.realpath(first) == os.path.realpath(second)
             and (os.path.isfile(second) or not os.path.exists(second))):
-        raise UsageError(f"cannot write {second}: another output, {first}, is the same file")
+        raise ValueError(f"cannot write {second}: another output, {first}, is the same file")
 
 
 def _cmd_generate(args) -> int:
-    generation = _generation(args)
     output = _writable(args.output)
-    net = generate_apollonian(generation)
+    net = generate_apollonian(args.generation)
     if args.format == "json":
         text = serialize.network_to_json(net)
     else:
@@ -273,11 +269,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    generation = _generation(args)
     output = _writable(args.output)
     eigenvectors = _writable(args.eigenvectors)
     _distinct(output, eigenvectors)
-    net = generate_apollonian(generation)
+    net = generate_apollonian(args.generation)
     s = eigendecompose(laplacian(net))
     _write(serialize.spectrum_to_json(s) if args.format == "json"
            else serialize.spectrum_to_csv(s), output)
@@ -286,38 +281,30 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _time_grid(args) -> TimeGrid:
-    spacing = "logarithmic" if args.t_scale == "log" else "linear"
-    try:
-        return TimeGrid(start=args.t_min, end=args.t_max, steps=args.t_steps, spacing=spacing)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_evolve(args) -> int:
-    generation = _generation(args)
-    grid = _time_grid(args)
+    grid = TimeGrid(start=args.t_min, end=args.t_max, steps=args.t_steps,
+                    spacing="logarithmic" if args.t_scale == "log" else "linear")
     # A generation above its cap is refused when the network is built.
-    if generation <= GENERATION_CAP:
-        n = node_count_for_generation(generation)
+    if args.generation <= GENERATION_CAP:
+        n = node_count_for_generation(args.generation)
         if grid.steps * n > SERIES_VALUE_CAP:
             raise CapacityError(
                 f"a series of {grid.steps} times on N = {n} nodes exceeds the cap "
                 f"of {SERIES_VALUE_CAP} values"
             )
     if args.format == "json" and args.wide:
-        raise UsageError("--wide applies to CSV output only")
+        raise ValueError("--wide applies to CSV output only")
     output = _writable(args.output)
     if args.kind != "both":
         outputs = {args.kind: output}
     elif output is None:
-        raise UsageError("--kind both requires --output (one file per kind)")
+        raise ValueError("--kind both requires --output (one file per kind)")
     else:
         path = Path(output)
         outputs = {one_kind: _writable(str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
                    for one_kind in ("classical", "quantum")}
         _distinct(*outputs.values())
-    net = generate_apollonian(generation)
+    net = generate_apollonian(args.generation)
     source = _source(args, net)
     s = eigendecompose(laplacian(net))
     for one_kind, target in outputs.items():
@@ -329,11 +316,10 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    generation = _generation(args)
     output = _writable(args.output)
     report_path = _writable(args.report)
     _distinct(output, report_path)
-    net = generate_apollonian(generation)
+    net = generate_apollonian(args.generation)
     source = _source(args, net)
     s = eigendecompose(laplacian(net))
     chi = limiting_matrix(s, group_degenerate(s, default_degeneracy_tolerance(s)))
@@ -350,9 +336,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    generation = _generation(args)
     output = _writable(args.output)
-    net = generate_apollonian(generation)
+    net = generate_apollonian(args.generation)
     fixed = None if args.source is None else _source(args, net)
     partition = orbits(net, fixed_source=fixed)
     doc = {
@@ -366,10 +351,6 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_generation < 0:
-        raise UsageError(
-            f"--max-generation must be non-negative, got {args.max_generation}"
-        )
     output = _writable(args.output)
     report = run_verification(args.max_generation)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -397,16 +378,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except CapacityError as exc:
+    except CapacityError as exc:  # before ValueError, its base class
         print(f"apwalks: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except UsageError as exc:
-        print(f"apwalks: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericError as exc:
         print(f"apwalks: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"apwalks: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -90,13 +90,13 @@ _BLOCK_ENTRIES = 2**17
 _PAIR_MAX_DIM = 4
 
 #: Entries (2 MB) per row stripe of the N x N products and differences formed
-#: after the solve, so that none needs a second N x N array beside chi or the
-#: reconstruction residual. Up to G=6 (N=367) one stripe is the whole matrix
-#: and each product stays one BLAS call: splitting a G=6 product changes its
-#: last bits (stripes of 2**17 entries move 1,226 chi entries by up to
-#: 3.3e-16). At G=7 a stripe is 239 rows; every split tried there (64 to 256
-#: rows) gave the bits of the single product, in the time of the single
-#: product within run-to-run noise (one BLAS thread).
+#: for chi and its symmetry check, so that none needs a second N x N array
+#: beside chi. Up to G=6 (N=367) one stripe is the whole matrix and each
+#: product stays one BLAS call: splitting a G=6 product changes its last bits
+#: (stripes of 2**17 entries move 1,226 chi entries by up to 3.3e-16). At G=7
+#: a stripe is 239 rows; every split tried there (64 to 256 rows) gave the
+#: bits of the single product, in the time of the single product within
+#: run-to-run noise (one BLAS thread).
 _STRIPE_ENTRIES = 2**18
 
 

@@ -26,10 +26,12 @@ def two_cpus() -> bool:
 def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]]:
     """Fork a child that runs ``work(part)`` into an unlinked temporary file.
 
-    Yields ``join``: it waits for the child, raises ``RuntimeError`` if the
-    child exited nonzero, and returns ``part`` seeked to 0 for reading. The
-    body of the ``with`` runs beside the child; if it leaves without joining
-    (it raised), the child is killed and reaped.
+    Yields ``join``: it waits for the child, raises ``ChildProcessError`` (an
+    ``OSError``, as for a failed write in this process) if the child exited
+    nonzero, and returns ``part`` seeked to 0 for reading. The child prints
+    the traceback of whatever it raised. The body of the ``with`` runs beside
+    the child; if it leaves without joining (it raised), the child is killed
+    and reaped.
     """
     with tempfile.TemporaryFile() as part:
         # Flushed first, so that nothing buffered before the fork is written twice.
@@ -45,7 +47,7 @@ def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]
             status = os.waitpid(pid, 0)[1]
             code = os.waitstatus_to_exitcode(status)
             if code:
-                raise RuntimeError(f"the forked child {pid} exited with {code}")
+                raise ChildProcessError(f"the forked child {pid} exited with {code}")
             part.seek(0)  # the child's writes moved the shared file offset to the end
             return part
 

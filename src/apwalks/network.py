@@ -116,7 +116,13 @@ class OrbitPartition:
 
 
 def node_count_for_generation(generation: int) -> int:
-    """Closed-form size N = 3 + (3**G - 1) / 2."""
+    """Closed-form size N = 3 + (3**G - 1) / 2.
+
+    Raises:
+        ValueError: if ``generation`` is negative.
+    """
+    if generation < 0:
+        raise ValueError(f"generation must be non-negative, got {generation}")
     return 3 + (3**generation - 1) // 2
 
 

@@ -239,7 +239,7 @@ def cluster_report_to_json(
         "source": clustering.source,
         "tol": CLUSTER_TOL,
         "clusters": [
-            {"value": float(format_probability(value)), "nodes": list(nodes)}
+            {"value": value, "nodes": list(nodes)}
             for value, nodes in zip(clustering.values, clustering.clusters)
         ],
         "unexplained_pairs": [list(p) for p in consistency.unexplained_pairs],

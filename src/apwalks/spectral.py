@@ -53,7 +53,6 @@ class EigenspaceGrouping:
     """Half-open index ranges over the eigenvalues, one per eigenspace."""
 
     groups: tuple[tuple[int, int], ...]
-    tolerance: float
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -179,4 +178,4 @@ def group_degenerate(s: Spectrum, tol: float) -> EigenspaceGrouping:
     groups = gap_runs(s.eigenvalues, tol)
     if np.any(np.diff(s.eigenvalues) < 0):
         raise ValueError("eigenvalues must be ascending")
-    return EigenspaceGrouping(groups=tuple(groups), tolerance=tol)
+    return EigenspaceGrouping(groups=tuple(groups))

@@ -2,17 +2,19 @@
 
 Each check recomputes a published quantity (closed forms, revivals,
 equipartition, localization, cluster structure) or a structural property
-(unitarity, symmetry, equivariance, reconstruction) and compares at a fixed
-tolerance. Checks are gated by the generation they need, so the runner
-executes everything reachable up to a configured maximum generation.
+(unitarity, symmetry, equivariance, and the eigendecomposition's residual
+H Q - Q E and orthonormality) and compares at a fixed tolerance. Checks are
+gated by the generation they need, so the runner executes everything
+reachable up to a configured maximum generation.
 
 With two CPUs (``fork.two_cpus``) the runner splits the checks between two
 processes. This one diagonalizes the largest generation first and then runs
-``check_reconstruction``, the only check that reads a generation above 5;
-one forked child runs every other check and hands back its results. The
-report lists the checks in the same order with the same values as on one
-CPU, where both shares run in this process one after the other, so the
-verdict's bytes do not depend on the CPU count.
+``check_reconstruction``, the only check that reads a generation above 5 (it
+holds one N x N array beside the spectrum, for both residuals); one forked
+child runs every other check and hands back its results. The report lists
+the checks in the same order with the same values as on one CPU, where both
+shares run in this process one after the other, so the verdict's bytes do
+not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .dynamics import (
     SUM_TOL,
     LimitingMatrix,
     TimeGrid,
-    _stripes,
     classical_probability,
     closed_form_g1,
     closed_form_g2,
@@ -334,22 +335,18 @@ def check_equivariance(pipe: Pipeline, max_g: int) -> CheckResult:
     )
 
 
-def _reconstruction_residual(s: Spectrum, net: Network) -> np.ndarray:
-    """Q E Q^T - H, with the bits of the dense formula and no second N x N array.
+def _eigen_residual(net: Network, s: Spectrum) -> np.ndarray:
+    """H Q - Q E, with H Q taken from the edge list.
 
-    Q E is formed one row stripe at a time (``dynamics._stripes``), each
-    stripe's product written into the result. H comes off in place from the
-    edge list: x + 1 rounds as x - (-1) off the diagonal, x - 0 = x, and the
-    degree comes off the diagonal.
+    Row k of H Q is degree(k) q[k] less the rows of k's neighbours, taken one
+    edge at a time: ``q[index]`` would copy 3N x N entries.
     """
-    q, e = s.eigenvectors, s.eigenvalues
-    x = np.empty((s.order, s.order))
-    for rows in _stripes(s.order):
-        np.matmul(q[rows] * e, q.T, out=x[rows])
-    i, j = np.array(net.edges).T - 1
-    x[i, j] += 1.0
-    x[j, i] += 1.0
-    x[np.diag_indices(s.order)] -= np.bincount(np.r_[i, j], minlength=s.order)
+    q = s.eigenvectors
+    x = np.subtract.outer([len(nbrs) for nbrs in net.neighbors], s.eigenvalues)
+    x *= q
+    for a, b in net.edges:
+        x[a - 1] -= q[b - 1]
+        x[b - 1] -= q[a - 1]
     return x
 
 
@@ -360,11 +357,9 @@ def check_reconstruction(pipe: Pipeline, max_g: int) -> CheckResult:
         s = pipe.spectrum(g)
         q, e = s.eigenvectors, s.eigenvalues
         radius = max(1.0, float(np.abs(e).max()))
-        # One N x N array for both residuals: |Q E Q^T - H| equals |H - Q E Q^T|
-        # bit for bit, and subtracting 1 on the diagonal only equals
-        # subtracting the identity.
-        x = _reconstruction_residual(s, pipe.net(g))
+        x = _eigen_residual(pipe.net(g), s)
         rec = float(np.abs(x, out=x).max()) / radius
+        # The same buffer for Q^T Q - I.
         np.matmul(q.T, q, out=x)
         x[np.diag_indices(s.order)] -= 1.0
         orth = float(np.abs(x, out=x).max())
@@ -438,8 +433,11 @@ def run_verification(max_generation: int) -> VerificationReport:
     child reaches the caller with its own type.
 
     Raises:
+        ValueError: if ``max_generation`` is negative.
         CapacityError: if ``max_generation`` exceeds the cap, before any
             check runs or any process is forked.
+        ChildProcessError: if the forked child fails to hand back its
+            results (it could not write them).
     """
     if max_generation < 0:
         raise ValueError("max generation must be non-negative")

@@ -596,10 +596,10 @@ def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing
 
     good = serialize.limiting_matrix_to_csv(pipe.chi(4))
     rows = FailingRows(**vars(good))
-    # A failed write of the parent's rows is a usage error naming the path.
-    error, expected = ((RuntimeError, "exited with 1") if failing == "child"
-                       else (cli.UsageError, "cannot write .*chi.csv: parent failed"))
-    with pytest.raises(error, match=expected):
+    # A failed write of either share of the rows is a usage error naming the path.
+    expected = ("the forked child [0-9]+ exited with 1" if failing == "child"
+                else "parent failed")
+    with pytest.raises(ValueError, match=f"cannot write .*chi.csv: {expected}"):
         cli._write(rows, str(tmp_path / "chi.csv"))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
@@ -637,6 +637,36 @@ cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(3)), sys.argv[1])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "atexit 1\n"
     assert out.read_bytes() == "".join(serialize.limiting_matrix_to_csv(pipe.chi(3))).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "-g", "3", "-o", os.devnull, "--report", os.devnull),
+    ("verify", "--max-generation", "3"),
+], ids=["limit", "verify"])
+@pytest.mark.parametrize("cpus, code", [({0, 1}, 2), ({0}, 0)], ids=["two-cpus", "one-cpu"])
+def test_a_forked_child_that_cannot_write_is_a_usage_error(tmp_path, argv, cpus, code):
+    # Only the forked child writes a regular file: its unlinked temporary
+    # file, held here to 1 kB. Python ignores SIGXFSZ, so the write fails
+    # with EFBIG; on one CPU no such file exists and the command succeeds.
+    script = """
+import os, resource, sys
+from apwalks import cli
+os.sched_getaffinity = lambda pid: set(map(int, sys.argv[1].split(",")))
+cli._SPLIT_MIN_VALUES = 0
+resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script, ",".join(map(str, cpus)), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "File too large" in proc.stderr  # the child's own traceback
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("apwalks: usage error: "), proc.stderr
+        assert "the forked child" in last and last.endswith("exited with 1")
+    else:
+        assert proc.stderr == ""
 
 
 # -- verify on two processes ------------------------------------------------------

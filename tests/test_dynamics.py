@@ -349,7 +349,7 @@ def test_limiting_matrix_matches_reference_g5(pipe):
     # eigh returns some degenerate eigenvalues bit-equal, so no tolerance
     # splits every group: build the one-mode grouping directly.
     singletons = EigenspaceGrouping(
-        groups=tuple((n, n + 1) for n in range(s.order)), tolerance=0.0
+        groups=tuple((n, n + 1) for n in range(s.order))
     )
     single_group = group_degenerate(s, 2.0 * float(s.eigenvalues[-1]))
     assert len(single_group.groups) == 1  # only the squared-projector buffer

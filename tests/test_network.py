@@ -127,6 +127,12 @@ def test_node_count_helper():
     assert [node_count_for_generation(g) for g in range(5)] == [3, 4, 7, 16, 43]
 
 
+@pytest.mark.parametrize("g", [-1, -2, -3])
+def test_node_count_rejects_a_negative_generation(g):
+    with pytest.raises(ValueError, match=f"non-negative, got {g}"):
+        node_count_for_generation(g)
+
+
 def test_laplacian_k4(pipe):
     h = laplacian(pipe.net(1))
     assert np.array_equal(h, 4.0 * np.eye(4) - np.ones((4, 4)))

@@ -67,6 +67,28 @@ def test_every_cli_option_is_read():
     assert sorted(dests - read) == []
 
 
+def _unread_dataclass_fields(modules: list[Path]) -> list[str]:
+    """Fields declared on a ``@dataclass`` in ``modules`` that none reads as ``x.field``."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in modules]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = []
+    for path, tree in zip(modules, trees):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                fields += [(path, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    assert len(fields) > 10
+    return [f"{path.name}: {cls}.{name}" for path, cls, name in fields if name not in read]
+
+
+def test_every_dataclass_field_is_read():
+    # A field that nothing reads is state with no effect.
+    modules = sorted((Path(__file__).parents[1] / "src" / "apwalks").glob("*.py"))
+    assert _unread_dataclass_fields(modules) == []
+
+
 def _environment_reads(path: Path) -> list[str]:
     """Where ``path`` reads the process environment through ``os``."""
     names = {"environ", "environb", "getenv"}

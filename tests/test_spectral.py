@@ -14,7 +14,7 @@ from apwalks.spectral import (
     gap_runs,
     group_degenerate,
 )
-from apwalks.verify import _reconstruction_residual
+from apwalks.verify import Pipeline, _eigen_residual, check_reconstruction
 
 
 def _spectrum_from_values(values):
@@ -53,12 +53,40 @@ def test_reconstruction_and_orthonormality(pipe, g):
 
 
 @pytest.mark.parametrize("g", range(0, 8))
-def test_striped_reconstruction_residual_is_the_dense_one_bit_for_bit(pipe, g):
-    # verify's residual: Q E in row stripes, the Laplacian taken off in place.
+def test_edge_list_eigen_residual_is_the_dense_one(pipe, g):
+    # verify's residual H Q - Q E, with H Q summed from the edge list.
     s = pipe.spectrum(g)
     q, e = s.eigenvectors, s.eigenvalues
-    dense = (q * e) @ q.T - laplacian(pipe.net(g))
-    assert _reconstruction_residual(s, pipe.net(g)).tobytes() == dense.tobytes()
+    radius = max(1.0, float(np.abs(e).max()))
+    dense = laplacian(pipe.net(g)) @ q - q * e
+    error = np.abs(_eigen_residual(pipe.net(g), s) - dense).max()
+    assert error <= s.order * np.finfo(float).eps * radius
+
+
+class _ShiftedPipeline(Pipeline):
+    """G=5's middle eigenvalue moved by ``shift``, its eigenvector kept."""
+
+    def __init__(self, shift):
+        super().__init__()
+        self.shift = shift
+
+    def spectrum(self, g):
+        s = super().spectrum(g)
+        if g != 5:
+            return s
+        e = s.eigenvalues.copy()
+        e[s.order // 2] += self.shift
+        return Spectrum(eigenvalues=e, eigenvectors=s.eigenvectors)
+
+
+# A shift of 1e-6 reads as a residual of 5.8e-9 (of the spectral radius), far
+# above the check's 1e-10; a shift of 1e-8 reads as 5.8e-11 and passes, so the
+# check resolves an eigenvalue to about 1e-8 at G=5.
+@pytest.mark.parametrize("shift, passed", [(1e-6, False), (1e-8, True)])
+def test_reconstruction_check_sees_a_moved_eigenvalue(shift, passed):
+    result = check_reconstruction(_ShiftedPipeline(shift), 5)
+    assert result.passed is passed
+    assert result.detail["max_orthonormality_error"] <= 1e-12
 
 
 @pytest.mark.parametrize("g", range(0, 6))
