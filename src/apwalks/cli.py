@@ -13,7 +13,8 @@ that maps a failure to an exit code, one exception type per code:
 - 3 (``network.CapacityError``): a generation above ``GENERATION_CAP`` or an
   ``evolve`` series of more than ``SERIES_VALUE_CAP`` values.
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
-  to group (``spectral.default_degeneracy_tolerance``).
+  to group for ``limit``'s χ (``spectral.default_degeneracy_tolerance``
+  measures ``spectral.group_degenerate``'s tolerance).
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -89,8 +90,10 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
 
     Raises:
         ValueError: if ``output`` cannot be opened, written or closed, or
-            stdout cannot be written (``stdout`` names it in the message),
-            also when a forked child that formats part of it fails.
+            stdout cannot be written (``stdout`` names it in the message).
+        ChildProcessError: if a forked child that formats part of it fails.
+            The child wrote only its own temporary file, so the message
+            names neither ``output`` nor stdout, and stdout stays open.
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
@@ -101,6 +104,8 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
         else:
             with open(output, "w") as fh:
                 _write_to(fh, chunks)
+    except ChildProcessError:
+        raise
     except OSError as exc:
         if output is None:
             # Python's shutdown flush of stdout would fail again and print more.

@@ -403,25 +403,20 @@ def default_revival_window() -> TimeGrid:
     return TimeGrid(start=0.1, end=200.0, steps=100_000, spacing="linear")
 
 
-def finite_time_average(
-    s: Spectrum, j: int, horizon: float, samples: int | None = None
-) -> np.ndarray:
+def finite_time_average(s: Spectrum, j: int, horizon: float) -> np.ndarray:
     """Trapezoidal average of the coherent distribution over [0, horizon].
 
-    This is a consistency check only: the limiting probabilities are defined
-    by their infinite-horizon spectral form, never by this average. The sum
-    runs over the modes that reach j (``_source_modes``), so up to rounding
-    each entry is within 2 N eps + (N eps)^2 of the sum over all N modes, eps
-    the machine epsilon; it reads no degeneracy grouping.
+    The grid has about 25 times per period of the fastest oscillation, and at
+    least 1000. This is a consistency check only: the limiting probabilities
+    are defined by their infinite-horizon spectral form, never by this
+    average. The sum runs over the modes that reach j (``_source_modes``), so
+    up to rounding each entry is within 2 N eps + (N eps)^2 of the sum over
+    all N modes, eps the machine epsilon; it reads no degeneracy grouping.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if samples is None:
-        # ~25 samples per period of the fastest oscillation.
-        fastest = float(s.eigenvalues[-1] - s.eigenvalues[0])
-        samples = max(1000, int(horizon * max(fastest, 1.0) * 4))
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    fastest = float(s.eigenvalues[-1] - s.eigenvalues[0])
+    samples = max(1000, int(horizon * max(fastest, 1.0) * 4))
     times = np.linspace(0.0, horizon, samples)
     weights = np.ones(samples)
     weights[[0, -1]] = 0.5

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -586,24 +587,38 @@ def test_no_split_to_a_text_only_stdout(pipe, forks, name):
     assert out.getvalue() == "".join(rows)
 
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing):
+def failing_rows(pipe, failing):
+    """χ's CSV at G=4, whose rows fail to format in the ``failing`` process."""
     class FailingRows(serialize.Rows):
         def rows(self, start, stop):
             if (start > 0) == (failing == "child"):
                 raise OSError(f"{failing} failed")
             return super().rows(start, stop)
 
-    good = serialize.limiting_matrix_to_csv(pipe.chi(4))
-    rows = FailingRows(**vars(good))
-    # A failed write of either share of the rows is a usage error naming the path.
-    expected = ("the forked child [0-9]+ exited with 1" if failing == "child"
-                else "parent failed")
-    with pytest.raises(ValueError, match=f"cannot write .*chi.csv: {expected}"):
+    return FailingRows(**vars(serialize.limiting_matrix_to_csv(pipe.chi(4))))
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing):
+    rows = failing_rows(pipe, failing)
+    # A failed write here names the path; the child wrote only its own
+    # temporary file, so its failure names no path.
+    if failing == "child":
+        error, message = ChildProcessError, "^the forked child [0-9]+ exited with 1$"
+    else:
+        error, message = ValueError, "cannot write .*chi.csv: parent failed"
+    with pytest.raises(error, match=message):
         cli._write(rows, str(tmp_path / "chi.csv"))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_child_leaves_stdout_open(pipe, forks, capfd):
+    # Only a failed write to stdout itself sends stdout to /dev/null.
+    with mock.patch.object(os, "dup2") as dup2, pytest.raises(ChildProcessError):
+        cli._write(failing_rows(pipe, "child"), None)
+    assert dup2.call_count == 0
 
 
 @pytest.mark.parametrize("cpus, threshold", [({0}, 0), ({0, 1}, 1850)])
@@ -665,6 +680,9 @@ sys.exit(cli.main(sys.argv[2:]))
         last = proc.stderr.splitlines()[-1]
         assert last.startswith("apwalks: usage error: "), proc.stderr
         assert "the forked child" in last and last.endswith("exited with 1")
+        # The outputs took every byte they were given; only the child's
+        # temporary file failed.
+        assert os.devnull not in last and "cannot write" not in last
     else:
         assert proc.stderr == ""
 

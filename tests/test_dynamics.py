@@ -609,14 +609,12 @@ def test_restricted_revival_scan_matches_every_mode_scan(pipe):
 
 
 def test_restricted_time_average_matches_every_mode_average(pipe):
-    samples = 2000
-    times = np.linspace(0.0, 40.0, samples)
-    weights = np.ones(samples)
-    weights[[0, -1]] = 0.5
     for g, j in SOURCES:
         s = pipe.spectrum(g)
-        reference = weights @ dynamics._propagate(s, j, times, "quantum") / (samples - 1)
-        average = finite_time_average(s, j, 40.0, samples)
+        average = finite_time_average(s, j, 40.0)
+        # The same grid and trapezoid, summed over every mode.
+        with mock.patch.object(dynamics, "_source_modes", lambda s, j: np.arange(s.order)):
+            reference = finite_time_average(s, j, 40.0)
         assert np.abs(average - reference).max() <= 4 * s.order * EPS, (g, j)
 
 
@@ -640,8 +638,6 @@ def test_finite_time_average_converges_to_limit(pipe, g):
 def test_finite_time_average_validation(pipe):
     with pytest.raises(ValueError):
         finite_time_average(pipe.spectrum(1), 1, 0.0)
-    with pytest.raises(ValueError):
-        finite_time_average(pipe.spectrum(1), 1, 10.0, samples=1)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan])

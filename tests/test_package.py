@@ -89,6 +89,52 @@ def test_every_dataclass_field_is_read():
     assert _unread_dataclass_fields(modules) == []
 
 
+def _unpassed_defaults(modules: list[Path]) -> list[str]:
+    """Defaulted parameters of functions in ``modules`` that no call there passes.
+
+    A call passes a parameter by its keyword, or by position: the call's
+    positional arguments reach past its index (a method's ``self`` or ``cls``
+    is not counted), or a ``*`` or ``**`` argument may. Calls are matched by the
+    called name only, ``f(...)`` or ``x.f(...)``.
+    """
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in modules]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path, tree in zip(modules, trees):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = [*fn.args.posonlyargs, *fn.args.args]
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            defaulted = [(index - skip, arg.arg) for index, arg in enumerate(positional)
+                         if index >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            for index, name in defaulted:
+                if not any(
+                        any(k.arg in (name, None) for k in call.keywords)
+                        or index is not None and (
+                            len(call.args) > index
+                            or any(isinstance(a, ast.Starred) for a in call.args))
+                        for call in calls.get(fn.name, [])):
+                    unpassed.append(f"{path.name}: {fn.name}({name})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no call overrides is a parameter with one value in use.
+    # cli.main's argv is the entry point's: the console script passes none.
+    modules = sorted((Path(__file__).parents[1] / "src" / "apwalks").glob("*.py"))
+    assert len(modules) > 5
+    assert _unpassed_defaults(modules) == ["cli.py: main(argv)"]
+
+
 def _environment_reads(path: Path) -> list[str]:
     """Where ``path`` reads the process environment through ``os``."""
     names = {"environ", "environb", "getenv"}

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -273,10 +275,30 @@ def test_gap_runs_matches_the_greedy_loop(steps, tol):
     assert gap_runs(values, tol) == greedy_runs(values, tol)
 
 
-@pytest.mark.parametrize("g, count", enumerate([2, 2, 5, 10, 20, 40, 80, 160]))
+def model_histogram(g):
+    """Eigenspaces per dimension at generation g, from the exact multiplicity model.
+
+    The triangle (G=0) and K4 (G=1) are written out. From G=2 on there are
+    2^(G-1)+1 one-mode and 2^(G-1) two-mode eigenspaces, and for each
+    k = 3..G there are 2^(G-k) of m_k modes, with m_3 = 3 and
+    m_(k+1) = 3 m_k + 3: 5 * 2^(G-2) eigenspaces in all.
+    """
+    if g < 2:
+        return {1: 1, g + 2: 1}
+    histogram = {1: 2 ** (g - 1) + 1, 2: 2 ** (g - 1)}
+    m = 3
+    for k in range(3, g + 1):
+        histogram[m] = 2 ** (g - k)
+        m = 3 * m + 3
+    return histogram
+
+
+@pytest.mark.parametrize("g, count", [(g, sum(model_histogram(g).values())) for g in range(8)])
 def test_eigenspace_count(pipe, g, count):
-    # 5 * 2**(G - 2) eigenspaces from G = 2 on: an exact count, not a tolerance.
-    assert len(pipe.grouping(g).groups) == count
+    # An exact count of eigenspaces of each dimension, not a tolerance.
+    sizes = pipe.grouping(g).sizes
+    assert len(sizes) == count
+    assert Counter(sizes) == model_histogram(g)
 
 
 @pytest.mark.parametrize("g", range(2, 8))
