@@ -13,8 +13,8 @@ that maps a failure to an exit code, one exception type per code:
 - 3 (``network.CapacityError``): a generation above ``GENERATION_CAP`` or an
   ``evolve`` series of more than ``SERIES_VALUE_CAP`` values.
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
-  to group for ``limit``'s χ (``spectral.default_degeneracy_tolerance``
-  measures ``spectral.group_degenerate``'s tolerance).
+  to group (``spectral.default_degeneracy_tolerance`` for
+  ``group_degenerate``, reached by ``limit`` and ``verify``).
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``

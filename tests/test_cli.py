@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -587,38 +586,31 @@ def test_no_split_to_a_text_only_stdout(pipe, forks, name):
     assert out.getvalue() == "".join(rows)
 
 
-def failing_rows(pipe, failing):
-    """χ's CSV at G=4, whose rows fail to format in the ``failing`` process."""
+@pytest.mark.parametrize("failing, to_stdout", [("child", False), ("parent", False), ("child", True)],
+                         ids=["child", "parent", "child-stdout"])
+def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, monkeypatch, capfd,
+                                                  failing, to_stdout):
     class FailingRows(serialize.Rows):
         def rows(self, start, stop):
             if (start > 0) == (failing == "child"):
                 raise OSError(f"{failing} failed")
             return super().rows(start, stop)
 
-    return FailingRows(**vars(serialize.limiting_matrix_to_csv(pipe.chi(4))))
-
-
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, failing):
-    rows = failing_rows(pipe, failing)
+    rows = FailingRows(**vars(serialize.limiting_matrix_to_csv(pipe.chi(4))))
+    dups = []
+    monkeypatch.setattr(os, "dup2", lambda *fds: dups.append(fds))
     # A failed write here names the path; the child wrote only its own
-    # temporary file, so its failure names no path.
+    # temporary file, so its failure names no path and leaves stdout open.
     if failing == "child":
         error, message = ChildProcessError, "^the forked child [0-9]+ exited with 1$"
     else:
         error, message = ValueError, "cannot write .*chi.csv: parent failed"
     with pytest.raises(error, match=message):
-        cli._write(rows, str(tmp_path / "chi.csv"))
+        cli._write(rows, None if to_stdout else str(tmp_path / "chi.csv"))
     assert len(forks) == 1
+    assert dups == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_failed_child_leaves_stdout_open(pipe, forks, capfd):
-    # Only a failed write to stdout itself sends stdout to /dev/null.
-    with mock.patch.object(os, "dup2") as dup2, pytest.raises(ChildProcessError):
-        cli._write(failing_rows(pipe, "child"), None)
-    assert dup2.call_count == 0
 
 
 @pytest.mark.parametrize("cpus, threshold", [({0}, 0), ({0, 1}, 1850)])
