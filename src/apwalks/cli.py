@@ -1,6 +1,7 @@
 """Command-line front end: generation -> spectrum -> dynamics -> analysis.
 
-Subcommands: generate, spectrum, evolve, limit, orbits, verify. Every
+Subcommands: generate, spectrum, evolve, limit, orbits, verify. Each builds
+its network, spectrum and limiting matrix through ``verify.Pipeline``. Every
 setting is a flag, with its default in the parser. ``main`` is the one place
 that maps a failure to an exit code, one exception type per code:
 
@@ -13,8 +14,8 @@ that maps a failure to an exit code, one exception type per code:
 - 3 (``network.CapacityError``): a generation above ``GENERATION_CAP`` or an
   ``evolve`` series of more than ``SERIES_VALUE_CAP`` values.
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
-  to group (``spectral.default_degeneracy_tolerance`` for
-  ``group_degenerate``, reached by ``limit`` and ``verify``).
+  to group (``spectral.default_degeneracy_tolerance``, reached through
+  ``verify.Pipeline.grouping`` by ``limit`` and ``verify``).
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -49,25 +50,18 @@ from pathlib import Path
 from typing import BinaryIO, TextIO
 
 from . import fork, serialize
-from .dynamics import TimeGrid, evolve_series, limiting_matrix
+from .dynamics import TimeGrid, evolve_series
 from .network import (
     GENERATION_CAP,
     SERIES_VALUE_CAP,
     CapacityError,
-    generate_apollonian,
-    laplacian,
     node_count_for_generation,
     orbits,
 )
-from .spectral import (
-    NumericError,
-    default_degeneracy_tolerance,
-    eigendecompose,
-    group_degenerate,
-)
+from .spectral import NumericError
 from .serialize import Rows
 from .symmetry import cluster_equal_limits, orbit_consistency
-from .verify import run_verification
+from .verify import Pipeline, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -264,7 +258,7 @@ def _distinct(first: str | None, second: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     output = _writable(args.output)
-    net = generate_apollonian(args.generation)
+    net = Pipeline().net(args.generation)
     if args.format == "json":
         text = serialize.network_to_json(net)
     else:
@@ -277,8 +271,7 @@ def _cmd_spectrum(args) -> int:
     output = _writable(args.output)
     eigenvectors = _writable(args.eigenvectors)
     _distinct(output, eigenvectors)
-    net = generate_apollonian(args.generation)
-    s = eigendecompose(laplacian(net))
+    s = Pipeline().spectrum(args.generation)
     _write(serialize.spectrum_to_json(s) if args.format == "json"
            else serialize.spectrum_to_csv(s), output)
     if eigenvectors is not None:
@@ -309,9 +302,9 @@ def _cmd_evolve(args) -> int:
         outputs = {one_kind: _writable(str(path.with_name(f"{path.stem}.{one_kind}{path.suffix}")))
                    for one_kind in ("classical", "quantum")}
         _distinct(*outputs.values())
-    net = generate_apollonian(args.generation)
-    source = _source(args, net)
-    s = eigendecompose(laplacian(net))
+    pipe = Pipeline()
+    source = _source(args, pipe.net(args.generation))
+    s = pipe.spectrum(args.generation)
     for one_kind, target in outputs.items():
         series = evolve_series(s, source, one_kind, grid)
         chunks = (serialize.series_to_json(series) if args.format == "json"
@@ -324,10 +317,10 @@ def _cmd_limit(args) -> int:
     output = _writable(args.output)
     report_path = _writable(args.report)
     _distinct(output, report_path)
-    net = generate_apollonian(args.generation)
+    pipe = Pipeline()
+    net = pipe.net(args.generation)
     source = _source(args, net)
-    s = eigendecompose(laplacian(net))
-    chi = limiting_matrix(s, group_degenerate(s, default_degeneracy_tolerance(s)))
+    chi = pipe.chi(args.generation)
     clustering = cluster_equal_limits(chi.column(source), source)
     partition = orbits(net, fixed_source=source)
     consistency = orbit_consistency(clustering, partition)
@@ -342,7 +335,7 @@ def _cmd_limit(args) -> int:
 
 def _cmd_orbits(args) -> int:
     output = _writable(args.output)
-    net = generate_apollonian(args.generation)
+    net = Pipeline().net(args.generation)
     fixed = None if args.source is None else _source(args, net)
     partition = orbits(net, fixed_source=fixed)
     doc = {

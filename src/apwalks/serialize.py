@@ -65,13 +65,14 @@ class Rows:
     """A text as ``head``, one chunk per row of ``values``, and ``tail``, formatted on demand.
 
     ``values`` is a 2-D array or a list of equal-length 1-D arrays, one per
-    row. Chunk i is ``template % (labels[i], *row)``, where ``row`` is
-    ``values[i]`` with zero and, for ``probability`` values, the clamp band
-    set to ``0.0``: ``"%.17g"`` prints a value exactly as ``format_float`` or
-    ``format_probability`` would except that it keeps the sign of ``-0.0``,
-    and ``%r`` prints it as ``json`` does when it is finite. With ``long`` the
-    template holds a ``%s`` slot before each value, and ``labels[i]`` fills
-    every one of them.
+    row. Chunk i is ``template`` with ``labels[i]`` written into every ``%s``
+    slot, one (the wide layouts) or one before each value (the long ones),
+    then ``% tuple(row)``, where ``row`` is ``values[i]`` with zero and, for
+    ``probability`` values, the clamp band set to ``0.0``: ``"%.17g"``
+    prints a value exactly as ``format_float`` or ``format_probability``
+    would except that it keeps the sign of ``-0.0``, and ``%r`` prints it as
+    ``json`` does when it is finite. Labels are node numbers, times and JSON
+    separators built here, and hold no ``%``.
     """
 
     head: str
@@ -80,7 +81,6 @@ class Rows:
     values: np.ndarray | list[np.ndarray]
     probability: bool
     tail: str = ""
-    long: bool = False
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -92,16 +92,9 @@ class Rows:
 
     def rows(self, start: int, stop: int) -> Iterator[str]:
         """The chunks of rows ``start`` to ``stop - 1``, without the head or the tail."""
-        n = len(self.values[0])
-        args: list = [None] * (2 * n)
         for label, row in zip(self.labels[start:stop], self.values[start:stop]):
             zeroed = _zeroed(row, self.probability).tolist()
-            if self.long:
-                args[0::2] = [label] * n
-                args[1::2] = zeroed
-                yield self.template % tuple(args)
-            else:
-                yield self.template % (label, *zeroed)
+            yield self.template.replace("%s", label) % tuple(zeroed)
 
 
 def _json_list_template(n: int, indent: int) -> str:
@@ -189,7 +182,7 @@ def series_to_csv(
         header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1)) + "\n"
         return Rows(header, "%s" + ",%.17g" * n + "\n", labels, values, probability=True)
     template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
-    return Rows("t,k,probability\n", template, labels, values, probability=True, long=True)
+    return Rows("t,k,probability\n", template, labels, values, probability=True)
 
 
 def series_to_json(snapshots: list[TransitionSnapshot]) -> Rows:
@@ -216,7 +209,7 @@ def limiting_matrix_to_csv(chi: LimitingMatrix) -> Rows:
     # Source-major: the row for source j is column j of the matrix.
     template = "".join(f"%s,{k},%.17g\n" for k in range(1, chi.order + 1))
     return Rows("j,k,chi\n", template, _node_labels(chi.order), chi.entries.T,
-                probability=True, long=True)
+                probability=True)
 
 
 def limiting_matrix_to_json(chi: LimitingMatrix) -> Rows:

@@ -5,7 +5,9 @@ equipartition, localization, cluster structure) or a structural property
 (unitarity, symmetry, equivariance, and the eigendecomposition's residual
 H Q - Q E and orthonormality) and compares at a fixed tolerance. Checks are
 gated by the generation they need, so the runner executes everything
-reachable up to a configured maximum generation.
+reachable up to a configured maximum generation. The checks and every CLI
+command build their networks, spectra and limiting matrices through
+``Pipeline``.
 
 With two CPUs (``fork.two_cpus``) the runner splits the checks between two
 processes. This one diagonalizes the largest generation first and then runs
@@ -87,7 +89,15 @@ class VerificationReport:
 
 
 class Pipeline:
-    """Caches networks, spectra, groupings and limiting matrices by generation."""
+    """Caches networks, spectra, groupings and limiting matrices by generation.
+
+    The one place a generation becomes a network, its Laplacian spectrum, the
+    spectrum's degeneracy grouping and the limiting matrix chi, for the CLI
+    and for the checks here. It lives in this module, and not in one of its
+    own, because ``bench/traced.py`` times the layer functions only where
+    ``cli`` and ``verify`` bind them; calls made from another module would
+    go untimed.
+    """
 
     def __init__(self) -> None:
         self._nets: dict[int, Network] = {}

@@ -212,7 +212,7 @@ def test_limit_on_eigenvalues_too_close_to_group_exits_4(tmp_path, monkeypatch, 
     # The narrowest gap above the rounding floor is 100 floors, not the 1e3 needed.
     floor = 3 * np.finfo(float).eps
     values = np.array([0.0, 1.0 - 100 * floor, 1.0])
-    monkeypatch.setattr(cli, "eigendecompose", lambda h: Spectrum(values, np.eye(3)))
+    monkeypatch.setattr(verify, "eigendecompose", lambda h: Spectrum(values, np.eye(3)))
     chi_path, report = tmp_path / "chi.csv", tmp_path / "report.json"
     assert run("limit", "-g", "2", "-o", str(chi_path), "--report", str(report)) == 4
     err = capsys.readouterr().err
@@ -221,9 +221,8 @@ def test_limit_on_eigenvalues_too_close_to_group_exits_4(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("output", [False, True])
-def test_limit_bad_format_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, output):
+def test_limit_bad_format_is_usage_error_before_any_work(tmp_path, capsys, no_work, output):
     chi_path = tmp_path / "chi.xml"
-    monkeypatch.setattr(cli, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
     argv = ("limit", "-g", "2", "--format", "xml", *(("-o", str(chi_path)) if output else ()))
     assert run(*argv) == 2
     assert "xml" in capsys.readouterr().err
@@ -234,16 +233,14 @@ def test_limit_bad_format_is_usage_error_before_any_work(tmp_path, monkeypatch, 
     ("spectrum", "-g", "2", "--format", "xml"),
     ("evolve", "-g", "2", "--kind", "xml", "-o", "s.csv"),
 ])
-def test_bad_choice_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
+def test_bad_choice_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, no_work, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
     assert run(*argv) == 2
     assert "xml" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
-def test_generate_bad_format_is_usage_error_before_any_work(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "generate_apollonian", lambda g: pytest.fail("network built"))
+def test_generate_bad_format_is_usage_error_before_any_work(capsys, no_work):
     assert run("generate", "-g", "2", "--format", "xml") == 2
     assert "xml" in capsys.readouterr().err
 
@@ -251,9 +248,8 @@ def test_generate_bad_format_is_usage_error_before_any_work(monkeypatch, capsys)
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if any command builds a network or a spectrum."""
-    for module in (cli, verify):
-        monkeypatch.setattr(module, "generate_apollonian", lambda g: pytest.fail("network built"))
-        monkeypatch.setattr(module, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
+    monkeypatch.setattr(verify, "generate_apollonian", lambda g: pytest.fail("network built"))
+    monkeypatch.setattr(verify, "eigendecompose", lambda h: pytest.fail("spectrum computed"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,11 +2,14 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import apwalks
 from apwalks import cli, verify
@@ -186,6 +189,15 @@ def test_only_spectral_diagonalizes():
     assert [entry for entries in found.values() for entry in entries] == []
 
 
+def test_cli_builds_only_through_the_verify_pipeline():
+    # verify.Pipeline is the one place a generation becomes a network, a
+    # spectrum, a grouping and chi; a builder the CLI binds would be a second.
+    builders = {"generate_apollonian", "laplacian", "eigendecompose", "group_degenerate",
+                "default_degeneracy_tolerance", "limiting_matrix"}
+    assert builders <= set(vars(verify))
+    assert builders & set(vars(cli)) == set()
+
+
 BENCH_RUN = Path(__file__).parents[1] / "bench" / "run.py"
 LAYERS = ("network", "spectral", "dynamics", "symmetry", "serialize")
 
@@ -223,6 +235,29 @@ def test_bench_span_names_are_functions_the_cli_or_verify_binds():
         else:
             assert fn in (vars(cli).get(function), vars(verify).get(function)), \
                 f"{layer}.{function}"
+
+
+@pytest.mark.parametrize("argv, chi_spans", [
+    (("limit", "-g", "3", "-s", "9"),
+     {"spectral.group_degenerate", "spectral.default_degeneracy_tolerance",
+      "dynamics.limiting_matrix"}),
+    (("evolve", "-g", "3", "--t-steps", "5"), set()),
+    (("spectrum", "-g", "3"), set()),
+], ids=["limit", "evolve", "spectrum"])
+def test_bench_traces_every_build_a_command_makes(tmp_path, argv, chi_spans):
+    # The binding test above cannot see a call path that goes around the
+    # names the bench wraps; the spans of a traced run can.
+    root = Path(__file__).parents[1]
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(BENCH_RUN.with_name("traced.py")), str(spans_path),
+                           "--", *argv], env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans_path.read_text())
+    assert doc["exit_code"] == 0
+    spans = {"network.generate_apollonian", "network.laplacian", "spectral.eigendecompose"}
+    assert spans | chi_spans <= {span[0] for span in doc["spans"]}
 
 
 def test_bench_verify_checks_are_check_functions():

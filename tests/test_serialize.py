@@ -187,7 +187,7 @@ def test_row_formatter_matches_per_value_formatters(long, probability):
     n = values.shape[1]
     template = ("".join(f"%s,{k},%.17g\n" for k in range(1, n + 1)) if long
                 else "%s" + ",%.17g" * n + "\n")
-    text = "".join(serialize.Rows("", template, labels, values, probability, long=long))
+    text = "".join(serialize.Rows("", template, labels, values, probability))
     fmt = serialize.format_probability if probability else serialize.format_float
     if long:
         expected = [f"{lab},{k},{fmt(v)}" for lab, row in zip(labels, values)
