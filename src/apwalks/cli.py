@@ -310,6 +310,8 @@ def _cmd_evolve(args) -> int:
         chunks = (serialize.series_to_json(series) if args.format == "json"
                   else serialize.series_to_csv(series, wide=args.wide))
         _write(chunks, target)
+        # Both hold the series: free it before the next kind's is computed.
+        del series, chunks
     return EXIT_OK
 
 
@@ -350,12 +352,12 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_verify(args) -> int:
     output = _writable(args.output)
-    report = run_verification(args.max_generation)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    verdict = run_verification(args.max_generation)
+    text = json.dumps(verdict, indent=2) + "\n"
     _write(text, None)
     if output is not None:
         _write(text, output)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if verdict["passed"] else EXIT_VERIFY_FAILED
 
 
 _HANDLERS = {

@@ -36,7 +36,9 @@ for one target node: V^T shrinks to that node's eigenvector row, and each
 block yields one column, the return probability pi_jj. A block holds at
 most ``_BLOCK_ENTRIES`` phase entries (times x modes) and at most as many
 result entries, so each of the kernel's temporaries stays near 1 MB
-whatever the grid length.
+whatever the grid length. The one helper ``_stripes`` cuts both kinds of
+bounded axis, times into blocks and rows of N x N products into stripes,
+each against its own budget.
 
 Point probabilities and series sum over every mode. The revival scan and
 the finite-time average sum over the modes that reach the source j only
@@ -100,21 +102,23 @@ _PAIR_MAX_DIM = 4
 _STRIPE_ENTRIES = 2**18
 
 
-def _block_rows(width: int) -> int:
-    """Times per block when its widest array has ``width`` columns."""
-    return max(1, _BLOCK_ENTRIES // width)
+def _stripes(count: int, width: int, entries: int) -> list[slice]:
+    """Slices of ``count`` rows of ``width`` entries, each of at most ``entries`` entries.
 
-
-def _stripes(n: int) -> list[slice]:
-    """Row slices of an n-column matrix, each of at most ``_STRIPE_ENTRIES`` entries."""
-    rows = max(1, _STRIPE_ENTRIES // n)
-    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    Every bounded axis is cut here: times into blocks of ``_BLOCK_ENTRIES``,
+    the rows of N x N products into stripes of ``_STRIPE_ENTRIES``. A slice
+    holds at least one row. The budget has no default because a default
+    binds when the function is defined: a patched module constant would not
+    reach it.
+    """
+    rows = max(1, entries // width)
+    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def _asymmetry(m: np.ndarray) -> float:
     """max |m - m^T| over a square matrix, one row stripe at a time."""
     worst = 0.0
-    for rows in _stripes(len(m)):
+    for rows in _stripes(len(m), len(m), _STRIPE_ENTRIES):
         d = m[rows] - m[:, rows].T
         worst = max(worst, float(np.abs(d, out=d).max()))
     return worst
@@ -264,15 +268,14 @@ def _propagate(
     if target is not None:
         vt = vt[:, target - 1 : target]
     out = np.empty((len(times), vt.shape[1]))
-    rows = _block_rows(max(vt.shape))
-    for lo in range(0, len(times), rows):
-        arg = np.outer(times[lo : lo + rows], e)
+    for block in _stripes(len(times), max(vt.shape), _BLOCK_ENTRIES):
+        arg = np.outer(times[block], e)
         if kind == "classical":
-            out[lo : lo + rows] = (np.exp(-arg) * w) @ vt
+            out[block] = (np.exp(-arg) * w) @ vt
         else:
             re = (np.cos(arg) * w) @ vt
             im = (np.sin(arg) * w) @ vt
-            out[lo : lo + rows] = re * re + im * im
+            out[block] = re * re + im * im
     return out
 
 
@@ -351,7 +354,7 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     pairs[:, a != b] *= math.sqrt(2.0)
     chi = pairs @ pairs.T
     del pairs
-    stripes = _stripes(s.order)
+    stripes = _stripes(s.order, s.order, _STRIPE_ENTRIES)
     buffer = np.empty((stripes[0].stop, s.order))
     for start, stop in large:
         block = v[:, start:stop]
@@ -422,8 +425,6 @@ def finite_time_average(s: Spectrum, j: int, horizon: float) -> np.ndarray:
     weights[[0, -1]] = 0.5
     modes = _source_modes(s, j)
     acc = np.zeros(s.order)
-    rows = _block_rows(s.order)
-    for lo in range(0, samples, rows):
-        block = slice(lo, lo + rows)
+    for block in _stripes(samples, s.order, _BLOCK_ENTRIES):
         acc += weights[block] @ _propagate(s, j, times[block], "quantum", modes=modes)
     return acc / (samples - 1)

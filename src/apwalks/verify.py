@@ -13,7 +13,7 @@ With two CPUs (``fork.two_cpus``) the runner splits the checks between two
 processes. This one diagonalizes the largest generation first and then runs
 ``check_reconstruction``, the only check that reads a generation above 5 (it
 holds one N x N array beside the spectrum, for both residuals); one forked
-child runs every other check and hands back its results. The report lists
+child runs every other check and hands back its results. The verdict lists
 the checks in the same order with the same values as on one CPU, where both
 shares run in this process one after the other, so the verdict's bytes do
 not depend on the CPU count.
@@ -61,31 +61,6 @@ class CheckResult:
     generation: int
     passed: bool
     detail: dict
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    max_generation: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(bool(c.passed) for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_generation": self.max_generation,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "generation": c.generation,
-                    "passed": bool(c.passed),
-                    "detail": dict(c.detail),
-                }
-                for c in self.checks
-            ],
-        }
 
 
 class Pipeline:
@@ -435,8 +410,12 @@ def check_taylor_oracle(pipe: Pipeline, max_g: int) -> CheckResult:
     )
 
 
-def run_verification(max_generation: int) -> VerificationReport:
+def run_verification(max_generation: int) -> dict:
     """Run every check whose required generation is available.
+
+    Returns the verdict document that ``verify`` prints: ``{"max_generation",
+    "passed", "checks": [{"name", "generation", "passed", "detail"}, ...]}``,
+    which passes when every check passes.
 
     On two CPUs the checks are split between this process and one forked
     child (see the module docstring). An exception a check raises in the
@@ -463,7 +442,12 @@ def run_verification(max_generation: int) -> VerificationReport:
         reconstruction = _reconstruction_largest_first(pipe, max_generation)
         checks = _other_checks(pipe, max_generation)
     checks[checks.index(None)] = reconstruction
-    return VerificationReport(max_generation=max_generation, checks=tuple(checks))
+    return {
+        "max_generation": max_generation,
+        "passed": all(bool(c.passed) for c in checks),
+        "checks": [{"name": c.name, "generation": c.generation, "passed": bool(c.passed),
+                    "detail": dict(c.detail)} for c in checks],
+    }
 
 
 def _reconstruction_largest_first(pipe: Pipeline, max_generation: int) -> CheckResult:

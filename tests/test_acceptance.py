@@ -271,6 +271,6 @@ def test_verification_command_agrees(pipe):
     from apwalks.verify import run_verification
 
     verdict = run_verification(4)
-    ok = verdict.passed
+    ok = verdict["passed"]
     report("cli", "built-in verification suite passes at max generation 4",
-           ok, f"{sum(c.passed for c in verdict.checks)}/{len(verdict.checks)} checks")
+           ok, f"{sum(c['passed'] for c in verdict['checks'])}/{len(verdict['checks'])} checks")

@@ -679,10 +679,10 @@ sys.exit(cli.main(sys.argv[2:]))
 
 @pytest.mark.parametrize("g", [3, 4, 5])
 def test_split_verification_matches_one_process(forks, monkeypatch, g):
-    forked = verify.run_verification(g).to_dict()
+    forked = verify.run_verification(g)
     assert len(forks) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    alone = verify.run_verification(g).to_dict()
+    alone = verify.run_verification(g)
     assert len(forks) == 1
     assert forked == alone
     assert json.dumps(forked, indent=2) == json.dumps(alone, indent=2)

@@ -394,7 +394,7 @@ def test_asymmetry_in_the_last_stripe_is_caught(pipe, monkeypatch):
     entries = pipe.chi(3).entries.copy()  # N = 16
     entries[-1, -2] += 1e-9
     monkeypatch.setattr(dynamics, "_STRIPE_ENTRIES", 2 * 16)
-    assert [r.start for r in dynamics._stripes(16)][-1] == 14
+    assert [r.start for r in dynamics._stripes(16, 16, dynamics._STRIPE_ENTRIES)][-1] == 14
     with pytest.raises(NumericError, match="not symmetric"):
         LimitingMatrix(entries=entries)
 
@@ -544,7 +544,8 @@ def test_revival_rejects_bad_source(pipe):
 @pytest.mark.parametrize("j", [4, 17, 43])
 def test_max_return_probability_matches_reference_across_blocks(pipe, j):
     s = pipe.spectrum(4)
-    rows = dynamics._BLOCK_ENTRIES // s.order
+    # The scan's blocks are as wide as the modes that reach j.
+    rows = dynamics._BLOCK_ENTRIES // len(dynamics._source_modes(s, j))
     window = TimeGrid(0.05, 60.0, rows + rows // 2)
     times = window.times()
     w2 = s.eigenvectors[j - 1, :] ** 2

@@ -6,9 +6,10 @@ spectrum it reads already computed. At G=7 one such matrix is 9.6 MB. The
 eigensolver's bound reads the process's resident peak instead, because
 ``np.linalg.eigh``'s buffers are plain ``malloc`` that ``tracemalloc`` does
 not see: beside its input the solver holds a 2 N^2 workspace, then the
-eigenvector copy. The G=7 ``limit`` and ``verify`` commands are held to the
-solver's peak, read the same way from fresh CLI processes. The series
-writer's bound counts in units of the series it reads (times x N floats).
+eigenvector copy. The G=7 ``limit``, ``verify`` and ``evolve`` commands are
+held to the solver's peak, read the same way from fresh CLI processes. The
+series writer's bound counts in units of the series it reads (times x N
+floats).
 """
 
 from __future__ import annotations
@@ -116,12 +117,16 @@ def _cli_peak_kb(tmp_path: Path, *argv: str) -> int:
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_g7_limit_and_verify_peak_at_the_eigensolver_floor(tmp_path):
     # spectrum's peak is import, the Laplacian and the solver's workspace;
-    # the later stages of limit and verify must fit in what the solver freed.
+    # the later stages of limit, verify and evolve must fit in what the solver
+    # freed. evolve --kind both holds one series at a time; at 1000 times one
+    # series (8.8 MB) fits, at the default 2000 it does not.
     floor = _cli_peak_kb(tmp_path, "spectrum", "-g", "7", "-o", "/dev/null")
     n = node_count_for_generation(7)
     growth = [(_cli_peak_kb(tmp_path, *argv) - floor) * 1024 / (n * n * 8) for argv in (
         ("limit", "-g", "7", "-s", "77", "--report", "/dev/null"),
         ("verify", "--max-generation", "7"),
+        ("evolve", "-g", "7", "-s", "77", "--kind", "both", "--t-steps", "1000",
+         "-o", str(tmp_path / "s.csv")),
     )]
     assert max(growth) < 0.3, growth
 
@@ -153,7 +158,7 @@ def test_verification_diagonalizes_its_largest_generation_first(monkeypatch, cpu
         return real(h)
 
     monkeypatch.setattr(verify, "eigendecompose", record)
-    assert run_verification(4).passed
+    assert run_verification(4)["passed"]
     assert orders[0] == node_count_for_generation(4)
     assert sorted(orders) == [node_count_for_generation(g) for g in range(5)]
 

@@ -189,6 +189,29 @@ def test_only_spectral_diagonalizes():
     assert [entry for entries in found.values() for entry in entries] == []
 
 
+def _stepped_ranges(path: Path) -> list[str]:
+    """``file:function`` of every three-argument ``range`` call in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    where = {}
+    # ast.walk is breadth first, so a nested function overrides its enclosing one.
+    for scope in ast.walk(tree):
+        if scope is tree or isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "range" and len(node.args) == 3):
+                    where[id(node)] = f"{path.name}:{getattr(scope, 'name', '<module>')}"
+    return list(where.values())
+
+
+def test_only_stripes_cuts_an_axis_into_chunks():
+    # dynamics._stripes is the one chunk helper; a stepped range elsewhere
+    # repeats its arithmetic.
+    modules = sorted((Path(__file__).parents[1] / "src" / "apwalks").glob("*.py"))
+    assert len(modules) > 5
+    found = [entry for path in modules for entry in _stepped_ranges(path)]
+    assert found == ["dynamics.py:_stripes"]
+
+
 def test_cli_builds_only_through_the_verify_pipeline():
     # verify.Pipeline is the one place a generation becomes a network, a
     # spectrum, a grouping and chi; a builder the CLI binds would be a second.
