@@ -23,7 +23,7 @@ split large CSV and JSON bodies (the eigenvectors, series and limiting
 matrix): this process writes the first half of the rows while one forked
 child formats the rest. ``verify`` splits its checks: it runs every check
 but the eigendecomposition reconstruction in one forked child while this
-process diagonalizes the largest generation and runs that check (see
+process runs that check, largest generation first (see
 ``verify.run_verification``). Output bytes, and the verdict's check order,
 are the same as from one process, and on one CPU everything runs in this
 process. There is no flag for it. The CPU count is the affinity mask only;
@@ -47,7 +47,7 @@ import stat
 import sys
 from collections.abc import Iterable
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import TextIO
 
 from . import fork, serialize
 from .dynamics import TimeGrid, evolve_series
@@ -111,44 +111,30 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
         ) from exc
 
 
-def _split_row(fh: TextIO, chunks: Iterable[str]) -> int:
-    """The first row a forked child should format, or 0 to format every row here.
+def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
+    """Write the chunks to ``fh``; a large ``Rows`` body on two processes.
 
     Splitting needs two CPUs (``fork.two_cpus``), a target that takes bytes
     (``fh.buffer``, which ``io.StringIO`` lacks) and a ``Rows`` body of at
-    least ``_SPLIT_MIN_VALUES`` values.
+    least ``_SPLIT_MIN_VALUES`` values. Then this process writes the head and
+    rows ``[0, mid)`` while a forked child formats rows ``[mid, n)`` into an
+    unlinked temporary file, which is then copied to ``fh.buffer`` as bytes,
+    followed by the tail. Rows are ASCII, so the child encodes them itself.
     """
     if not (isinstance(chunks, Rows)
             and len(chunks) * len(chunks.values[0]) >= _SPLIT_MIN_VALUES
             and hasattr(fh, "buffer") and fork.two_cpus()):
-        return 0
-    return len(chunks) // 2
-
-
-def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
-    """Write the chunks to ``fh``; a large ``Rows`` body on two processes.
-
-    This process writes the head and rows ``[0, mid)`` while a forked child
-    formats rows ``[mid, n)`` into an unlinked temporary file, which is then
-    copied to ``fh.buffer`` as bytes, followed by the tail.
-    """
-    mid = _split_row(fh, chunks)
-    if not mid:
         fh.writelines(chunks)
         return
+    mid = len(chunks) // 2
     fh.write(chunks.head)
-    with fork.child(lambda part: _write_rows(chunks, mid, part)) as join:
+    with fork.child(lambda part: part.writelines(
+            row.encode() for row in chunks.rows(mid, len(chunks)))) as join:
         fh.writelines(chunks.rows(0, mid))
         part = join()
         fh.flush()
         shutil.copyfileobj(part, fh.buffer)
     fh.write(chunks.tail)
-
-
-def _write_rows(chunks: Rows, start: int, part: BinaryIO) -> None:
-    """Write rows ``start..`` of ``chunks`` to ``part`` as text (in the forked child)."""
-    with open(part.fileno(), "w", closefd=False) as fh:
-        fh.writelines(chunks.rows(start, len(chunks)))
 
 
 def _add_common(parser: argparse.ArgumentParser, *, source: bool = True) -> None:
@@ -249,10 +235,11 @@ def _writable(path: str | None) -> str | None:
 
 
 def _distinct(first: str | None, second: str | None) -> None:
-    """Refuse two outputs that would be one regular file; ``/dev/null`` may repeat."""
-    if (first is not None and second is not None
-            and os.path.realpath(first) == os.path.realpath(second)
-            and (os.path.isfile(second) or not os.path.exists(second))):
+    """Refuse two outputs that are one regular file, hard links too; ``/dev/null`` may repeat."""
+    if first is None or second is None:
+        return
+    if (os.path.isfile(second) and os.path.exists(first) and os.path.samefile(first, second)
+            or not os.path.exists(second) and os.path.realpath(first) == os.path.realpath(second)):
         raise ValueError(f"cannot write {second}: another output, {first}, is the same file")
 
 

@@ -10,21 +10,22 @@ command build their networks, spectra and limiting matrices through
 ``Pipeline``.
 
 With two CPUs (``fork.two_cpus``) the runner splits the checks between two
-processes. This one diagonalizes the largest generation first and then runs
-``check_reconstruction``, the only check that reads a generation above 5 (it
-holds one N x N array beside the spectrum, for both residuals); one forked
-child runs every other check and hands back its results. The verdict lists
-the checks in the same order with the same values as on one CPU, where both
-shares run in this process one after the other, so the verdict's bytes do
-not depend on the CPU count.
+processes. This one runs ``check_reconstruction``, the only check that reads a
+generation above 5 (it holds one N x N array beside the spectrum, for both
+residuals), which solves the largest generation first; one forked child runs
+every other check and hands back its results. The verdict lists the checks in
+the same order with the same values as on one CPU, where both shares run in
+this process one after the other, so the verdict's bytes do not depend on the
+CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import pickle
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import Any, BinaryIO, TypeVar
 
 import numpy as np
 
@@ -54,6 +55,8 @@ from .spectral import (
 )
 from .symmetry import cluster_equal_limits, orbit_consistency
 
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -70,36 +73,33 @@ class Pipeline:
     spectrum's degeneracy grouping and the limiting matrix chi, for the CLI
     and for the checks here. It lives in this module, and not in one of its
     own, because ``bench/traced.py`` times the layer functions only where
-    ``cli`` and ``verify`` bind them; calls made from another module would
-    go untimed.
+    ``cli`` and ``verify`` bind them, and each method looks them up here when
+    it builds; calls made from another module would go untimed.
     """
 
     def __init__(self) -> None:
-        self._nets: dict[int, Network] = {}
-        self._spectra: dict[int, Spectrum] = {}
-        self._groupings: dict[int, EigenspaceGrouping] = {}
-        self._chis: dict[int, LimitingMatrix] = {}
+        self._built: dict[tuple[str, int], Any] = {}
+
+    def _memo(self, stage: str, g: int, build: Callable[[], _T]) -> _T:
+        """``build()``'s result for ``(stage, g)``, built on the first call only."""
+        if (stage, g) not in self._built:
+            self._built[stage, g] = build()
+        return self._built[stage, g]
 
     def net(self, g: int) -> Network:
-        if g not in self._nets:
-            self._nets[g] = generate_apollonian(g)
-        return self._nets[g]
+        return self._memo("net", g, lambda: generate_apollonian(g))
 
     def spectrum(self, g: int) -> Spectrum:
-        if g not in self._spectra:
-            self._spectra[g] = eigendecompose(laplacian(self.net(g)))
-        return self._spectra[g]
+        return self._memo("spectrum", g, lambda: eigendecompose(laplacian(self.net(g))))
 
     def grouping(self, g: int) -> EigenspaceGrouping:
-        if g not in self._groupings:
+        def build() -> EigenspaceGrouping:
             s = self.spectrum(g)
-            self._groupings[g] = group_degenerate(s, default_degeneracy_tolerance(s))
-        return self._groupings[g]
+            return group_degenerate(s, default_degeneracy_tolerance(s))
+        return self._memo("grouping", g, build)
 
     def chi(self, g: int) -> LimitingMatrix:
-        if g not in self._chis:
-            self._chis[g] = limiting_matrix(self.spectrum(g), self.grouping(g))
-        return self._chis[g]
+        return self._memo("chi", g, lambda: limiting_matrix(self.spectrum(g), self.grouping(g)))
 
 
 def _closed_form_errors(pipe: Pipeline, g: int) -> float:
@@ -336,9 +336,14 @@ def _eigen_residual(net: Network, s: Spectrum) -> np.ndarray:
 
 
 def check_reconstruction(pipe: Pipeline, max_g: int) -> CheckResult:
+    """Residuals of H Q = Q E and Q^T Q = I up to max_g, largest generation first.
+
+    The largest solve, the biggest transient after this check's own, then runs
+    while the fewest other arrays are alive; a max over generations ignores order.
+    """
     worst_rec = 0.0
     worst_orth = 0.0
-    for g in range(0, max_g + 1):
+    for g in reversed(range(max_g + 1)):
         s = pipe.spectrum(g)
         q, e = s.eigenvectors, s.eigenvalues
         radius = max(1.0, float(np.abs(e).max()))
@@ -434,12 +439,12 @@ def run_verification(max_generation: int) -> dict:
     pipe.net(max_generation)  # a CapacityError before any fork
     if fork.two_cpus():
         with fork.child(lambda part: _dump_other_checks(pipe, max_generation, part)) as join:
-            reconstruction = _reconstruction_largest_first(pipe, max_generation)
+            reconstruction = check_reconstruction(pipe, max_generation)
             checks = pickle.load(join())
         if isinstance(checks, Exception):
             raise checks
     else:
-        reconstruction = _reconstruction_largest_first(pipe, max_generation)
+        reconstruction = check_reconstruction(pipe, max_generation)
         checks = _other_checks(pipe, max_generation)
     checks[checks.index(None)] = reconstruction
     return {
@@ -448,13 +453,6 @@ def run_verification(max_generation: int) -> dict:
         "checks": [{"name": c.name, "generation": c.generation, "passed": bool(c.passed),
                     "detail": dict(c.detail)} for c in checks],
     }
-
-
-def _reconstruction_largest_first(pipe: Pipeline, max_generation: int) -> CheckResult:
-    # The largest eigendecomposition first, while the fewest other arrays
-    # are alive: its transient is the largest after this check's own.
-    pipe.spectrum(max_generation)
-    return check_reconstruction(pipe, max_generation)
 
 
 def _dump_other_checks(pipe: Pipeline, max_generation: int, part: BinaryIO) -> None:

@@ -350,19 +350,24 @@ def test_output_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys, n
     (("spectrum", "-g", "2", "-o", "v.csv", "--eigenvectors", "./v.csv"), "v.csv", "./v.csv"),
     (("limit", "-g", "2", "-o", "link.csv", "--report", "chi.csv"), "link.csv", "chi.csv"),
     (("evolve", "-g", "2", "--kind", "both", "-o", "s.csv"), "s.classical.csv", "s.quantum.csv"),
-], ids=["same-name", "same-path", "symlink", "evolve-both-symlink"])
+    (("limit", "-g", "2", "-o", "a.csv", "--report", "b.json"), "a.csv", "b.json"),
+], ids=["same-name", "same-path", "symlink", "evolve-both-symlink", "hardlink"])
 def test_two_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys, no_work,
                                                      argv, first, second):
     # The second write would replace the first with exit 0.
     monkeypatch.chdir(tmp_path)
     os.symlink("chi.csv", "link.csv")
     os.symlink("s.classical.csv", "s.quantum.csv")
+    Path("a.csv").write_text("x\n")
+    os.link("a.csv", "b.json")
     assert run(*argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"apwalks: usage error: cannot write {second}: "
                    f"another output, {first}, is the same file\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "s.quantum.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.csv", "b.json", "link.csv", "s.quantum.csv"]
+    assert Path("a.csv").read_text() == "x\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -677,7 +682,22 @@ sys.exit(cli.main(sys.argv[2:]))
 
 # -- verify on two processes ------------------------------------------------------
 
-@pytest.mark.parametrize("g", [3, 4, 5])
+#: The checks ``run_verification`` reports, in order, by the generations they need.
+CHECKS_FROM = [
+    (1, ["closed_form_g1_reproduction"]),
+    (2, ["closed_form_g2_reproduction"]),
+    (1, ["perfect_revivals"]),
+    (3, ["partial_revival_g3", "classical_equipartition_g3", "localization_g3",
+         "chi_cluster_structure_g3", "unexplained_equal_pairs_g3"]),
+    (4, ["classical_equipartition_g4", "localization_g4", "return_probability_growth"]),
+    (0, ["property_unitarity_stochasticity"]),
+    (1, ["property_pair_symmetry", "property_automorphism_equivariance"]),
+    (0, ["property_eigendecomposition", "property_finite_time_average",
+         "property_heat_kernel_series_oracle"]),
+]
+
+
+@pytest.mark.parametrize("g", range(6))
 def test_split_verification_matches_one_process(forks, monkeypatch, g):
     forked = verify.run_verification(g)
     assert len(forks) == 1
@@ -686,6 +706,9 @@ def test_split_verification_matches_one_process(forks, monkeypatch, g):
     assert len(forks) == 1
     assert forked == alone
     assert json.dumps(forked, indent=2) == json.dumps(alone, indent=2)
+    assert forked["passed"]
+    assert [c["name"] for c in forked["checks"]] == [
+        name for needed, names in CHECKS_FROM if needed <= g for name in names]
 
 
 @pytest.mark.parametrize("check", ["check_time_average", "check_reconstruction"])

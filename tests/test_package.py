@@ -212,13 +212,44 @@ def test_only_stripes_cuts_an_axis_into_chunks():
     assert found == ["dynamics.py:_stripes"]
 
 
+BUILDERS = {"generate_apollonian", "laplacian", "eigendecompose", "group_degenerate",
+            "default_degeneracy_tolerance", "limiting_matrix"}
+
+
 def test_cli_builds_only_through_the_verify_pipeline():
     # verify.Pipeline is the one place a generation becomes a network, a
     # spectrum, a grouping and chi; a builder the CLI binds would be a second.
-    builders = {"generate_apollonian", "laplacian", "eigendecompose", "group_degenerate",
-                "default_degeneracy_tolerance", "limiting_matrix"}
-    assert builders <= set(vars(verify))
-    assert builders & set(vars(cli)) == set()
+    assert BUILDERS <= set(vars(verify))
+    assert BUILDERS & set(vars(cli)) == set()
+
+
+def test_verify_names_the_builders_only_inside_pipeline_methods():
+    # Inside verify, too, only Pipeline's methods build, and their bodies name
+    # each builder where it is called: the bench wraps the builders in
+    # verify's namespace after import, so a builder bound when the class is
+    # defined (a default argument, a class attribute) would go untimed.
+    # check_taylor_oracle's own Laplacian is the one exception: the oracle must
+    # not share the cached route it checks.
+    found = set()
+    for top in ast.parse(Path(verify.__file__).read_text()).body:
+        outer = top.name if isinstance(top, ast.ClassDef) else "<module>"
+        for stmt in top.body if isinstance(top, ast.ClassDef) else [top]:
+            parts = [(outer, [stmt])]
+            if isinstance(stmt, ast.FunctionDef):
+                body = f"{outer}.{stmt.name}" if isinstance(top, ast.ClassDef) else stmt.name
+                parts = [(body, stmt.body), (outer, [stmt.args, *stmt.decorator_list])]
+            found |= {(scope, node.id) for scope, roots in parts for root in roots
+                      for node in ast.walk(root)
+                      if isinstance(node, ast.Name) and node.id in BUILDERS}
+    assert found == {
+        ("Pipeline.net", "generate_apollonian"),
+        ("Pipeline.spectrum", "eigendecompose"),
+        ("Pipeline.spectrum", "laplacian"),
+        ("Pipeline.grouping", "group_degenerate"),
+        ("Pipeline.grouping", "default_degeneracy_tolerance"),
+        ("Pipeline.chi", "limiting_matrix"),
+        ("check_taylor_oracle", "laplacian"),
+    }
 
 
 BENCH_RUN = Path(__file__).parents[1] / "bench" / "run.py"
