@@ -8,14 +8,16 @@ that maps a failure to an exit code, one exception type per code:
 - 0: success.
 - 1: ``verify`` ran and one of its checks failed.
 - 2 (``ValueError`` or ``OSError``): usage error. A bad flag value or
-  combination, an output path or stdout that cannot be opened, written or
-  closed (such as a full device or a closed pipe), or a forked child that
-  fails (``fork.child``), which may print its own traceback above the line.
-- 3 (``network.CapacityError``): a generation above ``GENERATION_CAP`` or an
-  ``evolve`` series of more than ``SERIES_VALUE_CAP`` values.
+  combination, or an output path or stdout that cannot be opened, written or
+  closed (such as a full device or a closed pipe).
+- 3 (``network.CapacityError``): a generation above ``GENERATION_CAP``, or
+  an ``evolve`` grid whose output would exceed ``SERIES_VALUE_CAP`` values
+  (about 3 GB of CSV), refused before any work.
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
   to group (``spectral.default_degeneracy_tolerance``, reached through
-  ``verify.Pipeline.grouping`` by ``limit`` and ``verify``).
+  ``verify.Pipeline.grouping`` by ``limit`` and ``verify``). ``evolve``
+  propagates its rows as it writes them, so its output may hold the rows
+  before the failing time.
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -26,9 +28,11 @@ but the eigendecomposition reconstruction in one forked child while this
 process runs that check, largest generation first (see
 ``verify.run_verification``). Output bytes, and the verdict's check order,
 are the same as from one process, and on one CPU everything runs in this
-process. There is no flag for it. The CPU count is the affinity mask only;
-the split assumes the second CPU is idle, and a cgroup CPU quota or a busy
-second CPU leaves it with no gain and the cost of the fork.
+process. If the child fails, for any reason, this process runs the child's
+share itself, so exit codes and messages are those of one CPU too. There is
+no flag for it. The CPU count is the affinity mask only; the split assumes
+the second CPU is idle, and a cgroup CPU quota or a busy second CPU leaves it
+with no gain and the cost of the fork.
 
 Output bytes are reproducible for a fixed BLAS thread count only: the
 eigensolver's last bits depend on it, and every value is printed with 17
@@ -85,9 +89,6 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
     Raises:
         ValueError: if ``output`` cannot be opened, written or closed, or
             stdout cannot be written (``stdout`` names it in the message).
-        ChildProcessError: if a forked child that formats part of it fails.
-            The child wrote only its own temporary file, so the message
-            names neither ``output`` nor stdout, and stdout stays open.
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
@@ -98,8 +99,6 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
         else:
             with open(output, "w") as fh:
                 _write_to(fh, chunks)
-    except ChildProcessError:
-        raise
     except OSError as exc:
         if output is None:
             # Python's shutdown flush of stdout would fail again and print more.
@@ -119,10 +118,11 @@ def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
     least ``_SPLIT_MIN_VALUES`` values. Then this process writes the head and
     rows ``[0, mid)`` while a forked child formats rows ``[mid, n)`` into an
     unlinked temporary file, which is then copied to ``fh.buffer`` as bytes,
-    followed by the tail. Rows are ASCII, so the child encodes them itself.
+    followed by the tail. Rows are ASCII, so the child encodes them itself. If
+    the child fails, this process formats rows ``[mid, n)`` itself.
     """
     if not (isinstance(chunks, Rows)
-            and len(chunks) * len(chunks.values[0]) >= _SPLIT_MIN_VALUES
+            and len(chunks) * chunks.values.shape[1] >= _SPLIT_MIN_VALUES
             and hasattr(fh, "buffer") and fork.two_cpus()):
         fh.writelines(chunks)
         return
@@ -132,8 +132,11 @@ def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
             row.encode() for row in chunks.rows(mid, len(chunks)))) as join:
         fh.writelines(chunks.rows(0, mid))
         part = join()
-        fh.flush()
-        shutil.copyfileobj(part, fh.buffer)
+        if part is None:
+            fh.writelines(chunks.rows(mid, len(chunks)))
+        else:
+            fh.flush()
+            shutil.copyfileobj(part, fh.buffer)
     fh.write(chunks.tail)
 
 
@@ -294,11 +297,8 @@ def _cmd_evolve(args) -> int:
     s = pipe.spectrum(args.generation)
     for one_kind, target in outputs.items():
         series = evolve_series(s, source, one_kind, grid)
-        chunks = (serialize.series_to_json(series) if args.format == "json"
-                  else serialize.series_to_csv(series, wide=args.wide))
-        _write(chunks, target)
-        # Both hold the series: free it before the next kind's is computed.
-        del series, chunks
+        _write(serialize.series_to_json(series) if args.format == "json"
+               else serialize.series_to_csv(series, wide=args.wide), target)
     return EXIT_OK
 
 

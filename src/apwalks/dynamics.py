@@ -40,6 +40,11 @@ whatever the grid length. The one helper ``_stripes`` cuts both kinds of
 bounded axis, times into blocks and rows of N x N products into stripes,
 each against its own budget.
 
+A ``Series`` holds no probabilities: its rows are propagated, checked and
+handed out one whole block at a time as they are read, so a reader holds
+about one block, and a row's bits do not depend on where a read starts. A
+failed check raises after the rows before its block were handed out.
+
 Point probabilities and series sum over every mode. The revival scan and
 the finite-time average sum over the modes that reach the source j only
 (``_source_modes``): the modes with the smallest weights q_n[j]^2 are
@@ -58,6 +63,7 @@ Time is measured in units of the inverse hopping rate throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -70,9 +76,9 @@ TransitionKind = Literal["classical", "quantum"]
 
 #: Probability entries may undershoot zero by at most this much.
 ENTRY_FLOOR = -1e-12
-#: Snapshot entries may overshoot one by at most this much.
+#: Probability entries may overshoot one by at most this much.
 ENTRY_CEIL = 1.0 + 1e-12
-#: A snapshot's entries must sum to one within this tolerance.
+#: A distribution's entries must sum to one within this tolerance.
 SUM_TOL = 1e-10
 
 #: Phase or result entries per time block: bounds the kernel's temporaries;
@@ -124,35 +130,28 @@ def _asymmetry(m: np.ndarray) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class TransitionSnapshot:
-    """Distribution over all nodes from one source at one time."""
+def _check_rows(times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows``, one distribution per time, made read-only.
 
-    source: int
-    time: float
-    kind: TransitionKind
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        # Negated comparisons: a NaN entry fails every one of them.
-        if not (values.min() >= ENTRY_FLOOR and values.max() <= ENTRY_CEIL):
+    Raises:
+        NumericError: at the first time whose row leaves [ENTRY_FLOOR,
+            ENTRY_CEIL] or does not sum to 1 within ``SUM_TOL``.
+    """
+    # Negated comparisons: a NaN entry fails every one of them.
+    in_range = (rows.min(axis=1) >= ENTRY_FLOOR) & (rows.max(axis=1) <= ENTRY_CEIL)
+    bad = np.flatnonzero(~(in_range & (np.abs(rows.sum(axis=1) - 1.0) <= SUM_TOL)))
+    if bad.size:
+        t, values = float(times[bad[0]]), rows[bad[0]]
+        if not in_range[bad[0]]:
             raise NumericError(
                 f"snapshot entries escape [0, 1] beyond tolerance at "
-                f"t={self.time} (min {values.min():.3e}, max {values.max():.3e})"
+                f"t={t} (min {values.min():.3e}, max {values.max():.3e})"
             )
-        total = float(values.sum())
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise NumericError(
-                f"snapshot does not sum to 1 within {SUM_TOL:g} at "
-                f"t={self.time}: sum={total!r}"
-            )
-
-    def value_at(self, node: int) -> float:
-        check_node(node, len(self.values))
-        return float(self.values[node - 1])
+        raise NumericError(
+            f"snapshot does not sum to 1 within {SUM_TOL:g} at t={t}: sum={float(values.sum())!r}"
+        )
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -249,15 +248,13 @@ def _propagate(
     result is one (len(times) x 1) column. With ``modes`` (ascending mode
     indices, from ``_source_modes``) the sums run over those modes only;
     without, over all N. Each block of times is two real GEMMs at most; the
-    coherent rows are |cos part|^2 + |sin part|^2 of the amplitudes.
+    coherent rows are |cos part|^2 + |sin part|^2 of the amplitudes. Beside
+    the result, a block holds at most two temporaries of its size.
 
     ``s`` is a connected graph's Laplacian: its one zero eigenvalue is its
     smallest, and the classical kernel takes it as exactly 0 (as computed it
     is a few 1e-15 off, and exp(-t E_0) drifts from 1 from t = 1e5 on).
     """
-    if kind not in ("classical", "quantum"):
-        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    check_node(j, s.order)
     e, v = s.eigenvalues, s.eigenvectors
     if kind == "classical":
         e = np.concatenate(([0.0], e[1:]))
@@ -270,12 +267,22 @@ def _propagate(
     out = np.empty((len(times), vt.shape[1]))
     for block in _stripes(len(times), max(vt.shape), _BLOCK_ENTRIES):
         arg = np.outer(times[block], e)
+        rows = out[block]
         if kind == "classical":
-            out[block] = (np.exp(-arg) * w) @ vt
+            np.exp(np.negative(arg, out=arg), out=arg)
+            arg *= w
+            np.matmul(arg, vt, out=rows)
         else:
-            re = (np.cos(arg) * w) @ vt
-            im = (np.sin(arg) * w) @ vt
-            out[block] = re * re + im * im
+            phase = np.cos(arg)
+            phase *= w
+            np.matmul(phase, vt, out=rows)
+            del phase
+            np.sin(arg, out=arg)
+            arg *= w
+            im = arg @ vt
+            rows *= rows
+            im *= im
+            rows += im
     return out
 
 
@@ -295,23 +302,14 @@ def _source_modes(s: Spectrum, j: int) -> np.ndarray:
     return np.sort(order[dropped:])
 
 
-def _probability(
-    s: Spectrum, j: int, t: float, kind: TransitionKind
-) -> TransitionSnapshot:
-    if not t >= 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    values = _propagate(s, j, np.array([t], dtype=float), kind)[0]
-    return TransitionSnapshot(source=j, time=float(t), kind=kind, values=values)
+def classical_probability(s: Spectrum, j: int, t: float) -> np.ndarray:
+    """Continuous-time random-walk distribution from node j at time t >= 0, read-only."""
+    return next(iter(evolve_series(s, j, "classical", TimeGrid(t, t, 1))))
 
 
-def classical_probability(s: Spectrum, j: int, t: float) -> TransitionSnapshot:
-    """Continuous-time random-walk distribution from node j at time t."""
-    return _probability(s, j, t, "classical")
-
-
-def quantum_probability(s: Spectrum, j: int, t: float) -> TransitionSnapshot:
-    """Coherent-walk distribution |a_kj(t)|^2 from node j at time t."""
-    return _probability(s, j, t, "quantum")
+def quantum_probability(s: Spectrum, j: int, t: float) -> np.ndarray:
+    """Coherent-walk distribution |a_kj(t)|^2 from node j at time t >= 0, read-only."""
+    return next(iter(evolve_series(s, j, "quantum", TimeGrid(t, t, 1))))
 
 
 def closed_form_g1(j: int, k: int, t: float) -> float:
@@ -368,16 +366,41 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     return LimitingMatrix(entries=chi)
 
 
-def evolve_series(
-    s: Spectrum, j: int, kind: TransitionKind, grid: TimeGrid
-) -> list[TransitionSnapshot]:
-    """One snapshot per grid time, in grid order."""
-    times = grid.times()
-    values = _propagate(s, j, times, kind)
-    return [
-        TransitionSnapshot(source=j, time=float(t), kind=kind, values=row)
-        for t, row in zip(times, values)
-    ]
+@dataclass(frozen=True)
+class Series:
+    """Distributions from ``source``, row i at ``times[i]``, propagated as they are read."""
+
+    spectrum: Spectrum
+    source: int
+    kind: TransitionKind
+    times: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.rows(0, len(self))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.spectrum.order
+
+    def rows(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Rows ``start`` to ``stop - 1``, read-only, from whole checked blocks."""
+        for block in _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES):
+            if block.start < stop and start < block.stop:
+                times = self.times[block]
+                rows = _check_rows(times, _propagate(self.spectrum, self.source, times, self.kind))
+                yield from rows[max(start - block.start, 0):stop - block.start]
+                del rows  # freed before the next block is propagated
+
+
+def evolve_series(s: Spectrum, j: int, kind: TransitionKind, grid: TimeGrid) -> Series:
+    """The series from node j over the grid; kind and node are checked before any row is read."""
+    if kind not in ("classical", "quantum"):
+        raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
+    check_node(j, s.order)
+    return Series(spectrum=s, source=j, kind=kind, times=grid.times())
 
 
 def max_return_probability(

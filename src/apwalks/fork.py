@@ -1,9 +1,10 @@
 """Run one share of a job in a forked child while this process runs the other.
 
 The CLI's writer of large CSV and JSON bodies and the verification runner
-both split their work this way. ``two_cpus`` is their one trigger: it reads the affinity mask only, so a
-cgroup CPU quota or a busy second CPU leaves a split with no gain and the cost
-of the fork.
+both split their work this way. ``two_cpus`` is their one trigger: it reads
+the affinity mask only, so a cgroup CPU quota or a busy second CPU leaves a
+split with no gain and the cost of the fork. When the child fails, for any
+reason, the caller runs its share itself: a split has no failure of its own.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ def two_cpus() -> bool:
 def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]]:
     """Fork a child that runs ``work(part)`` into an unlinked temporary file.
 
-    Yields ``join``: it waits for the child, raises ``ChildProcessError`` (an
-    ``OSError``, as for a failed write in this process) if the child exited
-    nonzero, and returns ``part`` seeked to 0 for reading. The child prints
-    the traceback of whatever it raised. The body of the ``with`` runs beside
-    the child; if it leaves without joining (it raised), the child is killed
-    and reaped.
+    Yields ``join``: it waits for the child and returns ``part`` seeked to 0
+    for reading, or ``None`` if the child did not exit with 0, whatever the
+    reason; the caller then runs the child's share itself. The child prints
+    nothing. The body of the ``with`` runs beside the child; if it leaves
+    without joining (it raised), the child is killed and reaped.
     """
     with tempfile.TemporaryFile() as part:
         # Flushed first, so that nothing buffered before the fork is written twice.
@@ -42,12 +42,11 @@ def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]
             _run_child(work, part)
         status = None
 
-        def join() -> BinaryIO:
+        def join() -> BinaryIO | None:
             nonlocal status
             status = os.waitpid(pid, 0)[1]
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                raise ChildProcessError(f"the forked child {pid} exited with {code}")
+            if os.waitstatus_to_exitcode(status):
+                return None
             part.seek(0)  # the child's writes moved the shared file offset to the end
             return part
 
@@ -63,17 +62,16 @@ def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]
 
 
 def _run_child(work: Callable[[BinaryIO], object], part: BinaryIO) -> NoReturn:
-    """Run ``work(part)`` and leave through ``os._exit``: 0 if it returned.
+    """Run ``work(part)`` and leave through ``os._exit``: 0 if it returned, else 1.
 
-    The child never returns into the caller or runs ``atexit`` handlers.
+    The child never returns into the caller, runs no ``atexit`` handler and
+    prints no traceback: whatever it raised, the caller raises again when it
+    runs the share itself.
     """
     code = 1
     try:
         work(part)
         part.flush()
         code = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
-        sys.stderr.flush()
     finally:
         os._exit(code)

@@ -19,11 +19,12 @@ import numpy as np
 #: eigendecomposition stays interactive up to this size.
 GENERATION_CAP = 7
 
-#: Most values (times x nodes) one probability series may hold. ``evolve``
-#: holds its series once, as the propagation kernel's output, which the
-#: writer reads row by row; a grid is refused before any work when it would
-#: exceed this: 2**26 values is 0.5 GB, about 30 times the default grid of
-#: 2000 times at G=7.
+#: Most values (times x nodes) one ``evolve`` output may hold; a grid is
+#: refused before any work when it would exceed this. It bounds the output:
+#: the long CSV takes about 46.5 bytes per value (102 MB for the 2.19M values
+#: of the default 2000 times at G=7), so 2**26 values is about 3 GB of text. It
+#: also bounds the grid's times and their labels, which the writer holds. It
+#: bounds no held series, since the rows are propagated as they are written.
 SERIES_VALUE_CAP = 2**26
 
 #: All six permutations of the three corner nodes, identity first.

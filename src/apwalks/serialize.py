@@ -2,7 +2,7 @@
 
 Identical inputs produce byte-identical text: floats are rendered with 17
 significant digits and probability entries in [``dynamics.ENTRY_FLOOR``, 0),
-the band a snapshot tolerates below zero, are clamped to 0 on output only.
+the band a distribution may undershoot zero by, are clamped to 0 on output only.
 No command reads this text back; ``np.loadtxt`` (CSV) and ``json.loads``
 (JSON) read it exactly.
 
@@ -13,8 +13,10 @@ row, formatted only as it is read, and the tail, so a caller can write each
 row as soon as it is formatted; the text is ``"".join`` of the chunks.
 ``Rows.rows(start, stop)`` yields the chunks of one row range alone, so two
 processes can format disjoint ranges of one text; ``len`` is the number of
-rows and ``len(values[0])`` the number of values in each row. The network and
-cluster-report writers return the whole text.
+rows and ``values.shape[1]`` the number of values in each row. A series'
+rows are propagated as they are read (``dynamics.Series``), so its writers
+hold no series, and a row that fails its check raises after the rows before
+it were written. The network and cluster-report writers return the whole text.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ENTRY_FLOOR, LimitingMatrix, TransitionSnapshot
+from .dynamics import ENTRY_FLOOR, LimitingMatrix, Series
 from .network import Network
 from .spectral import Spectrum
 from .symmetry import CLUSTER_TOL, ChiClustering, OrbitConsistencyReport
@@ -64,10 +66,10 @@ def _separated(labels: list[str]) -> list[str]:
 class Rows:
     """A text as ``head``, one chunk per row of ``values``, and ``tail``, formatted on demand.
 
-    ``values`` is a 2-D array or a list of equal-length 1-D arrays, one per
-    row. Chunk i is ``template`` with ``labels[i]`` written into every ``%s``
-    slot, one (the wide layouts) or one before each value (the long ones),
-    then ``% tuple(row)``, where ``row`` is ``values[i]`` with zero and, for
+    ``values`` is a 2-D array or a ``Series``, one row per chunk. Chunk i is
+    ``template`` with ``labels[i]`` written into every ``%s`` slot, one (the
+    wide layouts) or one before each value (the long ones), then
+    ``% tuple(row)``, where ``row`` is ``values[i]`` with zero and, for
     ``probability`` values, the clamp band set to ``0.0``: ``"%.17g"``
     prints a value exactly as ``format_float`` or ``format_probability``
     would except that it keeps the sign of ``-0.0``, and ``%r`` prints it as
@@ -78,7 +80,7 @@ class Rows:
     head: str
     template: str
     labels: list[str]
-    values: np.ndarray | list[np.ndarray]
+    values: np.ndarray | Series
     probability: bool
     tail: str = ""
 
@@ -92,9 +94,12 @@ class Rows:
 
     def rows(self, start: int, stop: int) -> Iterator[str]:
         """The chunks of rows ``start`` to ``stop - 1``, without the head or the tail."""
-        for label, row in zip(self.labels[start:stop], self.values[start:stop]):
-            zeroed = _zeroed(row, self.probability).tolist()
-            yield self.template.replace("%s", label) % tuple(zeroed)
+        values = (self.values.rows(start, stop) if isinstance(self.values, Series)
+                  else self.values[start:stop])
+        # Each zeroed row is a copy: no view holds a series block beyond its rows.
+        zeroed = map(lambda row: _zeroed(row, self.probability), values)
+        for label, row in zip(self.labels[start:stop], zeroed):
+            yield self.template.replace("%s", label) % tuple(row.tolist())
 
 
 def _json_list_template(n: int, indent: int) -> str:
@@ -156,50 +161,34 @@ def eigenvectors_to_csv(s: Spectrum) -> Rows:
 
 # -- probability series ------------------------------------------------------
 
-def _series_values(snapshots: list[TransitionSnapshot]) -> list[np.ndarray]:
-    """The snapshots' values, one row per snapshot, without a copy.
+def series_to_csv(series: Series, wide: bool = False) -> Rows:
+    """The series CSV: the header, then one row per time.
 
-    An empty series is refused here, when a writer is called, and not when its
-    chunks are first read, so a bad call raises before any output is opened.
+    Wide layout: one line ``t,p_1,...,p_N`` per time. Long layout: one line
+    ``t,k,p_k`` per entry, time-major.
     """
-    if not snapshots:
-        raise ValueError("cannot serialize an empty series")
-    return [snap.values for snap in snapshots]
-
-
-def series_to_csv(
-    snapshots: list[TransitionSnapshot], wide: bool = False
-) -> Rows:
-    """The series CSV: the header, then one row per snapshot.
-
-    Wide layout: one line ``t,p_1,...,p_N`` per snapshot. Long layout: one
-    line ``t,k,p_k`` per entry, snapshot-major.
-    """
-    values = _series_values(snapshots)
-    n = len(values[0])
-    labels = [format_float(snap.time) for snap in snapshots]
+    n = series.shape[1]
+    labels = [format_float(t) for t in series.times.tolist()]
     if wide:
         header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1)) + "\n"
-        return Rows(header, "%s" + ",%.17g" * n + "\n", labels, values, probability=True)
+        return Rows(header, "%s" + ",%.17g" * n + "\n", labels, series, probability=True)
     template = "".join(f"%s,{k},%.17g\n" for k in range(1, n + 1))
-    return Rows("t,k,probability\n", template, labels, values, probability=True)
+    return Rows("t,k,probability\n", template, labels, series, probability=True)
 
 
-def series_to_json(snapshots: list[TransitionSnapshot]) -> Rows:
-    """``{"source", "kind", "snapshots": [{"t", "p"}, ...]}``, one row per snapshot.
+def series_to_json(series: Series) -> Rows:
+    """``{"source", "kind", "snapshots": [{"t", "p"}, ...]}``, one row per time.
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"`` with
     every value printed as it reads back from ``format_float`` (times) or
     ``format_probability`` (probabilities).
     """
-    values = _series_values(snapshots)
-    first = snapshots[0]
-    head = (f'{{\n  "source": {first.source},\n  "kind": {json.dumps(first.kind)},\n'
+    head = (f'{{\n  "source": {series.source},\n  "kind": {json.dumps(series.kind)},\n'
             '  "snapshots": [\n')
-    times = _zeroed([snap.time for snap in snapshots], probability=False).tolist()
+    times = _zeroed(series.times, probability=False).tolist()
     labels = _separated([f'    {{\n      "t": {t!r}' for t in times])
-    template = '%s,\n      "p": ' + _json_list_template(len(values[0]), 6) + "\n    }"
-    return Rows(head, template, labels, values, probability=True, tail="\n  ]\n}\n")
+    template = '%s,\n      "p": ' + _json_list_template(series.shape[1], 6) + "\n    }"
+    return Rows(head, template, labels, series, probability=True, tail="\n  ]\n}\n")
 
 
 # -- limiting matrix ---------------------------------------------------------

@@ -13,10 +13,11 @@ With two CPUs (``fork.two_cpus``) the runner splits the checks between two
 processes. This one runs ``check_reconstruction``, the only check that reads a
 generation above 5 (it holds one N x N array beside the spectrum, for both
 residuals), which solves the largest generation first; one forked child runs
-every other check and hands back its results. The verdict lists the checks in
+every other check and hands back its results; if the child fails, for any
+reason, this process runs those checks itself. The verdict lists the checks in
 the same order with the same values as on one CPU, where both shares run in
-this process one after the other, so the verdict's bytes do not depend on the
-CPU count.
+this process one after the other, so the verdict's bytes, and any exception
+raised instead, do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import pickle
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, BinaryIO, TypeVar
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -111,8 +112,7 @@ def _closed_form_errors(pipe: Pipeline, g: int) -> float:
     worst = 0.0
     sources = range(1, n + 1) if g == 1 else (4,)
     for j in sources:
-        series = evolve_series(s, j, "quantum", grid)
-        numeric = np.array([snap.values for snap in series])
+        numeric = np.array(list(evolve_series(s, j, "quantum", grid)))
         expected = np.column_stack([
             closed_form_g1(j, k, times) if g == 1 else closed_form_g2(k, times)
             for k in range(1, n + 1)
@@ -146,7 +146,7 @@ def check_perfect_revivals(pipe: Pipeline, max_generation: int) -> CheckResult:
         for j in sources:
             for cycle in range(1, 6):
                 t = 2.0 * math.pi * cycle / n
-                p = quantum_probability(s, j, t).value_at(j)
+                p = quantum_probability(s, j, t)[j - 1]
                 worst = min(worst, p)
         cases.append(g)
     return CheckResult(
@@ -176,8 +176,7 @@ def check_partial_revival_g3(pipe: Pipeline) -> CheckResult:
 def check_equipartition(pipe: Pipeline, g: int) -> CheckResult:
     s = pipe.spectrum(g)
     n = s.order
-    snap = classical_probability(s, 4, 100.0)
-    dev = float(np.abs(snap.values - 1.0 / n).max())
+    dev = float(np.abs(classical_probability(s, 4, 100.0) - 1.0 / n).max())
     return CheckResult(
         f"classical_equipartition_g{g}", g, dev <= 1e-6, {"max_deviation": dev}
     )
@@ -265,9 +264,9 @@ def check_unitarity_stochasticity(pipe: Pipeline, max_g: int) -> CheckResult:
         for _ in range(4):
             j = int(rng.integers(1, n + 1))
             t = float(rng.uniform(0.0, 50.0))
-            for snap in (quantum_probability(s, j, t), classical_probability(s, j, t)):
-                worst_sum = max(worst_sum, abs(float(snap.values.sum()) - 1.0))
-                worst_entry = min(worst_entry, float(snap.values.min()))
+            for row in (quantum_probability(s, j, t), classical_probability(s, j, t)):
+                worst_sum = max(worst_sum, abs(float(row.sum()) - 1.0))
+                worst_entry = min(worst_entry, float(row.min()))
     passed = worst_sum <= SUM_TOL and worst_entry >= ENTRY_FLOOR
     return CheckResult(
         "property_unitarity_stochasticity",
@@ -287,10 +286,10 @@ def check_pair_symmetry(pipe: Pipeline, max_g: int) -> CheckResult:
         for _ in range(6):
             j, k = (int(v) for v in rng.integers(1, n + 1, size=2))
             t = float(rng.uniform(0.0, 20.0))
-            q = quantum_probability(s, j, t).value_at(k)
-            q_rev = quantum_probability(s, k, t).value_at(j)
-            c = classical_probability(s, j, t).value_at(k)
-            c_rev = classical_probability(s, k, t).value_at(j)
+            q = quantum_probability(s, j, t)[k - 1]
+            q_rev = quantum_probability(s, k, t)[j - 1]
+            c = classical_probability(s, j, t)[k - 1]
+            c_rev = classical_probability(s, k, t)[j - 1]
             worst = max(worst, abs(q - q_rev), abs(c - c_rev))
     return CheckResult(
         "property_pair_symmetry", top, worst <= 1e-12, {"max_asymmetry": worst}
@@ -308,10 +307,10 @@ def check_equivariance(pipe: Pipeline, max_g: int) -> CheckResult:
         for sigma in corner_group(net):
             j = int(rng.integers(1, n + 1))
             t = float(rng.uniform(0.0, 20.0))
-            snap = quantum_probability(s, j, t)
+            row = quantum_probability(s, j, t)
             mapped = quantum_probability(s, sigma(j), t)
             image = np.array(sigma.image) - 1
-            worst = max(worst, float(np.abs(snap.values - mapped.values[image]).max()))
+            worst = max(worst, float(np.abs(row - mapped[image]).max()))
     return CheckResult(
         "property_automorphism_equivariance",
         top,
@@ -404,7 +403,7 @@ def check_taylor_oracle(pipe: Pipeline, max_g: int) -> CheckResult:
         s = pipe.spectrum(g)
         for j in range(1, net.node_count + 1):
             for t in (0.25, 1.0):
-                spectral = classical_probability(s, j, t).values
+                spectral = classical_probability(s, j, t)
                 series = _taylor_heat_column(h, j, t)
                 worst = max(worst, float(np.abs(spectral - series).max()))
     return CheckResult(
@@ -423,26 +422,24 @@ def run_verification(max_generation: int) -> dict:
     which passes when every check passes.
 
     On two CPUs the checks are split between this process and one forked
-    child (see the module docstring). An exception a check raises in the
-    child reaches the caller with its own type.
+    child (see the module docstring); a check that raises in the child raises
+    again here, when this process runs the child's checks itself.
 
     Raises:
         ValueError: if ``max_generation`` is negative.
         CapacityError: if ``max_generation`` exceeds the cap, before any
             check runs or any process is forked.
-        ChildProcessError: if the forked child fails to hand back its
-            results (it could not write them).
     """
     if max_generation < 0:
         raise ValueError("max generation must be non-negative")
     pipe = Pipeline()
     pipe.net(max_generation)  # a CapacityError before any fork
     if fork.two_cpus():
-        with fork.child(lambda part: _dump_other_checks(pipe, max_generation, part)) as join:
+        with fork.child(lambda part: pickle.dump(_other_checks(pipe, max_generation),
+                                                 part)) as join:
             reconstruction = check_reconstruction(pipe, max_generation)
-            checks = pickle.load(join())
-        if isinstance(checks, Exception):
-            raise checks
+            part = join()
+            checks = _other_checks(pipe, max_generation) if part is None else pickle.load(part)
     else:
         reconstruction = check_reconstruction(pipe, max_generation)
         checks = _other_checks(pipe, max_generation)
@@ -453,15 +450,6 @@ def run_verification(max_generation: int) -> dict:
         "checks": [{"name": c.name, "generation": c.generation, "passed": bool(c.passed),
                     "detail": dict(c.detail)} for c in checks],
     }
-
-
-def _dump_other_checks(pipe: Pipeline, max_generation: int, part: BinaryIO) -> None:
-    """Pickle ``_other_checks`` to ``part``, or the exception it raised (in the forked child)."""
-    try:
-        checks = _other_checks(pipe, max_generation)
-    except Exception as exc:
-        checks = exc
-    pickle.dump(checks, part)
 
 
 def _other_checks(pipe: Pipeline, max_generation: int) -> list[CheckResult | None]:

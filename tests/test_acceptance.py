@@ -42,9 +42,9 @@ def test_criterion_1_g1_closed_form():
     worst = 0.0
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
         for j in range(1, 5):
-            snap = quantum_probability(s, j, float(t))
+            row = quantum_probability(s, j, float(t))
             for k in range(1, 5):
-                worst = max(worst, abs(snap.value_at(k) - closed_form_g1(j, k, float(t))))
+                worst = max(worst, abs(row[k - 1] - closed_form_g1(j, k, float(t))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     report(1, "generation-1 closed form reproduced",
@@ -56,9 +56,9 @@ def test_criterion_2_g2_closed_form():
     s = fresh_spectrum(2)
     worst = 0.0
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
-        snap = quantum_probability(s, 4, float(t))
+        row = quantum_probability(s, 4, float(t))
         for k in range(1, 8):
-            worst = max(worst, abs(snap.value_at(k) - closed_form_g2(k, float(t))))
+            worst = max(worst, abs(row[k - 1] - closed_form_g2(k, float(t))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     report(2, "generation-2 closed form reproduced from the center",
@@ -71,9 +71,9 @@ def test_criterion_3_perfect_revivals(pipe):
     for cycle in range(1, 6):
         for j in range(1, 5):
             lowest = min(lowest, quantum_probability(
-                s1, j, 2.0 * np.pi * cycle / 4.0).value_at(j))
+                s1, j, 2.0 * np.pi * cycle / 4.0)[j - 1])
         lowest = min(lowest, quantum_probability(
-            s2, 4, 2.0 * np.pi * cycle / 7.0).value_at(4))
+            s2, 4, 2.0 * np.pi * cycle / 7.0)[3])
     ok = lowest >= 1.0 - 1e-9
     report(3, "perfect revivals at multiples of 2*pi/N for G=1 and G=2",
            ok, f"min_return={lowest:.12f} >= 1-1e-9")
@@ -94,8 +94,8 @@ def test_criterion_5_classical_equipartition():
     for g in (3, 4):
         s = fresh_spectrum(g)
         n = s.order
-        snap = classical_probability(s, 4, 100.0)
-        devs[g] = float(np.abs(snap.values - 1.0 / n).max())
+        row = classical_probability(s, 4, 100.0)
+        devs[g] = float(np.abs(row - 1.0 / n).max())
     elapsed = time.perf_counter() - start
     ok = max(devs.values()) <= 1e-6 and elapsed < 5.0
     report(5, "classical walk reaches equipartition by t=100 for G=3,4",
@@ -165,11 +165,11 @@ def test_criterion_10a_unitarity_stochasticity(pipe):
         for _ in range(5):
             j = int(rng.integers(1, n + 1))
             t = float(rng.uniform(0.0, 50.0))
-            for snap in (quantum_probability(s, j, t), classical_probability(s, j, t)):
-                worst_sum = max(worst_sum, abs(float(snap.values.sum()) - 1.0))
-                worst_entry = min(worst_entry, float(snap.values.min()))
+            for row in (quantum_probability(s, j, t), classical_probability(s, j, t)):
+                worst_sum = max(worst_sum, abs(float(row.sum()) - 1.0))
+                worst_entry = min(worst_entry, float(row.min()))
     ok = worst_sum <= 1e-10 and worst_entry >= -1e-12
-    report("10a", "snapshots are normalized distributions (G<=5)",
+    report("10a", "point distributions are normalized (G<=5)",
            ok, f"max_sum_err={worst_sum:.3e}, min_entry={worst_entry:.3e}")
 
 
@@ -183,11 +183,11 @@ def test_criterion_10b_pair_symmetry(pipe):
             j, k = (int(v) for v in rng.integers(1, n + 1, size=2))
             t = float(rng.uniform(0.0, 25.0))
             worst = max(worst, abs(
-                quantum_probability(s, j, t).value_at(k)
-                - quantum_probability(s, k, t).value_at(j)))
+                quantum_probability(s, j, t)[k - 1]
+                - quantum_probability(s, k, t)[j - 1]))
             worst = max(worst, abs(
-                classical_probability(s, j, t).value_at(k)
-                - classical_probability(s, k, t).value_at(j)))
+                classical_probability(s, j, t)[k - 1]
+                - classical_probability(s, k, t)[j - 1]))
     ok = worst <= 1e-12
     report("10b", "transition probabilities are symmetric in source/target",
            ok, f"max_asymmetry={worst:.3e} tol=1e-12")
@@ -203,10 +203,10 @@ def test_criterion_10c_equivariance(pipe):
         for sigma in corner_group(net):
             j = int(rng.integers(1, n + 1))
             t = float(rng.uniform(0.0, 20.0))
-            snap = quantum_probability(s, j, t)
+            row = quantum_probability(s, j, t)
             mapped = quantum_probability(s, sigma(j), t)
             for k in range(1, n + 1):
-                worst = max(worst, abs(snap.value_at(k) - mapped.value_at(sigma(k))))
+                worst = max(worst, abs(row[k - 1] - mapped[sigma(k) - 1]))
     ok = worst <= 1e-10
     report("10c", "corner automorphisms leave the dynamics invariant",
            ok, f"max_mismatch={worst:.3e} tol=1e-10")
@@ -259,7 +259,7 @@ def test_criterion_10f_heat_kernel_oracle(pipe):
         s = pipe.spectrum(g)
         for j in range(1, net.node_count + 1):
             for t in (0.1, 0.5, 1.0):
-                spectral = classical_probability(s, j, t).values
+                spectral = classical_probability(s, j, t)
                 worst = max(worst, float(np.abs(spectral - series_column(h, j, t)).max()))
     ok = worst <= 1e-8
     report("10f", "spectral heat kernel matches the power-series oracle (G<=2, t<=1)",

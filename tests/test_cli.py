@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apwalks import cli, serialize, verify
+from apwalks import cli, dynamics, serialize, verify
 from apwalks.cli import main
 from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
 from apwalks.network import GENERATION_CAP, SERIES_VALUE_CAP, node_count_for_generation
@@ -591,27 +591,62 @@ def test_no_split_to_a_text_only_stdout(pipe, forks, name):
                          ids=["child", "parent", "child-stdout"])
 def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, monkeypatch, capfd,
                                                   failing, to_stdout):
+    parent = os.getpid()
+
     class FailingRows(serialize.Rows):
         def rows(self, start, stop):
-            if (start > 0) == (failing == "child"):
+            if (os.getpid() == parent) == (failing == "parent"):
                 raise OSError(f"{failing} failed")
             return super().rows(start, stop)
 
     rows = FailingRows(**vars(serialize.limiting_matrix_to_csv(pipe.chi(4))))
     dups = []
     monkeypatch.setattr(os, "dup2", lambda *fds: dups.append(fds))
-    # A failed write here names the path; the child wrote only its own
-    # temporary file, so its failure names no path and leaves stdout open.
+    out = tmp_path / "chi.csv"
     if failing == "child":
-        error, message = ChildProcessError, "^the forked child [0-9]+ exited with 1$"
+        # This process formats the failed child's rows itself: the bytes of one process.
+        cli._write(rows, None if to_stdout else str(out))
+        written = capfd.readouterr().out if to_stdout else out.read_text()
+        assert written == "".join(serialize.limiting_matrix_to_csv(pipe.chi(4)))
     else:
-        error, message = ValueError, "cannot write .*chi.csv: parent failed"
-    with pytest.raises(error, match=message):
-        cli._write(rows, None if to_stdout else str(tmp_path / "chi.csv"))
+        with pytest.raises(ValueError, match="cannot write .*chi.csv: parent failed"):
+            cli._write(rows, str(out))
     assert len(forks) == 1
     assert dups == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("evolve", "-g", "3", "-s", "2", "--t-steps", "9"), 1 + 6 * 16),
+    (("verify", "--max-generation", "3"), 0),
+], ids=["evolve", "verify"])
+def test_a_numeric_failure_in_the_childs_share_is_the_one_cpu_failure(forks, monkeypatch, capsys,
+                                                                      argv, lines):
+    # Two times per block at G=3, so evolve's child alone propagates t > 5
+    # (rows 6 to 8 of 9), and the output holds the header and rows 0 to 5;
+    # in verify only the child's closed-form checks do.
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 2 * 16)
+    real_check = dynamics._check_rows
+
+    def check(times, rows):
+        if times.max() > 5.0:
+            raise NumericError(f"injected at t={times[times > 5.0][0]}")
+        return real_check(times, rows)
+
+    monkeypatch.setattr(dynamics, "_check_rows", check)
+    assert run(*argv) == 4
+    assert len(forks) == 1
+    forked = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run(*argv) == 4
+    assert len(forks) == 1
+    assert forked == capsys.readouterr()
+    assert forked.err.startswith("apwalks: numeric failure: injected at t=")
+    assert forked.err.count("\n") == 1
+    assert forked.out.count("\n") == lines
 
 
 @pytest.mark.parametrize("cpus, threshold", [({0}, 0), ({0, 1}, 1850)])
@@ -651,33 +686,42 @@ cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(3)), sys.argv[1])
     ("limit", "-g", "3", "-o", os.devnull, "--report", os.devnull),
     ("verify", "--max-generation", "3"),
 ], ids=["limit", "verify"])
-@pytest.mark.parametrize("cpus, code", [({0, 1}, 2), ({0}, 0)], ids=["two-cpus", "one-cpu"])
-def test_a_forked_child_that_cannot_write_is_a_usage_error(tmp_path, argv, cpus, code):
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_a_forked_child_that_cannot_write_is_a_usage_error(tmp_path, argv, cpus):
     # Only the forked child writes a regular file: its unlinked temporary
-    # file, held here to 1 kB. Python ignores SIGXFSZ, so the write fails
-    # with EFBIG; on one CPU no such file exists and the command succeeds.
+    # file, held here to 1 kB. Python ignores SIGXFSZ, so the child's write
+    # fails with EFBIG (exit 1); this process then runs the child's share
+    # itself, so two CPUs give the exit, stdout and stderr of one.
     script = """
 import os, resource, sys
 from apwalks import cli
-os.sched_getaffinity = lambda pid: set(map(int, sys.argv[1].split(",")))
+os.sched_getaffinity = lambda pid: set(map(int, sys.argv[2].split(",")))
 cli._SPLIT_MIN_VALUES = 0
+real_exit_code = os.waitstatus_to_exitcode
+def exit_code(status):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{real_exit_code(status)}\\n")
+    return real_exit_code(status)
+os.waitstatus_to_exitcode = exit_code
 resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
-sys.exit(cli.main(sys.argv[2:]))
+sys.exit(cli.main(sys.argv[3:]))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, "-c", script, ",".join(map(str, cpus)), *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == code, proc.stderr
-    if code:
-        assert "File too large" in proc.stderr  # the child's own traceback
-        last = proc.stderr.splitlines()[-1]
-        assert last.startswith("apwalks: usage error: "), proc.stderr
-        assert "the forked child" in last and last.endswith("exited with 1")
-        # The outputs took every byte they were given; only the child's
-        # temporary file failed.
-        assert os.devnull not in last and "cannot write" not in last
+
+    def apwalks(cpu_set, codes):
+        proc = subprocess.run([sys.executable, "-c", script, str(codes),
+                               ",".join(map(str, cpu_set)), *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    codes = tmp_path / "child_exit_codes"
+    result = apwalks(cpus, codes)
+    assert result[0] == 0 and result[2] == "", result[2]
+    if len(cpus) > 1:
+        assert codes.read_text() == "1\n"  # the child failed
+        assert result == apwalks({0}, tmp_path / "unused")
     else:
-        assert proc.stderr == ""
+        assert not codes.exists()
 
 
 # -- verify on two processes ------------------------------------------------------

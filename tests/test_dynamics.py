@@ -9,7 +9,6 @@ from apwalks import dynamics
 from apwalks.dynamics import (
     LimitingMatrix,
     TimeGrid,
-    TransitionSnapshot,
     classical_probability,
     closed_form_g1,
     closed_form_g2,
@@ -89,10 +88,10 @@ def one_buffer_limit_matrix(s, grouping):
 # -- classical walk -----------------------------------------------------------
 
 def test_classical_indicator_at_t0(pipe):
-    snap = classical_probability(pipe.spectrum(3), 5, 0.0)
+    row = classical_probability(pipe.spectrum(3), 5, 0.0)
     expected = np.zeros(16)
     expected[4] = 1.0
-    assert np.abs(snap.values - expected).max() <= 1e-12
+    assert np.abs(row - expected).max() <= 1e-12
 
 
 def test_classical_k4_return_probability(pipe):
@@ -101,23 +100,23 @@ def test_classical_k4_return_probability(pipe):
     for t in (0.0, 0.1, 0.5, 1.0, 3.0):
         for j in range(1, 5):
             expected = 0.25 + 0.75 * np.exp(-4.0 * t)
-            assert abs(classical_probability(s, j, t).value_at(j) - expected) <= 1e-12
+            assert abs(classical_probability(s, j, t)[j - 1] - expected) <= 1e-12
 
 
 def test_classical_equipartition_g3(pipe):
-    snap = classical_probability(pipe.spectrum(3), 4, 100.0)
-    assert np.abs(snap.values - 1.0 / 16.0).max() <= 1e-6
+    row = classical_probability(pipe.spectrum(3), 4, 100.0)
+    assert np.abs(row - 1.0 / 16.0).max() <= 1e-6
 
 
 @pytest.mark.parametrize("g", range(0, 8))
 def test_classical_walk_stays_stochastic_at_long_times(pipe, g):
     # The computed zero eigenvalue is a few 1e-15 off 0, so exp(-t E_0) taken
-    # as computed drifts from 1 from t = 1e5 on; the snapshot's own sum check
+    # as computed drifts from 1 from t = 1e5 on; the rows' own sum check
     # would then raise.
     s = pipe.spectrum(g)
-    series = evolve_series(s, 1, "classical", TimeGrid(1e5, 1e12, 8, "logarithmic"))
-    assert max(abs(snap.values.sum() - 1.0) for snap in series) <= 1e-13
-    assert np.abs(series[-1].values - 1.0 / s.order).max() <= 1e-15
+    rows = list(evolve_series(s, 1, "classical", TimeGrid(1e5, 1e12, 8, "logarithmic")))
+    assert max(abs(row.sum() - 1.0) for row in rows) <= 1e-13
+    assert np.abs(rows[-1] - 1.0 / s.order).max() <= 1e-15
 
 
 def test_classical_rejects_negative_time(pipe):
@@ -133,7 +132,7 @@ def test_classical_matches_series_oracle(pipe):
         s = pipe.spectrum(g)
         for j in range(1, h.shape[0] + 1):
             for t in (0.1, 0.5, 1.0):
-                spectral = classical_probability(s, j, t).values
+                spectral = classical_probability(s, j, t)
                 assert np.abs(spectral - taylor_heat_column(h, j, t)).max() <= 1e-8
 
 
@@ -146,7 +145,7 @@ def test_classical_spectral_relaxation_bound(pipe, rng):
         gap = s.eigenvalues[1]
         for t in rng.uniform(0.0, 50.0, size=5):
             j = int(rng.integers(1, n + 1))
-            dev = np.abs(classical_probability(s, j, float(t)).values - 1.0 / n).max()
+            dev = np.abs(classical_probability(s, j, float(t)) - 1.0 / n).max()
             assert dev <= np.exp(-gap * t) * np.sqrt(n) + 1e-13
 
 
@@ -154,9 +153,9 @@ def test_classical_spectral_relaxation_bound(pipe, rng):
 
 def test_amplitude_at_t0(pipe):
     s = pipe.spectrum(2)
-    snap = quantum_probability(s, 3, 0.0)
-    assert snap.value_at(3) == pytest.approx(1.0, abs=1e-12)
-    assert snap.value_at(5) == pytest.approx(0.0, abs=1e-12)
+    row = quantum_probability(s, 3, 0.0)
+    assert row[2] == pytest.approx(1.0, abs=1e-12)
+    assert row[4] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_amplitude_squares_to_probability(pipe, rng):
@@ -164,30 +163,30 @@ def test_amplitude_squares_to_probability(pipe, rng):
     for _ in range(5):
         j, k = (int(v) for v in rng.integers(1, 17, size=2))
         t = float(rng.uniform(0.0, 10.0))
-        snap = quantum_probability(s, j, t)
+        row = quantum_probability(s, j, t)
         phases = np.exp(-1j * t * s.eigenvalues)
         amplitude = np.sum(phases * s.eigenvectors[j - 1, :] * s.eigenvectors[k - 1, :])
-        assert abs(abs(amplitude) ** 2 - snap.value_at(k)) <= 1e-12
+        assert abs(abs(amplitude) ** 2 - row[k - 1]) <= 1e-12
 
 
 def test_quantum_indicator_at_t0(pipe):
-    snap = quantum_probability(pipe.spectrum(2), 6, 0.0)
+    row = quantum_probability(pipe.spectrum(2), 6, 0.0)
     expected = np.zeros(7)
     expected[5] = 1.0
-    assert np.abs(snap.values - expected).max() <= 1e-12
+    assert np.abs(row - expected).max() <= 1e-12
 
 
 def test_quantum_uniform_at_quarter_period_g1(pipe):
     # cos(4t) = -1 at t = pi/4 makes all four entries 1/4
-    snap = quantum_probability(pipe.spectrum(1), 2, np.pi / 4.0)
-    assert np.abs(snap.values - 0.25).max() <= 1e-12
+    row = quantum_probability(pipe.spectrum(1), 2, np.pi / 4.0)
+    assert np.abs(row - 0.25).max() <= 1e-12
 
 
 def test_quantum_g2_values_at_pi_over_7(pipe):
-    snap = quantum_probability(pipe.spectrum(2), 4, np.pi / 7.0)
-    assert snap.value_at(4) == pytest.approx(25.0 / 49.0, abs=1e-12)
+    row = quantum_probability(pipe.spectrum(2), 4, np.pi / 7.0)
+    assert row[3] == pytest.approx(25.0 / 49.0, abs=1e-12)
     for k in (1, 2, 3, 5, 6, 7):
-        assert snap.value_at(k) == pytest.approx(4.0 / 49.0, abs=1e-12)
+        assert row[k - 1] == pytest.approx(4.0 / 49.0, abs=1e-12)
 
 
 def test_closed_form_g1_values():
@@ -206,17 +205,17 @@ def test_numerics_match_closed_form_g1(pipe):
     s = pipe.spectrum(1)
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
         for j in range(1, 5):
-            snap = quantum_probability(s, j, float(t))
+            row = quantum_probability(s, j, float(t))
             for k in range(1, 5):
-                assert abs(snap.value_at(k) - closed_form_g1(j, k, float(t))) <= 1e-10
+                assert abs(row[k - 1] - closed_form_g1(j, k, float(t))) <= 1e-10
 
 
 def test_numerics_match_closed_form_g2(pipe):
     s = pipe.spectrum(2)
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
-        snap = quantum_probability(s, 4, float(t))
+        row = quantum_probability(s, 4, float(t))
         for k in range(1, 8):
-            assert abs(snap.value_at(k) - closed_form_g2(k, float(t))) <= 1e-10
+            assert abs(row[k - 1] - closed_form_g2(k, float(t))) <= 1e-10
 
 
 def test_quantum_rejects_bad_node(pipe):
@@ -226,38 +225,38 @@ def test_quantum_rejects_bad_node(pipe):
         quantum_probability(pipe.spectrum(1), 0, 1.0)
 
 
-# -- snapshots as values --------------------------------------------------------
+# -- the distribution checks ----------------------------------------------------
 
 def test_snapshot_rejects_bad_sum():
-    with pytest.raises(NumericError):
-        TransitionSnapshot(source=1, time=0.0, kind="quantum",
-                           values=np.array([0.6, 0.6]))
+    with pytest.raises(NumericError,
+                       match=r"^snapshot does not sum to 1 within 1e-10 at t=2.0: sum=1.2$"):
+        dynamics._check_rows(np.array([1.0, 2.0]), np.array([[0.5, 0.5], [0.6, 0.6]]))
 
 
 def test_snapshot_rejects_out_of_range_entry():
-    with pytest.raises(NumericError):
-        TransitionSnapshot(source=1, time=0.0, kind="quantum",
-                           values=np.array([1.5, -0.5]))
+    with pytest.raises(NumericError, match=r"^snapshot entries escape \[0, 1\] beyond tolerance "
+                                           r"at t=0.0 \(min -5.000e-01, max 1.500e\+00\)$"):
+        dynamics._check_rows(np.array([0.0, 1.0]), np.array([[1.5, -0.5], [0.6, 0.6]]))
 
 
 def test_snapshot_rejects_nan():
     with pytest.raises(NumericError, match="t=0.5"):
-        TransitionSnapshot(source=1, time=0.5, kind="quantum",
-                           values=np.array([1.0, np.nan]))
+        dynamics._check_rows(np.array([0.5]), np.array([[1.0, np.nan]]))
 
 
 def test_snapshot_values_read_only(pipe):
-    snap = quantum_probability(pipe.spectrum(1), 1, 0.3)
-    with pytest.raises(ValueError):
-        snap.values[0] = 0.0
+    series = evolve_series(pipe.spectrum(1), 1, "classical", TimeGrid(0.0, 1.0, 3))
+    for row in (quantum_probability(pipe.spectrum(1), 1, 0.3), *series):
+        with pytest.raises(ValueError):
+            row[0] = 0.0
 
 
 @pytest.mark.parametrize("node", [0, 8, -1, True])
 def test_node_accessors_reject_nodes_outside_1_to_n(pipe, node):
     # At G=2 (N=7) an index of node - 1 would read node 7 for 0 and node 6 for -1.
     chi = pipe.chi(2)
-    snap = quantum_probability(pipe.spectrum(2), 4, 1.0)
-    reads = (chi.column, lambda k: chi.value(k, 1), lambda j: chi.value(1, j), snap.value_at)
+    reads = (chi.column, lambda k: chi.value(k, 1), lambda j: chi.value(1, j),
+             lambda j: quantum_probability(pipe.spectrum(2), j, 1.0))
     for read in reads:
         with pytest.raises(ValueError, match="node index"):
             read(node)
@@ -270,9 +269,9 @@ def test_unitarity_and_stochasticity(pipe, rng, g):
     for _ in range(6):
         j = int(rng.integers(1, n + 1))
         t = float(rng.uniform(0.0, 50.0))
-        for snap in (quantum_probability(s, j, t), classical_probability(s, j, t)):
-            assert abs(float(snap.values.sum()) - 1.0) <= 1e-10
-            assert snap.values.min() >= -1e-12
+        for row in (quantum_probability(s, j, t), classical_probability(s, j, t)):
+            assert abs(float(row.sum()) - 1.0) <= 1e-10
+            assert row.min() >= -1e-12
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -283,12 +282,12 @@ def test_pair_symmetry(pipe, rng, g):
         j, k = (int(v) for v in rng.integers(1, n + 1, size=2))
         t = float(rng.uniform(0.0, 25.0))
         assert abs(
-            quantum_probability(s, j, t).value_at(k)
-            - quantum_probability(s, k, t).value_at(j)
+            quantum_probability(s, j, t)[k - 1]
+            - quantum_probability(s, k, t)[j - 1]
         ) <= 1e-12
         assert abs(
-            classical_probability(s, j, t).value_at(k)
-            - classical_probability(s, k, t).value_at(j)
+            classical_probability(s, j, t)[k - 1]
+            - classical_probability(s, k, t)[j - 1]
         ) <= 1e-12
 
 
@@ -300,10 +299,10 @@ def test_automorphism_equivariance(pipe, rng, g):
     for sigma in corner_group(net):
         j = int(rng.integers(1, n + 1))
         for t in (0.4, 3.7, 17.0):
-            snap = quantum_probability(s, j, t)
+            row = quantum_probability(s, j, t)
             mapped = quantum_probability(s, sigma(j), t)
             for k in range(1, n + 1):
-                assert abs(snap.value_at(k) - mapped.value_at(sigma(k))) <= 1e-10
+                assert abs(row[k - 1] - mapped[sigma(k) - 1]) <= 1e-10
 
 
 # -- limiting probabilities -----------------------------------------------------
@@ -447,21 +446,22 @@ def test_single_point_grid(pipe):
     grid = TimeGrid(start=0.0, end=0.0, steps=1)
     series = evolve_series(pipe.spectrum(2), 4, "quantum", grid)
     assert len(series) == 1
-    assert series[0].value_at(4) == pytest.approx(1.0, abs=1e-12)
+    (row,) = series
+    assert row[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_matches_closed_form_g1(pipe):
     grid = TimeGrid(start=0.0, end=4.0 * np.pi, steps=200)
     series = evolve_series(pipe.spectrum(1), 2, "quantum", grid)
-    for snap in series:
+    for t, row in zip(series.times, series, strict=True):
         for k in range(1, 5):
-            assert abs(snap.value_at(k) - closed_form_g1(2, k, snap.time)) <= 1e-10
+            assert abs(row[k - 1] - closed_form_g1(2, k, t)) <= 1e-10
 
 
 def test_series_classical_ends_uniform_g3(pipe):
     grid = TimeGrid(start=0.01, end=100.0, steps=50, spacing="logarithmic")
-    series = evolve_series(pipe.spectrum(3), 4, "classical", grid)
-    assert np.abs(series[-1].values - 1.0 / 16.0).max() <= 1e-6
+    *_, last = evolve_series(pipe.spectrum(3), 4, "classical", grid)
+    assert np.abs(last - 1.0 / 16.0).max() <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
@@ -474,13 +474,15 @@ def test_series_matches_per_time_reference_across_blocks(pipe, kind):
     q, e = s.eigenvectors, s.eigenvalues
     w = q[6, :]
     worst = 0.0
+    values = list(series)
     # every time around the block boundary, and a stride through the rest
-    for snap in series[rows - 100 : rows + 100] + series[::250]:
+    for i in [*range(rows - 100, rows + 100), *range(0, len(series), 250)]:
+        t = series.times[i]
         if kind == "classical":
-            expected = q @ (np.exp(-snap.time * e) * w)
+            expected = q @ (np.exp(-t * e) * w)
         else:
-            expected = np.abs(q @ (np.exp(-1j * snap.time * e) * w)) ** 2
-        worst = max(worst, float(np.abs(snap.values - expected).max()))
+            expected = np.abs(q @ (np.exp(-1j * t * e) * w)) ** 2
+        worst = max(worst, float(np.abs(values[i] - expected).max()))
     assert worst <= 1e-13
 
 
@@ -488,13 +490,17 @@ def test_series_rejects_nan_values():
     broken = Spectrum(eigenvalues=np.array([0.0, np.nan]),
                       eigenvectors=np.eye(2))
     for kind in ("classical", "quantum"):
+        series = evolve_series(broken, 1, kind, TimeGrid(0.5, 1.0, 3))
         with pytest.raises(NumericError, match="t=0.5"):
-            evolve_series(broken, 1, kind, TimeGrid(0.5, 1.0, 3))
+            list(series)
 
 
 def test_series_rejects_unknown_kind(pipe):
-    with pytest.raises(ValueError):
+    # Refused when called, before any row is read or any output opened.
+    with pytest.raises(ValueError, match="kind"):
         evolve_series(pipe.spectrum(1), 1, "ballistic", TimeGrid(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="node index"):
+        evolve_series(pipe.spectrum(1), 5, "quantum", TimeGrid(0.0, 1.0, 3))
 
 
 # -- revivals ---------------------------------------------------------------------
@@ -504,9 +510,9 @@ def test_perfect_revivals_g1_g2(pipe):
     for n_cycle in range(1, 6):
         for j in range(1, 5):
             t = 2.0 * np.pi * n_cycle / 4.0
-            assert quantum_probability(s1, j, t).value_at(j) >= 1.0 - 1e-9
+            assert quantum_probability(s1, j, t)[j - 1] >= 1.0 - 1e-9
         t = 2.0 * np.pi * n_cycle / 7.0
-        assert quantum_probability(s2, 4, t).value_at(4) >= 1.0 - 1e-9
+        assert quantum_probability(s2, 4, t)[3] >= 1.0 - 1e-9
 
 
 def test_max_return_probability_g1(pipe):
@@ -667,9 +673,9 @@ def test_eigenbasis_rotation_invariance(pipe):
         assert np.abs(chi - chi_alt).max() <= 1e-10
         for t in (0.7, 5.3):
             for j in (1, n):
-                a = quantum_probability(s, j, t).values
-                b = quantum_probability(alt, j, t).values
+                a = quantum_probability(s, j, t)
+                b = quantum_probability(alt, j, t)
                 assert np.abs(a - b).max() <= 1e-10
-                c = classical_probability(s, j, t).values
-                d = classical_probability(alt, j, t).values
+                c = classical_probability(s, j, t)
+                d = classical_probability(alt, j, t)
                 assert np.abs(c - d).max() <= 1e-10

@@ -291,14 +291,15 @@ def test_bench_span_names_are_functions_the_cli_or_verify_binds():
                 f"{layer}.{function}"
 
 
-@pytest.mark.parametrize("argv, chi_spans", [
+@pytest.mark.parametrize("argv, chi_spans, observed", [
     (("limit", "-g", "3", "-s", "9"),
      {"spectral.group_degenerate", "spectral.default_degeneracy_tolerance",
-      "dynamics.limiting_matrix"}),
-    (("evolve", "-g", "3", "--t-steps", "5"), set()),
-    (("spectrum", "-g", "3"), set()),
+      "dynamics.limiting_matrix"}, {}),
+    # bench's dynamics.snapshots sums the series lengths the evolve spans observe.
+    (("evolve", "-g", "3", "--t-steps", "5"), set(), {"dynamics.evolve_series.quantum": 5}),
+    (("spectrum", "-g", "3"), set(), {}),
 ], ids=["limit", "evolve", "spectrum"])
-def test_bench_traces_every_build_a_command_makes(tmp_path, argv, chi_spans):
+def test_bench_traces_every_build_a_command_makes(tmp_path, argv, chi_spans, observed):
     # The binding test above cannot see a call path that goes around the
     # names the bench wraps; the spans of a traced run can.
     root = Path(__file__).parents[1]
@@ -312,6 +313,7 @@ def test_bench_traces_every_build_a_command_makes(tmp_path, argv, chi_spans):
     assert doc["exit_code"] == 0
     spans = {"network.generate_apollonian", "network.laplacian", "spectral.eigendecompose"}
     assert spans | chi_spans <= {span[0] for span in doc["spans"]}
+    assert {name: seen for name, _, _, _, seen in doc["spans"] if name in observed} == observed
 
 
 def test_bench_verify_checks_are_check_functions():

@@ -1,11 +1,12 @@
 import json
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from apwalks import serialize
-from apwalks.dynamics import LimitingMatrix, TimeGrid, TransitionSnapshot, evolve_series
+from apwalks.dynamics import LimitingMatrix, Series, TimeGrid, evolve_series
 from apwalks.network import orbits
 from apwalks.spectral import Spectrum
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
@@ -74,8 +75,7 @@ def test_series_csv_round_trip_long_and_wide(pipe):
     assert np.array_equal(long[:, :, 1], np.tile(np.arange(1, 8), (7, 1)))
     assert np.array_equal(long[:, 0, 0], wide[:, 0])
     assert np.array_equal(long[:, :, 2], wide[:, 1:])
-    expected = np.array([snap.values for snap in series])
-    assert np.array_equal(wide[:, 1:], expected)
+    assert np.array_equal(wide[:, 1:], np.array(list(series)))
 
 
 def test_series_json_round_trip(pipe):
@@ -84,14 +84,8 @@ def test_series_json_round_trip(pipe):
     assert doc["source"] == 2 and doc["kind"] == "classical"
     probs = np.array([snap["p"] for snap in doc["snapshots"]])
     times = np.array([snap["t"] for snap in doc["snapshots"]])
-    assert np.array_equal(probs, np.array([s.values for s in series]))
-    assert np.array_equal(times, np.array([s.time for s in series]))
-
-
-def test_series_csv_rejects_empty_series_when_called():
-    # Before any chunk is read, so a bad call never opens an output file.
-    with pytest.raises(ValueError):
-        serialize.series_to_csv([])
+    assert np.array_equal(probs, np.array(list(series)))
+    assert np.array_equal(times, series.times)
 
 
 def test_limiting_matrix_csv_round_trip(pipe):
@@ -140,21 +134,35 @@ ADVERSARIAL = [0.0, -0.0, -1e-12, -5e-13, 5e-324, 2.2250738585072014e-308,
                1.0 - 2.0**-53, 1.0 / 3.0]
 
 
-def reference_series_csv(snapshots, wide):
+@dataclass(frozen=True)
+class GivenSeries(Series):
+    """A series whose rows are the given ``values``, not propagated ones."""
+
+    values: np.ndarray | None = None
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    def rows(self, start, stop):
+        return iter(self.values[start:stop])
+
+
+def reference_series_csv(series, wide):
     """Per-value writer: one format_probability call per entry."""
-    n = len(snapshots[0].values)
+    n = series.shape[1]
     lines = []
     if wide:
         lines.append("t," + ",".join(f"p_{k}" for k in range(1, n + 1)))
-        for snap in snapshots:
-            row = ",".join(serialize.format_probability(v) for v in snap.values)
-            lines.append(f"{serialize.format_float(snap.time)},{row}")
+        for time, values in zip(series.times, series.values):
+            row = ",".join(serialize.format_probability(v) for v in values)
+            lines.append(f"{serialize.format_float(float(time))},{row}")
     else:
         lines.append("t,k,probability")
-        for snap in snapshots:
-            t = serialize.format_float(snap.time)
+        for time, values in zip(series.times, series.values):
+            t = serialize.format_float(float(time))
             for k in range(1, n + 1):
-                lines.append(f"{t},{k},{serialize.format_probability(snap.values[k - 1])}")
+                lines.append(f"{t},{k},{serialize.format_probability(values[k - 1])}")
     return "\n".join(lines) + "\n"
 
 
@@ -207,11 +215,8 @@ def test_series_csv_matches_per_value_writer(wide):
         np.array([1.0 / 3.0] * 3 + [0.0] * (len(ADVERSARIAL) - 3)),
         random_row,
     ]
-    snapshots = [
-        TransitionSnapshot(source=1, time=t, kind="quantum", values=row)
-        for t, row in zip((0.0, 1.0 / 3.0, 5e-324), rows)
-    ]
-    assert "".join(serialize.series_to_csv(snapshots, wide=wide)) == reference_series_csv(snapshots, wide)
+    series = GivenSeries(None, 1, "quantum", np.array([0.0, 1.0 / 3.0, 5e-324]), np.array(rows))
+    assert "".join(serialize.series_to_csv(series, wide=wide)) == reference_series_csv(series, wide)
 
 
 def test_chi_csv_matches_per_value_writer(pipe):
@@ -234,16 +239,16 @@ def test_eigenvector_csv_matches_per_value_writer(pipe):
 
 # -- streamed JSON writers against json.dumps ----------------------------------
 
-def reference_series_json(snapshots):
+def reference_series_json(series):
     doc = {
-        "source": snapshots[0].source,
-        "kind": snapshots[0].kind,
+        "source": series.source,
+        "kind": series.kind,
         "snapshots": [
             {
-                "t": float(serialize.format_float(s.time)),
-                "p": [float(serialize.format_probability(v)) for v in s.values],
+                "t": float(serialize.format_float(float(t))),
+                "p": [float(serialize.format_probability(v)) for v in values],
             }
-            for s in snapshots
+            for t, values in zip(series.times, series.values)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -260,17 +265,15 @@ def reference_chi_json(chi):
 
 
 def test_series_json_matches_json_dumps(pipe):
-    series = evolve_series(pipe.spectrum(4), 4, "quantum", TimeGrid(0.5, 5.0, 6))
-    snapshots = []
-    for snap, t in zip(series, (-0.0, 0.0, 1e-300, 1.0 / 3.0, 2.0, 5.0)):
-        values = snap.values.copy()
-        for k, v in ((0, -0.0), (1, -1e-12), (2, -5e-13), (3, 5e-324)):
-            values[41] += values[k] - v
-            values[k] = v
-        snapshots.append(TransitionSnapshot(source=4, time=t, kind="quantum", values=values))
-    chunks = list(serialize.series_to_json(snapshots))
-    assert len(chunks) == len(snapshots) + 2
-    assert "".join(chunks) == reference_series_json(snapshots)
+    values = np.array(list(evolve_series(pipe.spectrum(4), 4, "quantum", TimeGrid(0.5, 5.0, 6))))
+    for k, v in ((0, -0.0), (1, -1e-12), (2, -5e-13), (3, 5e-324)):
+        values[:, 41] += values[:, k] - v
+        values[:, k] = v
+    times = np.array([-0.0, 0.0, 1e-300, 1.0 / 3.0, 2.0, 5.0])
+    series = GivenSeries(None, 4, "quantum", times, values)
+    chunks = list(serialize.series_to_json(series))
+    assert len(chunks) == len(series) + 2
+    assert "".join(chunks) == reference_series_json(series)
 
 
 def test_chi_json_matches_json_dumps(pipe):
