@@ -16,17 +16,18 @@ that maps a failure to an exit code, one exception type per code:
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
   to group (``spectral.default_degeneracy_tolerance``, reached through
   ``verify.Pipeline.grouping`` by ``limit`` and ``verify``). ``evolve``
-  propagates its rows as it writes them, so its output may hold the rows
-  before the failing time.
+  propagates its rows a block of times at a time as it writes them, so its
+  output may hold the rows of the blocks before the failing one.
 
 Four commands use a second CPU when this process may run on two or more
 (``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
 split large CSV and JSON bodies (the eigenvectors, series and limiting
 matrix): this process writes the first half of the rows while one forked
-child formats the rest. ``verify`` splits its checks: it runs every check
-but the eigendecomposition reconstruction in one forked child while this
-process runs that check, largest generation first (see
-``verify.run_verification``). Output bytes, and the verdict's check order,
+child formats the rest; a series splits at the edge of its blocks nearest
+the middle, so that no block is propagated twice. ``verify`` splits its
+checks: it runs every check but the eigendecomposition reconstruction in one
+forked child while this process runs that check, largest generation first
+(see ``verify.run_verification``). Output bytes, and the verdict's check order,
 are the same as from one process, and on one CPU everything runs in this
 process. If the child fails, for any reason, this process runs the child's
 share itself, so exit codes and messages are those of one CPU too. There is
@@ -54,7 +55,7 @@ from pathlib import Path
 from typing import TextIO
 
 from . import fork, serialize
-from .dynamics import TimeGrid, evolve_series
+from .dynamics import Series, TimeGrid, evolve_series
 from .network import (
     GENERATION_CAP,
     SERIES_VALUE_CAP,
@@ -75,12 +76,17 @@ EXIT_NUMERIC = 4
 
 
 #: Fewest values in a text body for which ``_write`` has a forked child format
-#: the second half of the rows. Forking, waiting and appending cost about 4 ms
-#: against about 1 us per value formatted, so with two idle CPUs the split
-#: breaks even near 10,000 values; measured (one BLAS thread): 24,800 values
-#: 26 -> 18 ms, 134,689 (chi at G=6) 118 -> 68 ms. When the second CPU is busy
-#: the split gains nothing and costs the fixed 4 ms, hence the margin.
-_SPLIT_MIN_VALUES = 25_000
+#: the second half of the rows. Forking, waiting and appending cost 4-10 ms
+#: against 0.2-0.4 us per value formatted (``serialize._format17``), so with
+#: two idle CPUs the split breaks even near 30,000 values; a series of one
+#: block is propagated by both processes. Measured (one BLAS thread, medians
+#: of 9 to 41 alternating runs, one process -> split): series at G=6, 25,690
+#: values 22.6 -> 21.2 ms and 73,400 values 57.7 -> 43.3 ms (split faster in
+#: 41 of 41); chi at G=6, 134,689 values, 52.8 -> 38.8 ms in one run but
+#: 52.7 -> 59.5 ms in another, when the host's second CPU was busy. A busy
+#: second CPU leaves the split with no gain and the cost of the fork, hence
+#: the margin.
+_SPLIT_MIN_VALUES = 50_000
 
 
 def _write(chunks: str | Iterable[str], output: str | None) -> None:
@@ -110,23 +116,37 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
         ) from exc
 
 
+def _middle(rows: Rows) -> int:
+    """The row where the second share of a split body starts.
+
+    ``n // 2`` for an array body. A series is propagated a whole block at a
+    time, so its split is the block edge nearest ``n / 2`` that leaves each
+    share a row, and no block is propagated by both processes unless the
+    series is one block.
+    """
+    n = len(rows)
+    inner = rows.values.edges()[1:-1] if isinstance(rows.values, Series) else []
+    return min(inner, key=lambda edge: abs(2 * edge - n)) if inner else n // 2
+
+
 def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
     """Write the chunks to ``fh``; a large ``Rows`` body on two processes.
 
     Splitting needs two CPUs (``fork.two_cpus``), a target that takes bytes
     (``fh.buffer``, which ``io.StringIO`` lacks) and a ``Rows`` body of at
     least ``_SPLIT_MIN_VALUES`` values. Then this process writes the head and
-    rows ``[0, mid)`` while a forked child formats rows ``[mid, n)`` into an
-    unlinked temporary file, which is then copied to ``fh.buffer`` as bytes,
-    followed by the tail. Rows are ASCII, so the child encodes them itself. If
-    the child fails, this process formats rows ``[mid, n)`` itself.
+    rows ``[0, mid)`` (``_middle``) while a forked child formats rows
+    ``[mid, n)`` into an unlinked temporary file, which is then copied to
+    ``fh.buffer`` as bytes, followed by the tail. Rows are ASCII, so the child
+    encodes them itself. If the child fails, this process formats rows
+    ``[mid, n)`` itself.
     """
     if not (isinstance(chunks, Rows)
             and len(chunks) * chunks.values.shape[1] >= _SPLIT_MIN_VALUES
             and hasattr(fh, "buffer") and fork.two_cpus()):
         fh.writelines(chunks)
         return
-    mid = len(chunks) // 2
+    mid = _middle(chunks)
     fh.write(chunks.head)
     with fork.child(lambda part: part.writelines(
             row.encode() for row in chunks.rows(mid, len(chunks)))) as join:

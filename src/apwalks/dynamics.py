@@ -379,19 +379,25 @@ class Series:
         return len(self.times)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return self.rows(0, len(self))
+        for rows in self.blocks(0, len(self)):
+            yield from rows
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self), self.spectrum.order
 
-    def rows(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Rows ``start`` to ``stop - 1``, read-only, from whole checked blocks."""
+    def edges(self) -> list[int]:
+        """The first row of every block, then ``len(self)``."""
+        return [0] + [block.stop for block in
+                      _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES)]
+
+    def blocks(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Rows ``start`` to ``stop - 1`` as read-only 2-D arrays, one per whole checked block."""
         for block in _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES):
             if block.start < stop and start < block.stop:
                 times = self.times[block]
                 rows = _check_rows(times, _propagate(self.spectrum, self.source, times, self.kind))
-                yield from rows[max(start - block.start, 0):stop - block.start]
+                yield rows[max(start - block.start, 0):stop - block.start]
                 del rows  # freed before the next block is propagated
 
 

@@ -8,15 +8,19 @@ No command reads this text back; ``np.loadtxt`` (CSV) and ``json.loads``
 
 Every text of many rows, the spectrum, eigenvector, series and limiting-matrix
 CSV and the spectrum, series and limiting-matrix JSON, comes back as one
-``Rows`` row source. Iterating it yields str chunks: the head, one chunk per
-row, formatted only as it is read, and the tail, so a caller can write each
-row as soon as it is formatted; the text is ``"".join`` of the chunks.
+``Rows`` row source. Iterating it yields str chunks: the head, the body, formatted
+only as it is read, and the tail, so a caller can write each chunk as soon as
+it is formatted; the text is ``"".join`` of the chunks. A CSV body comes in
+one chunk per block of rows, each block at most ``_FORMAT_VALUES`` values
+(one row at least), all formatted at once by an exact vectorized ``%.17g``
+kernel (``_format17``); a JSON body comes in one chunk per row.
 ``Rows.rows(start, stop)`` yields the chunks of one row range alone, so two
 processes can format disjoint ranges of one text; ``len`` is the number of
 rows and ``values.shape[1]`` the number of values in each row. A series'
-rows are propagated as they are read (``dynamics.Series``), so its writers
-hold no series, and a row that fails its check raises after the rows before
-it were written. The network and cluster-report writers return the whole text.
+rows are propagated as they are read (``dynamics.Series``) and formatted one
+of its blocks at a time, so its writers hold no series, and a block that fails
+its check raises after the rows before it were written. The network and
+cluster-report writers return the whole text.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import ENTRY_FLOOR, LimitingMatrix, Series
+from .dynamics import ENTRY_FLOOR, LimitingMatrix, Series, _stripes
 from .network import Network
 from .spectral import Spectrum
 from .symmetry import CLUSTER_TOL, ChiClustering, OrbitConsistencyReport
@@ -62,19 +67,241 @@ def _separated(labels: list[str]) -> list[str]:
     return labels[:1] + [",\n" + label for label in labels[1:]]
 
 
+#: Values formatted at once by ``_format17``: bounds the byte matrix of a CSV
+#: chunk and the kernel's temporaries, about 0.2 kB a value together. Blocks
+#: are whole rows, at least one. Measured on the G=7 chi CSV (one process):
+#: 183 ns a value at one row a block (any budget below 2192), 159 at two rows,
+#: 139 at four and 125 at eight, against 567 for one ``%`` per value. But
+#: the G=6 chi CSV (367 values a row) must stay within 0.25 N x N
+#: (``tests/test_memory.py``): two rows a block peak at 0.15, and 0.23 on a
+#: first call, which builds the tables; one row peaks at 0.11, and 0.19.
+_FORMAT_VALUES = 512
+
+#: Dekker's splitting constant, 2**27 + 1: ``_two_product`` cuts a double
+#: into two halves of at most 26 significant bits, whose products are exact.
+_SPLITTER = 134217729.0
+
+
+def _two_product(x, y, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, e)`` with ``p = fl(x * y)`` and ``p + e == x * y`` exactly (Dekker).
+
+    ``y_hi + y_lo`` is ``y`` split as ``x`` is split here; the in-place
+    steps keep the order of ``((x_hi y_hi - p) + x_hi y_lo + x_lo y_hi) + x_lo y_lo``.
+    """
+    x_hi = x * _SPLITTER
+    x_hi -= x_hi - x
+    x_lo = x - x_hi
+    p = x * y
+    e = x_hi * y_hi
+    e -= p
+    x_hi *= y_lo
+    e += x_hi
+    x_hi = np.multiply(x_lo, y_hi, out=x_hi)
+    e += x_hi
+    x_lo *= y_lo
+    e += x_lo
+    return p, e
+
+
+@lru_cache(maxsize=None)
+def _tables() -> tuple[np.ndarray, ...]:
+    """The kernel's constants, built at first use: 0.08 MB that no other command needs.
+
+    Powers 10**0..10**22 (all exact doubles) with their Dekker halves; 4-digit
+    chunks as uint32 words, first in full, then with trailing zeros as NUL
+    (the last chunk of a number); by exponent E + 28, the ``e-05``..``e-28``
+    word and the layout; and the 8-byte lead of a number by (layout, sign,
+    first digit, bare): the sign, the ``0.`` and zeros of an exponent -1..-4,
+    or the point after the first digit unless no nonzero digit follows it.
+    """
+    powers = np.array([float(10**k) for k in range(23)])
+    hi = powers * _SPLITTER
+    hi -= hi - powers
+    chunks = np.arange(10_000, dtype=np.int16)
+    digits = np.empty((2, 10_000, 4), dtype=np.uint8)
+    for j in range(4):
+        digits[:, :, j] = chunks // 10 ** (3 - j) % 10 + 48
+        digits[1, :, j] *= chunks % 10 ** (4 - j) != 0  # a nonzero digit from here on
+    exponents = range(-28, 16)
+    suffixes = "".join(f"e-{-x:02d}" if x < -4 else "\0" * 4 for x in exponents)
+    # Layouts: 0, exponent 0 or more; 1-4, exponent -1..-4; 5, e-notation.
+    layouts = np.array([min(max(-x, 0), 5) * 40 for x in exponents])
+    leads = []
+    for layout in range(6):
+        for sign in ("", "-"):
+            for digit in "0123456789":
+                for bare in (False, True):
+                    if 1 <= layout <= 4:
+                        leads.append((sign + "0." + "0" * (layout - 1) + digit).rjust(8, "\0"))
+                    else:
+                        leads.append((sign + digit).rjust(7, "\0") + ("\0" if bare else "."))
+    words = lambda text, dtype: np.frombuffer(text.encode(), dtype=dtype)
+    return (powers, hi, powers - hi, digits.view(np.uint32).reshape(-1),
+            words(suffixes, np.uint32), layouts, words("".join(leads), np.uint64))
+
+
+def _rounded(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, w, inexact)``: ``a * 10**k == n + w``, ``n`` an int64 and |w| <= 1/2 + 2**-50.
+
+    ``w`` is exact except at the indices ``inexact``, those with k > 22,
+    where it is within 2**-52 of the exact remainder. The product is an
+    exact sum of Dekker two-products: ``a * 10**k`` for k <= 22, where
+    ``10**k`` is a double; else ``(a * 10**22) * 10**(k - 22)``, both
+    terms scaled. Where ``a * 10**k`` is at least 2**53, the leading term is
+    an even integer, so ``n + w`` rounds half to even as ``rint`` does.
+    """
+    powers, powers_hi, powers_lo = _tables()[:3]
+    k1 = np.minimum(k, 22)
+    p, e = _two_product(a, powers[k1], powers_hi[k1], powers_lo[k1])
+    inexact = (k > 22).nonzero()[0]
+    if inexact.size:
+        k2 = k[inexact] - 22
+        scale = powers[k2], powers_hi[k2], powers_lo[k2]
+        p2, e2 = _two_product(p[inexact], *scale)
+        p3, e3 = _two_product(e[inexact], *scale)
+        s = e2 + p3  # two-sum: s + t == e2 + p3 exactly
+        v = s - e2
+        t = (e2 - (s - v)) + (p3 - v) + e3
+        q = np.rint(s)
+        deep = p2.astype(np.int64) + q.astype(np.int64), (s - q) + t
+    q = np.rint(e)
+    n = p.astype(np.int64)
+    n += q.astype(np.int64)
+    e -= q
+    if inexact.size:
+        n[inexact], e[inexact] = deep
+    return n, e, inexact
+
+
+def _format17(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` of each value of the 1-D float array ``x`` into a row of ``out``.
+
+    ``out`` is a (len(x), 32) uint8 array, each row contiguous (a strided view
+    will do): row i holds the text with NUL bytes in and around it, to be
+    removed. The text is exact by construction, byte for byte. For
+    10**-28 <= |v| < 10**16 the decimal exponent E is guessed from ``log10``
+    and corrected by exact comparison of |v| * 10**(16 - E) with 1e16 and
+    1e17; that product, an exact sum of two-products (``_rounded``), rounds
+    half to even to the 17-digit integer N, whose digits come from 4-digit
+    chunks of a table, trailing zeros stripped. As ``%g`` does, a value is
+    printed in e-notation if E < -4 (the range holds no E >= 17). Zero prints
+    as ``0`` or ``-0``. Non-finite values, other values outside the range and
+    any rounding the inexact remainder cannot decide (within 2**-40 of a tie
+    or of 1e16 or 1e17) are printed by ``%`` itself.
+    """
+    digit_words, suffix_words, layouts, lead_words = _tables()[3:]
+    a = np.abs(x)
+    # fl(1e-28) is below 10**-28, so the range starts at the double after it.
+    exact = (a > 1e-28) & (a < 1e16)
+    a[~exact] = 1.0
+    # A guess below -28 is one off, and so 10**44 the largest power used.
+    e = np.maximum(np.floor(np.log10(a)), -28).astype(np.int64)
+    n, w, inexact = _rounded(a, 16 - e)
+    low = (n - 10**16) + w < 0
+    high = (n - 10**17) + w >= 0
+    if low.any() or high.any():  # log10 was one off: near a power of ten
+        e += high
+        e -= low
+        n, w, inexact = _rounded(a, 16 - e)
+    fallback = ~exact
+    if inexact.size:
+        wi, ni = np.abs(w[inexact]), n[inexact]
+        fallback[inexact] |= ((np.abs(wi - 0.5) < 2.0**-40)
+                              | ((wi < 2.0**-40) & ((ni == 10**16) | (ni == 10**17))))
+    n += w > 0.5
+    n -= w < -0.5
+    carry = n == 10**17  # 99999999999999999.5 and up round to 10**17
+    n[carry] = 10**16
+    e += carry
+    zero = x == 0.0
+    n[zero] = 0
+    lead = n // 10**16
+    n -= lead * 10**16
+    high8 = n // 10**8
+    n -= high8 * 10**8
+    c0, c2 = high8 // 10_000, n // 10_000
+    chunks = (c0, high8 - c0 * 10_000, c2, n - c2 * 10_000)
+    words = out.view(np.uint32)
+    bare = np.ones(len(x), dtype=bool)  # no nonzero digit after this chunk
+    for j in (3, 2, 1, 0):
+        digit_words.take(chunks[j] + 10_000 * bare, out=words[:, 2 + j], mode="clip")
+        bare &= chunks[j] == 0
+    e += 28
+    suffix_words.take(e, out=words[:, 6], mode="clip")
+    words[:, 7] = 0
+    key = layouts.take(e, mode="clip")
+    key += np.signbit(x) * 20
+    key += lead * 2
+    key += bare
+    lead_words.take(key, out=out.view(np.uint64)[:, 0], mode="clip")
+    for exponent in set(e[e > 28].tolist()):
+        # Digits 1..E move one place left, over the point, which follows them.
+        rows, at = (e == exponent).nonzero()[0], exponent - 28
+        moved = out[rows, 8:8 + at]
+        out[rows, 7:7 + at] = np.where(moved == 0, ord("0"), moved)
+        point = (out[rows, 8 + at:24] != 0).any(axis=1)
+        out[rows, 7 + at] = np.where(point, ord("."), 0)
+    for i in (fallback & ~zero).nonzero()[0]:
+        text = ("%.17g" % x[i]).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+def _fields(texts: list[str]) -> np.ndarray:
+    """``texts`` as the rows of a NUL-padded uint8 matrix as wide as the longest."""
+    width = max(map(len, texts), default=0)
+    padded = np.array([t.encode() for t in texts], dtype=f"S{max(width, 1)}")
+    return padded.view(np.uint8).reshape(len(texts), -1)[:, :width]
+
+
+class _Slots:
+    """A template of ``%s`` and ``%.17g`` slots as byte fields around each value.
+
+    Value i of a row is printed after ``head[i] + label + post[i]`` (the
+    label only where the template's text before the value has a ``%s``), and
+    the last value is followed by the template's ``tail``. Each field has one
+    width, padded with NUL bytes, which ``format`` removes.
+    """
+
+    def __init__(self, template: str) -> None:
+        *texts, tail = template.split("%.17g")
+        parts = [text.split("%s") for text in texts]  # no text has two, nor the tail one
+        self.head = _fields([p[0] for p in parts])
+        self.post = _fields([p[1] if len(p) == 2 else "" for p in parts])
+        labelled = np.array([len(p) == 2 for p in parts])
+        self.labelled = slice(None) if labelled.all() else labelled.nonzero()[0]
+        self.tail = _fields([tail])
+
+    def format(self, labels: list[str], values: np.ndarray) -> str:
+        """The text of ``values`` (rows x slots, zeroed) with row i labelled ``labels[i]``."""
+        label = _fields(labels)
+        head, post = self.head.shape[1], self.head.shape[1] + label.shape[1]
+        value = post + self.post.shape[1]
+        rows, slots = values.shape
+        text = np.zeros((rows, slots, value + 32 + self.tail.shape[1]), dtype=np.uint8)
+        text[:, :, :head] = self.head
+        text[:, self.labelled, head:post] = label[:, np.newaxis]
+        text[:, :, post:post + self.post.shape[1]] = self.post
+        _format17(values.reshape(-1), text[:, :, value:value + 32].reshape(-1, 32))
+        text[:, -1, value + 32:] = self.tail
+        return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 @dataclass(frozen=True)
 class Rows:
-    """A text as ``head``, one chunk per row of ``values``, and ``tail``, formatted on demand.
+    """A text as ``head``, the rows of ``values``, and ``tail``, formatted on demand.
 
-    ``values`` is a 2-D array or a ``Series``, one row per chunk. Chunk i is
-    ``template`` with ``labels[i]`` written into every ``%s`` slot, one (the
-    wide layouts) or one before each value (the long ones), then
-    ``% tuple(row)``, where ``row`` is ``values[i]`` with zero and, for
-    ``probability`` values, the clamp band set to ``0.0``: ``"%.17g"``
-    prints a value exactly as ``format_float`` or ``format_probability``
-    would except that it keeps the sign of ``-0.0``, and ``%r`` prints it as
-    ``json`` does when it is finite. Labels are node numbers, times and JSON
-    separators built here, and hold no ``%``.
+    ``values`` is a 2-D array or a ``Series``. Row i is ``template`` with
+    ``labels[i]`` written into every ``%s`` slot, one (the wide layouts) or
+    one before each value (the long ones), then ``% tuple(row)``, where
+    ``row`` is ``values[i]`` with zero and, for ``probability`` values, the
+    clamp band set to ``0.0``: ``"%.17g"`` prints a value exactly as
+    ``format_float`` or ``format_probability`` would except that it keeps the
+    sign of ``-0.0``, and ``%r`` prints it as ``json`` does when it is finite.
+    A ``%.17g`` template (the CSV layouts) is formatted a block of rows at a
+    time by ``_format17``, one chunk per block; a ``%r`` one (JSON) one chunk
+    per row. Labels are node numbers, times and JSON separators built here,
+    and hold no ``%`` and no NUL.
     """
 
     head: str
@@ -94,12 +321,21 @@ class Rows:
 
     def rows(self, start: int, stop: int) -> Iterator[str]:
         """The chunks of rows ``start`` to ``stop - 1``, without the head or the tail."""
-        values = (self.values.rows(start, stop) if isinstance(self.values, Series)
-                  else self.values[start:stop])
-        # Each zeroed row is a copy: no view holds a series block beyond its rows.
-        zeroed = map(lambda row: _zeroed(row, self.probability), values)
-        for label, row in zip(self.labels[start:stop], zeroed):
-            yield self.template.replace("%s", label) % tuple(row.tolist())
+        blocks = (self.values.blocks(start, stop) if isinstance(self.values, Series)
+                  else [self.values[start:stop]])
+        slots = None if "%r" in self.template else _Slots(self.template)
+        for block in blocks:
+            labels = self.labels[start:start + len(block)]
+            start += len(block)
+            if slots is None:
+                chunks = (self.template.replace("%s", label)
+                          % tuple(_zeroed(row, self.probability).tolist())
+                          for label, row in zip(labels, block))
+            else:
+                chunks = (slots.format(labels[part], _zeroed(block[part], self.probability))
+                          for part in _stripes(len(block), block.shape[1], _FORMAT_VALUES))
+            yield from chunks
+            del block, chunks  # freed before the next series block is propagated
 
 
 def _json_list_template(n: int, indent: int) -> str:

@@ -587,6 +587,36 @@ def test_no_split_to_a_text_only_stdout(pipe, forks, name):
     assert out.getvalue() == "".join(rows)
 
 
+@pytest.mark.parametrize("times, middle, copies", [(10, 6, 1), (3, 1, 2)],
+                         ids=["blocks", "one-block"])
+def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkeypatch,
+                                                   times, middle, copies):
+    # Three times a block at G=3: 10 times are blocks at 0, 3, 6 and 9, and
+    # the edge nearest the middle is 6. A series of one block splits at n // 2
+    # and both processes propagate it.
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 3 * 16)
+    grid = TimeGrid(0.01, 100.0, times, "logarithmic")
+    series = evolve_series(pipe.spectrum(3), 2, "quantum", grid)
+    rows = serialize.series_to_csv(series)
+    expected = "".join(rows).encode()
+    starts = tmp_path / "starts"
+    real = dynamics._propagate
+
+    def propagate(s, j, block_times, kind, *args, **kwargs):
+        with open(starts, "a") as fh:  # appended to by this process and the child
+            fh.write(f"{float(block_times[0])!r}\n")
+        return real(s, j, block_times, kind, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_propagate", propagate)
+    assert cli._middle(rows) == middle
+    out = tmp_path / "s.csv"
+    cli._write(rows, str(out))
+    assert len(forks) == 1
+    assert out.read_bytes() == expected
+    once = [repr(t) for t in series.times[series.edges()[:-1]].tolist()]
+    assert sorted(starts.read_text().split()) == sorted(once * copies)
+
+
 @pytest.mark.parametrize("failing, to_stdout", [("child", False), ("parent", False), ("child", True)],
                          ids=["child", "parent", "child-stdout"])
 def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, monkeypatch, capfd,

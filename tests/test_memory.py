@@ -130,7 +130,9 @@ def test_g7_limit_and_verify_peak_at_the_eigensolver_floor(tmp_path):
     assert max(growth) < 0.3, growth
 
 
-def test_chi_csv_rows_are_zeroed_one_row_at_a_time(pipe):
+def test_chi_csv_is_formatted_one_block_at_a_time(pipe):
+    # A block of rows (``serialize._FORMAT_VALUES``) is formatted at once;
+    # a first call also builds the kernel's tables (0.08 N x N here).
     chi = pipe.chi(G)
     rows = serialize.limiting_matrix_to_csv(chi)
     peak = _peak_matrices(lambda: sum(map(len, rows)), chi.order)

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apwalks import serialize
 from apwalks.dynamics import LimitingMatrix, Series, TimeGrid, evolve_series
@@ -136,16 +138,23 @@ ADVERSARIAL = [0.0, -0.0, -1e-12, -5e-13, 5e-324, 2.2250738585072014e-308,
 
 @dataclass(frozen=True)
 class GivenSeries(Series):
-    """A series whose rows are the given ``values``, not propagated ones."""
+    """A series whose rows are the given ``values``, not propagated ones.
+
+    They come in blocks of ``block_rows`` rows, or in one block.
+    """
 
     values: np.ndarray | None = None
+    block_rows: int = 0
 
     @property
     def shape(self):
         return self.values.shape
 
-    def rows(self, start, stop):
-        return iter(self.values[start:stop])
+    def blocks(self, start, stop):
+        step = self.block_rows or len(self.values)
+        for lo in range(0, len(self.values), step):
+            if lo < stop and start < lo + step:
+                yield self.values[max(start, lo):min(stop, lo + step)]
 
 
 def reference_series_csv(series, wide):
@@ -170,7 +179,13 @@ def reference_chi_csv(chi):
     lines = ["j,k,chi"]
     for j in range(1, chi.order + 1):
         for k in range(1, chi.order + 1):
-            lines.append(f"{j},{k},{serialize.format_probability(chi.value(k, j))}")
+            lines.append(f"{j},{k},{serialize.format_probability(chi.entries[k - 1, j - 1])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_spectrum_csv(s):
+    lines = ["index,eigenvalue"]
+    lines += [f"{k},{serialize.format_float(v)}" for k, v in enumerate(s.eigenvalues, start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -226,15 +241,129 @@ def test_chi_csv_matches_per_value_writer(pipe):
     entries[5, 5] = 1.0
     for (a, b), v in {(0, 3): -0.0, (0, 5): 5e-324, (1, 4): 2.2250738585072014e-308}.items():
         entries[a, b] = entries[b, a] = v
-    for chi in (LimitingMatrix(entries=entries), pipe.chi(3)):
+    # At G=5 the 124 rows are 31 blocks of 4.
+    for chi in (LimitingMatrix(entries=entries), pipe.chi(3), pipe.chi(5)):
         assert "".join(serialize.limiting_matrix_to_csv(chi)) == reference_chi_csv(chi)
 
 
 def test_eigenvector_csv_matches_per_value_writer(pipe):
     rng = np.random.default_rng(13)
     q = np.concatenate([ADVERSARIAL, [-2e-12, -1.0], rng.normal(size=90)]).reshape(10, 10)
-    for s in (Spectrum(eigenvalues=np.arange(10.0), eigenvectors=q), pipe.spectrum(3)):
+    for s in (Spectrum(eigenvalues=np.arange(10.0), eigenvectors=q), pipe.spectrum(3),
+              pipe.spectrum(5)):
         assert "".join(serialize.eigenvectors_to_csv(s)) == reference_eigenvectors_csv(s)
+
+
+#: Values the kernel leaves to ``%`` and the clamp band, for the first and
+#: last value of each row: next to a block edge when a block holds a row.
+EDGES = [(np.nan, np.inf), (1e300, -5e-13), (5e-324, 1e-300), (-1e-12, 0.0),
+         (-0.0, -np.inf), (2.2250738585072014e-308, 1e17)]
+
+
+@pytest.mark.parametrize("budget", [1, 13, 20, 512])
+@pytest.mark.parametrize("writer", ["spectrum", "eigenvectors", "long", "wide", "chi"])
+def test_csv_writers_match_per_value_writers_across_block_edges(monkeypatch, writer, budget):
+    # Six values a row: a budget of 1 is one row a block, 13 two rows, 20 three.
+    monkeypatch.setattr(serialize, "_FORMAT_VALUES", budget)
+    values = np.random.default_rng(15).uniform(0.0, 1.0, (6, 6))
+    values[:, [0, -1]] = EDGES
+    if writer == "spectrum":
+        s = Spectrum(eigenvalues=values.ravel(), eigenvectors=np.eye(36))
+        assert "".join(serialize.spectrum_to_csv(s)) == reference_spectrum_csv(s)
+    elif writer == "eigenvectors":
+        s = Spectrum(eigenvalues=np.arange(6.0), eigenvectors=values)
+        assert "".join(serialize.eigenvectors_to_csv(s)) == reference_eigenvectors_csv(s)
+    elif writer == "chi":
+        chi = SimpleNamespace(order=6, entries=values)
+        assert "".join(serialize.limiting_matrix_to_csv(chi)) == reference_chi_csv(chi)
+    else:
+        # Series blocks of four rows, each formatted in blocks of the budget.
+        times = np.array([0.0, 1.0 / 3.0, 5e-324, 1e-300, 2.0, 1e300])
+        series = GivenSeries(None, 1, "quantum", times, values, block_rows=4)
+        wide = writer == "wide"
+        assert "".join(serialize.series_to_csv(series, wide=wide)) == reference_series_csv(series, wide)
+
+
+# -- the %.17g kernel against CPython ----------------------------------------------
+
+def kernel_texts(values):
+    """``serialize._format17``'s text of each value, NUL bytes removed."""
+    values = np.array(values, dtype=float)
+    out = np.zeros((len(values), 32), dtype=np.uint8)
+    serialize._format17(values, out)
+    return [bytes(row).replace(b"\0", b"").decode() for row in out]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_kernel_matches_percent_on_floats(values):
+    assert kernel_texts(values) == ["%.17g" % v for v in values]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_matches_percent_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)].tolist()
+    assert kernel_texts(values) == ["%.17g" % v for v in values]
+
+
+KERNEL_CASES = [
+    # Exact ties of the 17-digit rounding, to even either way.
+    (10001 * 2.0**-20, "0.0095376968383789062"),
+    (10003 * 2.0**-20, "0.0095396041870117188"),
+    (3 * 2.0**-24, "1.7881393432617188e-07"),  # a tie in the two-stage product (E < -6)
+    # Within 2**-54 of a tie, but not ties: printed by % itself.
+    (4.974148370910348e-09, "4.9741483709103481e-09"),
+    (4.95286445202696e-09, "4.9528644520269601e-09"),
+    (4.974148370910348e-10, "4.9741483709103481e-10"),
+    (9.9999999999999995e-5, "9.9999999999999991e-05"),
+    (9.999999999999999e-5, "9.9999999999999991e-05"),
+    # %g's switches to e-notation below 1e-4 and from 1e17 on.
+    (1e-4, "0.0001"),
+    (0.00010000000000000002, "0.00010000000000000002"),
+    (1e-5, "1.0000000000000001e-05"),
+    (1e16, "10000000000000000"),
+    (1e16 - 2.0, "9999999999999998"),
+    (1e17, "1e+17"),
+    (1.0 - 2.0**-53, "0.99999999999999989"),
+    (1.0 / 3.0, "0.33333333333333331"),
+    (-1.0 / 3.0, "-0.33333333333333331"),
+    (1.0, "1"),
+    (100.0, "100"),
+    (123.5, "123.5"),
+    # Printed by % itself: subnormal, smallest normal, huge, zeros, non-finite.
+    (5e-324, "4.9406564584124654e-324"),
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),
+    (1e300, "1.0000000000000001e+300"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    # The probability clamp band [ENTRY_FLOOR, 0): the kernel prints the value.
+    (-1e-12, "-9.9999999999999998e-13"),
+    (-5e-13, "-4.9999999999999999e-13"),
+]
+
+
+def test_kernel_named_cases():
+    values, expected = zip(*KERNEL_CASES)
+    assert ["%.17g" % v for v in values] == list(expected)
+    assert kernel_texts(values) == list(expected)
+
+
+def test_kernel_matches_percent_near_powers_of_ten():
+    # Beside a power of ten, log10's guess of the exponent may be one off.
+    powers = 10.0 ** np.arange(-30, 19)
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    values = np.concatenate([powers, below, np.nextafter(below, 0.0),
+                             above, np.nextafter(above, np.inf)]).tolist()
+    assert kernel_texts(values) == ["%.17g" % v for v in values]
+
+
+def test_clamp_band_prints_zero_in_probability_rows():
+    values = np.array([[-1e-12, -5e-13, -0.0, -2e-12]])
+    text = "".join(serialize.Rows("", "%s" + ",%.17g" * 4 + "\n", ["t"], values, True))
+    assert text == f"t,0,0,0,{-2e-12:.17g}\n"
 
 
 # -- streamed JSON writers against json.dumps ----------------------------------
