@@ -19,21 +19,21 @@ that maps a failure to an exit code, one exception type per code:
   propagates its rows a block of times at a time as it writes them, so its
   output may hold the rows of the blocks before the failing one.
 
-Four commands use a second CPU when this process may run on two or more
-(``fork.two_cpus``). ``spectrum --eigenvectors``, ``evolve`` and ``limit``
+Four commands use a second CPU when this process may run on two or more,
+through ``fork.split``. ``spectrum --eigenvectors``, ``evolve`` and ``limit``
 split large CSV and JSON bodies (the eigenvectors, series and limiting
-matrix): this process writes the first half of the rows while one forked
-child formats the rest; a series splits at the edge of its blocks nearest
-the middle, so that no block is propagated twice. ``verify`` splits its
-checks: it runs every check but the eigendecomposition reconstruction in one
-forked child while this process runs that check, largest generation first
-(see ``verify.run_verification``). Output bytes, and the verdict's check order,
-are the same as from one process, and on one CPU everything runs in this
-process. If the child fails, for any reason, this process runs the child's
-share itself, so exit codes and messages are those of one CPU too. There is
-no flag for it. The CPU count is the affinity mask only; the split assumes
-the second CPU is idle, and a cgroup CPU quota or a busy second CPU leaves it
-with no gain and the cost of the fork.
+matrix) between the parts of the body (``serialize.Rows.parts``): this
+process writes the parts before the edge nearest the middle row while one
+forked child formats the rest, so no series block is propagated twice.
+``verify`` splits its checks: it runs every check but the eigendecomposition
+reconstruction in one forked child while this process runs that check,
+largest generation first (see ``verify.run_verification``). Output bytes,
+and the verdict's check order, are the same as from one process, and on one
+CPU everything runs in this process. If the child fails, for any reason,
+this process runs the child's share itself, so exit codes and messages are
+those of one CPU too. There is no flag for it. The CPU count is the affinity
+mask only; the split assumes the second CPU is idle, and a cgroup CPU quota
+or a busy second CPU leaves it with no gain and the cost of the fork.
 
 Output bytes are reproducible for a fixed BLAS thread count only: the
 eigensolver's last bits depend on it, and every value is printed with 17
@@ -52,10 +52,10 @@ import stat
 import sys
 from collections.abc import Iterable
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 from . import fork, serialize
-from .dynamics import Series, TimeGrid, evolve_series
+from .dynamics import TimeGrid, evolve_series
 from .network import (
     GENERATION_CAP,
     SERIES_VALUE_CAP,
@@ -76,16 +76,16 @@ EXIT_NUMERIC = 4
 
 
 #: Fewest values in a text body for which ``_write`` has a forked child format
-#: the second half of the rows. Forking, waiting and appending cost 4-10 ms
+#: the second half of the body. Forking, waiting and appending cost 4-10 ms
 #: against 0.2-0.4 us per value formatted (``serialize._format17``), so with
-#: two idle CPUs the split breaks even near 30,000 values; a series of one
-#: block is propagated by both processes. Measured (one BLAS thread, medians
-#: of 9 to 41 alternating runs, one process -> split): series at G=6, 25,690
-#: values 22.6 -> 21.2 ms and 73,400 values 57.7 -> 43.3 ms (split faster in
-#: 41 of 41); chi at G=6, 134,689 values, 52.8 -> 38.8 ms in one run but
-#: 52.7 -> 59.5 ms in another, when the host's second CPU was busy. A busy
-#: second CPU leaves the split with no gain and the cost of the fork, hence
-#: the margin.
+#: two idle CPUs the split breaks even near 30,000 values. Measured (one BLAS
+#: thread, medians of 9 to 41 alternating runs, one process -> split): series
+#: at G=6, 25,690 values 22.6 -> 21.2 ms and 73,400 values 57.7 -> 43.3 ms
+#: (split faster in 41 of 41; each series is one block, split at n // 2 for
+#: this measurement and not split at all now); chi at G=6, 134,689
+#: values, 52.8 -> 38.8 ms in one run but 52.7 -> 59.5 ms in another, when the
+#: host's second CPU was busy. A busy second CPU leaves the split with no gain
+#: and the cost of the fork, hence the margin.
 _SPLIT_MIN_VALUES = 50_000
 
 
@@ -116,47 +116,35 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
         ) from exc
 
 
-def _middle(rows: Rows) -> int:
-    """The row where the second share of a split body starts.
-
-    ``n // 2`` for an array body. A series is propagated a whole block at a
-    time, so its split is the block edge nearest ``n / 2`` that leaves each
-    share a row, and no block is propagated by both processes unless the
-    series is one block.
-    """
-    n = len(rows)
-    inner = rows.values.edges()[1:-1] if isinstance(rows.values, Series) else []
-    return min(inner, key=lambda edge: abs(2 * edge - n)) if inner else n // 2
-
-
 def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
     """Write the chunks to ``fh``; a large ``Rows`` body on two processes.
 
-    Splitting needs two CPUs (``fork.two_cpus``), a target that takes bytes
-    (``fh.buffer``, which ``io.StringIO`` lacks) and a ``Rows`` body of at
-    least ``_SPLIT_MIN_VALUES`` values. Then this process writes the head and
-    rows ``[0, mid)`` (``_middle``) while a forked child formats rows
-    ``[mid, n)`` into an unlinked temporary file, which is then copied to
-    ``fh.buffer`` as bytes, followed by the tail. Rows are ASCII, so the child
-    encodes them itself. If the child fails, this process formats rows
-    ``[mid, n)`` itself.
+    Splitting needs a target that takes bytes (``fh.buffer``, which
+    ``io.StringIO`` lacks) and a ``Rows`` body of at least
+    ``_SPLIT_MIN_VALUES`` values and two parts (``Rows.parts``). Then the body
+    splits at the part edge nearest its middle row: through ``fork.split``,
+    this process writes the head and the first parts while a forked child
+    formats the others into an unlinked temporary file, which is then copied
+    to ``fh.buffer`` as bytes, followed by the tail. Rows are ASCII, so the
+    child encodes them itself. On one CPU, or if the child fails, this
+    process formats the other parts itself.
     """
-    if not (isinstance(chunks, Rows)
-            and len(chunks) * chunks.values.shape[1] >= _SPLIT_MIN_VALUES
-            and hasattr(fh, "buffer") and fork.two_cpus()):
+    parts = (chunks.parts() if isinstance(chunks, Rows) and hasattr(fh, "buffer")
+             and len(chunks) * chunks.values.shape[1] >= _SPLIT_MIN_VALUES else [])
+    if len(parts) < 2:
         fh.writelines(chunks)
         return
-    mid = _middle(chunks)
+    mid = min(range(1, len(parts)), key=lambda i: abs(2 * parts[i].start - len(chunks)))
+    first, second = parts[:mid], parts[mid:]
+
+    def copy(part: BinaryIO) -> None:
+        fh.flush()
+        shutil.copyfileobj(part, fh.buffer)
+
     fh.write(chunks.head)
-    with fork.child(lambda part: part.writelines(
-            row.encode() for row in chunks.rows(mid, len(chunks)))) as join:
-        fh.writelines(chunks.rows(0, mid))
-        part = join()
-        if part is None:
-            fh.writelines(chunks.rows(mid, len(chunks)))
-        else:
-            fh.flush()
-            shutil.copyfileobj(part, fh.buffer)
+    fork.split(lambda: fh.writelines(chunks.rows(first)),
+               lambda part: part.writelines(row.encode() for row in chunks.rows(second)),
+               copy, lambda: fh.writelines(chunks.rows(second)))
     fh.write(chunks.tail)
 
 

@@ -41,9 +41,10 @@ bounded axis, times into blocks and rows of N x N products into stripes,
 each against its own budget.
 
 A ``Series`` holds no probabilities: its rows are propagated, checked and
-handed out one whole block at a time as they are read, so a reader holds
-about one block, and a row's bits do not depend on where a read starts. A
-failed check raises after the rows before its block were handed out.
+handed out one whole block (``Series.blocks``) at a time as they are read, so
+a reader holds about one block, and a row's bits do not depend on which
+blocks are read. A failed check raises after the rows before its block were
+handed out.
 
 Point probabilities and series sum over every mode. The revival scan and
 the finite-time average sum over the modes that reach the source j only
@@ -234,6 +235,7 @@ class TimeGrid:
         return np.linspace(self.start, self.end, self.steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _propagate(
     s: Spectrum,
     j: int,
@@ -254,6 +256,10 @@ def _propagate(
     ``s`` is a connected graph's Laplacian: its one zero eigenvalue is its
     smallest, and the classical kernel takes it as exactly 0 (as computed it
     is a few 1e-15 off, and exp(-t E_0) drifts from 1 from t = 1e5 on).
+
+    Near the largest doubles t E_n overflows to inf, silently: exp(-inf) = 0
+    is the classical limit, and the coherent rows turn NaN, which
+    ``_check_rows`` refuses.
     """
     e, v = s.eigenvalues, s.eigenvectors
     if kind == "classical":
@@ -379,26 +385,21 @@ class Series:
         return len(self.times)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        for rows in self.blocks(0, len(self)):
-            yield from rows
+        for rows in self.blocks():
+            yield from self.block(rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self), self.spectrum.order
 
-    def edges(self) -> list[int]:
-        """The first row of every block, then ``len(self)``."""
-        return [0] + [block.stop for block in
-                      _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES)]
+    def blocks(self) -> list[slice]:
+        """The slices of rows that ``block`` propagates and checks at once."""
+        return _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES)
 
-    def blocks(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Rows ``start`` to ``stop - 1`` as read-only 2-D arrays, one per whole checked block."""
-        for block in _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES):
-            if block.start < stop and start < block.stop:
-                times = self.times[block]
-                rows = _check_rows(times, _propagate(self.spectrum, self.source, times, self.kind))
-                yield rows[max(start - block.start, 0):stop - block.start]
-                del rows  # freed before the next block is propagated
+    def block(self, rows: slice) -> np.ndarray:
+        """The rows of one of ``blocks()``, propagated and checked, as a read-only 2-D array."""
+        times = self.times[rows]
+        return _check_rows(times, _propagate(self.spectrum, self.source, times, self.kind))
 
 
 def evolve_series(s: Spectrum, j: int, kind: TransitionKind, grid: TimeGrid) -> Series:

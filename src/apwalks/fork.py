@@ -1,10 +1,12 @@
 """Run one share of a job in a forked child while this process runs the other.
 
-The CLI's writer of large CSV and JSON bodies and the verification runner
-both split their work this way. ``two_cpus`` is their one trigger: it reads
-the affinity mask only, so a cgroup CPU quota or a busy second CPU leaves a
+``split`` is the one place that forks. The CLI's writer of large CSV and JSON
+bodies and the verification runner both split their work through it. It forks
+only where ``os.fork`` exists and the affinity mask holds two or more CPUs: it
+reads that mask only, so a cgroup CPU quota or a busy second CPU leaves a
 split with no gain and the cost of the fork. When the child fails, for any
-reason, the caller runs its share itself: a split has no failure of its own.
+reason, this process runs the child's share itself: a split has no failure of
+its own.
 """
 
 from __future__ import annotations
@@ -12,46 +14,35 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
-from typing import BinaryIO, NoReturn
+from collections.abc import Callable
+from typing import Any, BinaryIO, NoReturn
 
 
-def two_cpus() -> bool:
-    """Whether ``os.fork`` exists and the affinity mask holds two or more CPUs."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
+def split(here: Callable[[], Any], there: Callable[[BinaryIO], object],
+          read: Callable[[BinaryIO], Any], redo: Callable[[], Any]) -> tuple[Any, Any]:
+    """``(here(), read(part))``, with ``there(part)`` run by a forked child.
 
-
-@contextmanager
-def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]]:
-    """Fork a child that runs ``work(part)`` into an unlinked temporary file.
-
-    Yields ``join``: it waits for the child and returns ``part`` seeked to 0
-    for reading, or ``None`` if the child did not exit with 0, whatever the
-    reason; the caller then runs the child's share itself. The child prints
-    nothing. The body of the ``with`` runs beside the child; if it leaves
-    without joining (it raised), the child is killed and reaped.
+    The child runs ``there(part)`` into ``part``, an unlinked temporary file,
+    and prints nothing, while this process runs ``here()``. Then ``read``
+    gets ``part`` seeked to 0; if the child did not exit with 0, whatever the
+    reason, ``redo()`` runs instead. If anything raises before the child is
+    reaped, the wait too, the child is killed and reaped. Without two CPUs
+    nothing is forked: the result is ``(here(), redo())``, in that order.
     """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return here(), redo()
     with tempfile.TemporaryFile() as part:
         # Flushed first, so that nothing buffered before the fork is written twice.
         sys.stdout.flush()
         sys.stderr.flush()
         pid = os.fork()
         if not pid:
-            _run_child(work, part)
+            _run_child(there, part)
         status = None
-
-        def join() -> BinaryIO | None:
-            nonlocal status
-            status = os.waitpid(pid, 0)[1]
-            if os.waitstatus_to_exitcode(status):
-                return None
-            part.seek(0)  # the child's writes moved the shared file offset to the end
-            return part
-
         try:
-            yield join
+            mine = here()
+            status = os.waitpid(pid, 0)[1]
         finally:
             if status is None:
                 # Imported only here: signal would add to the peak resident
@@ -59,6 +50,10 @@ def child(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO]
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status):
+            return mine, redo()
+        part.seek(0)  # the child's writes moved the shared file offset to the end
+        return mine, read(part)
 
 
 def _run_child(work: Callable[[BinaryIO], object], part: BinaryIO) -> NoReturn:

@@ -10,17 +10,18 @@ Every text of many rows, the spectrum, eigenvector, series and limiting-matrix
 CSV and the spectrum, series and limiting-matrix JSON, comes back as one
 ``Rows`` row source. Iterating it yields str chunks: the head, the body, formatted
 only as it is read, and the tail, so a caller can write each chunk as soon as
-it is formatted; the text is ``"".join`` of the chunks. A CSV body comes in
-one chunk per block of rows, each block at most ``_FORMAT_VALUES`` values
-(one row at least), all formatted at once by an exact vectorized ``%.17g``
-kernel (``_format17``); a JSON body comes in one chunk per row.
-``Rows.rows(start, stop)`` yields the chunks of one row range alone, so two
-processes can format disjoint ranges of one text; ``len`` is the number of
-rows and ``values.shape[1]`` the number of values in each row. A series'
-rows are propagated as they are read (``dynamics.Series``) and formatted one
-of its blocks at a time, so its writers hold no series, and a block that fails
-its check raises after the rows before it were written. The network and
-cluster-report writers return the whole text.
+it is formatted; the text is ``"".join`` of the chunks. A body is a list of
+parts, ``Rows.parts()``: the blocks of a series (``dynamics.Series.blocks``),
+or blocks of at most ``_FORMAT_VALUES`` values of an array, whole rows, one
+at least. ``Rows.rows(parts)`` yields the chunks of some of them alone, so two
+processes can format disjoint parts of one text; ``len`` is the number of
+rows and ``values.shape[1]`` the number of values in each row. A CSV body
+comes in one chunk per block of at most ``_FORMAT_VALUES`` values, all
+formatted at once by an exact vectorized ``%.17g`` kernel (``_format17``); a
+JSON body comes in one chunk per row. A series' rows are propagated and
+checked one part at a time as they are read, so its writers hold no series,
+and a part that fails its check raises after the rows before it were written.
+The network and cluster-report writers return the whole text.
 """
 
 from __future__ import annotations
@@ -316,24 +317,29 @@ class Rows:
 
     def __iter__(self) -> Iterator[str]:
         yield self.head
-        yield from self.rows(0, len(self))
+        yield from self.rows(self.parts())
         yield self.tail
 
-    def rows(self, start: int, stop: int) -> Iterator[str]:
-        """The chunks of rows ``start`` to ``stop - 1``, without the head or the tail."""
-        blocks = (self.values.blocks(start, stop) if isinstance(self.values, Series)
-                  else [self.values[start:stop]])
+    def parts(self) -> list[slice]:
+        """The body's parts in order: a series' blocks, or array blocks of ``_FORMAT_VALUES``."""
+        if isinstance(self.values, Series):
+            return self.values.blocks()
+        return _stripes(len(self), self.values.shape[1], _FORMAT_VALUES)
+
+    def rows(self, parts: list[slice]) -> Iterator[str]:
+        """The chunks of the rows of ``parts`` (of ``parts()``), without the head or the tail."""
         slots = None if "%r" in self.template else _Slots(self.template)
-        for block in blocks:
-            labels = self.labels[start:start + len(block)]
-            start += len(block)
+        for part in parts:
+            block = (self.values.block(part) if isinstance(self.values, Series)
+                     else self.values[part])
+            labels = self.labels[part]
             if slots is None:
                 chunks = (self.template.replace("%s", label)
                           % tuple(_zeroed(row, self.probability).tolist())
                           for label, row in zip(labels, block))
             else:
-                chunks = (slots.format(labels[part], _zeroed(block[part], self.probability))
-                          for part in _stripes(len(block), block.shape[1], _FORMAT_VALUES))
+                chunks = (slots.format(labels[rows], _zeroed(block[rows], self.probability))
+                          for rows in _stripes(len(block), block.shape[1], _FORMAT_VALUES))
             yield from chunks
             del block, chunks  # freed before the next series block is propagated
 

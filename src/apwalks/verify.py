@@ -9,15 +9,14 @@ reachable up to a configured maximum generation. The checks and every CLI
 command build their networks, spectra and limiting matrices through
 ``Pipeline``.
 
-With two CPUs (``fork.two_cpus``) the runner splits the checks between two
-processes. This one runs ``check_reconstruction``, the only check that reads a
-generation above 5 (it holds one N x N array beside the spectrum, for both
-residuals), which solves the largest generation first; one forked child runs
-every other check and hands back its results; if the child fails, for any
-reason, this process runs those checks itself. The verdict lists the checks in
-the same order with the same values as on one CPU, where both shares run in
-this process one after the other, so the verdict's bytes, and any exception
-raised instead, do not depend on the CPU count.
+The runner splits the checks in two through ``fork.split``. This process
+runs ``check_reconstruction``, the only check that reads a generation above 5
+(it holds one N x N array beside the spectrum, for both residuals), which
+solves the largest generation first; a forked child runs every other check
+and hands back its results, pickled. On one CPU, or if the child fails, this
+process runs those checks itself, after its own. The verdict lists the checks
+in the same order with the same values either way, so the verdict's bytes,
+and any exception raised instead, do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -421,9 +420,9 @@ def run_verification(max_generation: int) -> dict:
     "passed", "checks": [{"name", "generation", "passed", "detail"}, ...]}``,
     which passes when every check passes.
 
-    On two CPUs the checks are split between this process and one forked
-    child (see the module docstring); a check that raises in the child raises
-    again here, when this process runs the child's checks itself.
+    The checks are split between this process and one forked child (see the
+    module docstring); a check that raises in the child raises again here,
+    when this process runs the child's checks itself.
 
     Raises:
         ValueError: if ``max_generation`` is negative.
@@ -434,15 +433,10 @@ def run_verification(max_generation: int) -> dict:
         raise ValueError("max generation must be non-negative")
     pipe = Pipeline()
     pipe.net(max_generation)  # a CapacityError before any fork
-    if fork.two_cpus():
-        with fork.child(lambda part: pickle.dump(_other_checks(pipe, max_generation),
-                                                 part)) as join:
-            reconstruction = check_reconstruction(pipe, max_generation)
-            part = join()
-            checks = _other_checks(pipe, max_generation) if part is None else pickle.load(part)
-    else:
-        reconstruction = check_reconstruction(pipe, max_generation)
-        checks = _other_checks(pipe, max_generation)
+    reconstruction, checks = fork.split(
+        lambda: check_reconstruction(pipe, max_generation),
+        lambda part: pickle.dump(_other_checks(pipe, max_generation), part),
+        pickle.load, lambda: _other_checks(pipe, max_generation))
     checks[checks.index(None)] = reconstruction
     return {
         "max_generation": max_generation,

@@ -12,7 +12,7 @@ import pytest
 
 from apwalks import cli, dynamics, serialize, verify
 from apwalks.cli import main
-from apwalks.dynamics import TimeGrid, closed_form_g2, evolve_series
+from apwalks.dynamics import SUM_TOL, TimeGrid, closed_form_g2, evolve_series
 from apwalks.network import GENERATION_CAP, SERIES_VALUE_CAP, node_count_for_generation
 from apwalks.spectral import NumericError, Spectrum
 
@@ -172,6 +172,26 @@ def test_evolve_non_finite_grid_is_usage_error(tmp_path, grid, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["quantum", "classical"])
+def test_evolve_on_a_grid_near_the_largest_double_prints_no_numpy_warning(kind):
+    # At t = 1e308, t E_n overflows to inf: the coherent rows turn NaN, a
+    # numeric failure, and exp(-inf) = 0 leaves the classical rows at 1/N.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "apwalks.cli", "evolve", "-g", "2",
+                           "--t-steps", "3", "--t-max", "1e308", "--t-scale", "lin",
+                           "--kind", kind], env=env, capture_output=True, text=True, timeout=60)
+    if kind == "quantum":
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("apwalks: numeric failure: ")
+        assert proc.stderr.count("\n") == 1
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = np.loadtxt(io.StringIO(proc.stdout), delimiter=",", skiprows=1)[7:]
+        assert len(rows) == 2 * 7 and (rows[:, 0] >= 5e307).all()
+        assert np.abs(rows[:, 2] - 1.0 / 7.0).max() <= SUM_TOL
+
+
 def test_evolve_json(tmp_path):
     out = tmp_path / "series.json"
     assert run("evolve", "-g", "1", "--format", "json", "--t-steps", "4",
@@ -305,11 +325,13 @@ def test_write_to_a_full_device_is_usage_error(argv, path):
     _assert_failed_write(proc, err, path, "No space left on device")
 
 
-def test_write_to_a_closed_pipe_is_usage_error():
-    # 200 times at G=6 exceed the split threshold: the parent's write fails
-    # while a forked child formats the second half of the rows.
-    assert 200 * node_count_for_generation(6) >= cli._SPLIT_MIN_VALUES
-    proc = _spawn_cli(["evolve", "-g", "6", "--t-steps", "200"], subprocess.PIPE)
+def test_write_to_a_closed_pipe_is_usage_error(pipe):
+    # 400 times at G=6 exceed the split threshold and are two blocks: the
+    # parent's write fails while a forked child formats the second block.
+    grid = TimeGrid(0.01, 100.0, 400, "logarithmic")
+    assert 400 * node_count_for_generation(6) >= cli._SPLIT_MIN_VALUES
+    assert len(evolve_series(pipe.spectrum(6), 1, "quantum", grid).blocks()) >= 2
+    proc = _spawn_cli(["evolve", "-g", "6", "--t-steps", "400"], subprocess.PIPE)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read()
@@ -524,7 +546,11 @@ def test_chi_json_is_written_row_by_row(tmp_path, pipe):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Split every row-source body, as on two CPUs, and count the forks."""
+    """Split every row-source body, as on two CPUs, and count the forks.
+
+    Four times a series block at G=4, so the 9-time series of
+    ``split_writers`` is three blocks.
+    """
     calls = []
     real_fork = os.fork
 
@@ -533,6 +559,7 @@ def forks(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 4 * 43)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
     return calls
@@ -587,34 +614,59 @@ def test_no_split_to_a_text_only_stdout(pipe, forks, name):
     assert out.getvalue() == "".join(rows)
 
 
-@pytest.mark.parametrize("times, middle, copies", [(10, 6, 1), (3, 1, 2)],
-                         ids=["blocks", "one-block"])
+@pytest.mark.parametrize("body, rows_a_part, times, middle", [
+    ("series", 3, 10, 2), ("series", 4, 10, 1), ("series", 3, 3, None),
+    ("chi", 3, None, 7), ("chi", 4, None, 5),
+], ids=["blocks", "blocks-of-4", "one-block", "chi", "chi-blocks-of-4"])
 def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkeypatch,
-                                                   times, middle, copies):
-    # Three times a block at G=3: 10 times are blocks at 0, 3, 6 and 9, and
-    # the edge nearest the middle is 6. A series of one block splits at n // 2
-    # and both processes propagate it.
-    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 3 * 16)
-    grid = TimeGrid(0.01, 100.0, times, "logarithmic")
-    series = evolve_series(pipe.spectrum(3), 2, "quantum", grid)
-    rows = serialize.series_to_csv(series)
+                                                   body, rows_a_part, times, middle):
+    # Parts of three or four rows: 10 series times at G=3 are blocks at 0, 3,
+    # 6 and 9, or at 0, 4 and 8, so the edge nearest the middle row is 6 (part
+    # 2) or 4 (part 1); the 43 rows of chi at G=4 split at row 21 (part 7) or
+    # 20 (part 5). A series of one block is one part, and is not split. Each
+    # part is formatted, and a series part propagated, once, by one process.
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", rows_a_part * 16)
+    monkeypatch.setattr(serialize, "_FORMAT_VALUES", rows_a_part * 43)
+    if body == "chi":
+        rows = serialize.limiting_matrix_to_csv(pipe.chi(4))
+    else:
+        grid = TimeGrid(0.01, 100.0, times, "logarithmic")
+        rows = serialize.series_to_csv(evolve_series(pipe.spectrum(3), 2, "quantum", grid))
     expected = "".join(rows).encode()
-    starts = tmp_path / "starts"
+    log = tmp_path / "log"
+    parent = os.getpid()
+
+    def record(what, label):  # appended to by this process and the child
+        with open(log, "a") as fh:
+            fh.write(f"{what} {'parent' if os.getpid() == parent else 'child'} {label}\n")
+
+    class RecordingRows(serialize.Rows):
+        def rows(self, parts):
+            for part in parts:
+                record("format", self.labels[part.start])
+                yield from super().rows([part])
+
     real = dynamics._propagate
 
     def propagate(s, j, block_times, kind, *args, **kwargs):
-        with open(starts, "a") as fh:  # appended to by this process and the child
-            fh.write(f"{float(block_times[0])!r}\n")
+        record("propagate", format(float(block_times[0]), ".17g"))
         return real(s, j, block_times, kind, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_propagate", propagate)
-    assert cli._middle(rows) == middle
+    rows = RecordingRows(**vars(rows))
     out = tmp_path / "s.csv"
     cli._write(rows, str(out))
-    assert len(forks) == 1
+    assert len(forks) == (middle is not None)
     assert out.read_bytes() == expected
-    once = [repr(t) for t in series.times[series.edges()[:-1]].tolist()]
-    assert sorted(starts.read_text().split()) == sorted(once * copies)
+    firsts = [rows.labels[part.start] for part in rows.parts()]
+    assert (len(firsts) == 1) == (middle is None)
+    shares = [("parent", first) if middle is None or i < middle else ("child", first)
+              for i, first in enumerate(firsts)]
+    lines = [line.split() for line in log.read_text().splitlines()]
+    done = {step: sorted((who, label) for what, who, label in lines if what == step)
+            for step in ("format", "propagate")}
+    assert done == {"format": sorted(shares),
+                    "propagate": [] if body == "chi" else sorted(shares)}
 
 
 @pytest.mark.parametrize("failing, to_stdout", [("child", False), ("parent", False), ("child", True)],
@@ -624,10 +676,10 @@ def test_split_failure_raises_and_reaps_the_child(tmp_path, pipe, forks, monkeyp
     parent = os.getpid()
 
     class FailingRows(serialize.Rows):
-        def rows(self, start, stop):
+        def rows(self, parts):
             if (os.getpid() == parent) == (failing == "parent"):
                 raise OSError(f"{failing} failed")
-            return super().rows(start, stop)
+            return super().rows(parts)
 
     rows = FailingRows(**vars(serialize.limiting_matrix_to_csv(pipe.chi(4))))
     dups = []
@@ -702,18 +754,18 @@ os.fork = lambda: forks.append(1) or real_fork()
 os.sched_getaffinity = lambda pid: {0, 1}
 cli._SPLIT_MIN_VALUES = 0
 atexit.register(lambda: print("atexit", len(forks)))
-cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(3)), sys.argv[1])
+cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(4)), sys.argv[1])
 """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "atexit 1\n"
-    assert out.read_bytes() == "".join(serialize.limiting_matrix_to_csv(pipe.chi(3))).encode()
+    assert out.read_bytes() == "".join(serialize.limiting_matrix_to_csv(pipe.chi(4))).encode()
 
 
 @pytest.mark.parametrize("argv", [
-    ("limit", "-g", "3", "-o", os.devnull, "--report", os.devnull),
+    ("limit", "-g", "4", "-o", os.devnull, "--report", os.devnull),
     ("verify", "--max-generation", "3"),
 ], ids=["limit", "verify"])
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])

@@ -150,11 +150,12 @@ class GivenSeries(Series):
     def shape(self):
         return self.values.shape
 
-    def blocks(self, start, stop):
+    def blocks(self):
         step = self.block_rows or len(self.values)
-        for lo in range(0, len(self.values), step):
-            if lo < stop and start < lo + step:
-                yield self.values[max(start, lo):min(stop, lo + step)]
+        return [slice(lo, lo + step) for lo in range(0, len(self.values), step)]
+
+    def block(self, rows):
+        return self.values[rows]
 
 
 def reference_series_csv(series, wide):
