@@ -21,19 +21,20 @@ that maps a failure to an exit code, one exception type per code:
 
 Four commands use a second CPU when this process may run on two or more,
 through ``fork.split``. ``spectrum --eigenvectors``, ``evolve`` and ``limit``
-split large CSV and JSON bodies (the eigenvectors, series and limiting
-matrix) between the parts of the body (``serialize.Rows.parts``): this
-process writes the parts before the edge nearest the middle row while one
-forked child formats the rest, so no series block is propagated twice.
-``verify`` splits its checks: it runs every check but the eigendecomposition
-reconstruction in one forked child while this process runs that check,
-largest generation first (see ``verify.run_verification``). Output bytes,
-and the verdict's check order, are the same as from one process, and on one
-CPU everything runs in this process. If the child fails, for any reason,
-this process runs the child's share itself, so exit codes and messages are
-those of one CPU too. There is no flag for it. The CPU count is the affinity
-mask only; the split assumes the second CPU is idle, and a cgroup CPU quota
-or a busy second CPU leaves it with no gain and the cost of the fork.
+split every CSV or JSON body of two parts or more (``serialize.Rows.parts``):
+a series of two blocks or more, and the eigenvectors and limiting matrix
+from G=6 on, which exceed one block of values. This process writes the parts
+before the edge nearest the middle row while one forked child formats the
+rest, so no series block is propagated twice. ``verify`` splits its checks:
+it runs every check but the eigendecomposition reconstruction in one forked
+child while this process runs that check, largest generation first (see
+``verify.run_verification``). Output bytes, and the verdict's check order,
+are the same as from one process, and on one CPU everything runs in this
+process. If the child fails, for any reason, this process runs the child's
+share itself, so exit codes and messages are those of one CPU too. There is
+no flag for it. The CPU count is the affinity mask only; the split assumes
+the second CPU is idle, and a cgroup CPU quota or a busy second CPU leaves it
+with no gain and the cost of the fork.
 
 Output bytes are reproducible for a fixed BLAS thread count only: the
 eigensolver's last bits depend on it, and every value is printed with 17
@@ -75,20 +76,6 @@ EXIT_CAPACITY = 3
 EXIT_NUMERIC = 4
 
 
-#: Fewest values in a text body for which ``_write`` has a forked child format
-#: the second half of the body. Forking, waiting and appending cost 4-10 ms
-#: against 0.2-0.4 us per value formatted (``serialize._format17``), so with
-#: two idle CPUs the split breaks even near 30,000 values. Measured (one BLAS
-#: thread, medians of 9 to 41 alternating runs, one process -> split): series
-#: at G=6, 25,690 values 22.6 -> 21.2 ms and 73,400 values 57.7 -> 43.3 ms
-#: (split faster in 41 of 41; each series is one block, split at n // 2 for
-#: this measurement and not split at all now); chi at G=6, 134,689
-#: values, 52.8 -> 38.8 ms in one run but 52.7 -> 59.5 ms in another, when the
-#: host's second CPU was busy. A busy second CPU leaves the split with no gain
-#: and the cost of the fork, hence the margin.
-_SPLIT_MIN_VALUES = 50_000
-
-
 def _write(chunks: str | Iterable[str], output: str | None) -> None:
     """Write text, or each chunk as it is produced, to ``output`` or stdout.
 
@@ -117,11 +104,11 @@ def _write(chunks: str | Iterable[str], output: str | None) -> None:
 
 
 def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
-    """Write the chunks to ``fh``; a large ``Rows`` body on two processes.
+    """Write the chunks to ``fh``; a ``Rows`` body of two parts or more on two processes.
 
     Splitting needs a target that takes bytes (``fh.buffer``, which
-    ``io.StringIO`` lacks) and a ``Rows`` body of at least
-    ``_SPLIT_MIN_VALUES`` values and two parts (``Rows.parts``). Then the body
+    ``io.StringIO`` lacks) and a ``Rows`` body of two parts or more
+    (``Rows.parts``), which is all the split reads of the body. Then the body
     splits at the part edge nearest its middle row: through ``fork.split``,
     this process writes the head and the first parts while a forked child
     formats the others into an unlinked temporary file, which is then copied
@@ -129,12 +116,11 @@ def _write_to(fh: TextIO, chunks: Iterable[str]) -> None:
     child encodes them itself. On one CPU, or if the child fails, this
     process formats the other parts itself.
     """
-    parts = (chunks.parts() if isinstance(chunks, Rows) and hasattr(fh, "buffer")
-             and len(chunks) * chunks.values.shape[1] >= _SPLIT_MIN_VALUES else [])
+    parts = chunks.parts() if isinstance(chunks, Rows) and hasattr(fh, "buffer") else []
     if len(parts) < 2:
         fh.writelines(chunks)
         return
-    mid = min(range(1, len(parts)), key=lambda i: abs(2 * parts[i].start - len(chunks)))
+    mid = min(range(1, len(parts)), key=lambda i: abs(2 * parts[i].start - parts[-1].stop))
     first, second = parts[:mid], parts[mid:]
 
     def copy(part: BinaryIO) -> None:

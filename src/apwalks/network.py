@@ -23,8 +23,8 @@ GENERATION_CAP = 7
 #: refused before any work when it would exceed this. It bounds the output:
 #: the long CSV takes about 46.5 bytes per value (102 MB for the 2.19M values
 #: of the default 2000 times at G=7), so 2**26 values is about 3 GB of text. It
-#: also bounds the grid's times and their labels, which the writer holds. It
-#: bounds no held series, since the rows are propagated as they are written.
+#: also bounds the grid's times, which the writer holds; it holds no series and
+#: no label per row, since rows are propagated and labelled as they are written.
 SERIES_VALUE_CAP = 2**26
 
 #: All six permutations of the three corner nodes, identity first.

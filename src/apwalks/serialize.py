@@ -12,27 +12,30 @@ CSV and the spectrum, series and limiting-matrix JSON, comes back as one
 only as it is read, and the tail, so a caller can write each chunk as soon as
 it is formatted; the text is ``"".join`` of the chunks. A body is a list of
 parts, ``Rows.parts()``: the blocks of a series (``dynamics.Series.blocks``),
-or blocks of at most ``_FORMAT_VALUES`` values of an array, whole rows, one
-at least. ``Rows.rows(parts)`` yields the chunks of some of them alone, so two
-processes can format disjoint parts of one text; ``len`` is the number of
-rows and ``values.shape[1]`` the number of values in each row. A CSV body
+or an array of at most one series block of values (``dynamics._BLOCK_ENTRIES``)
+as one part, and a larger one as blocks of at most ``_FORMAT_VALUES`` values,
+whole rows, one at least. ``Rows.rows(parts)`` yields the chunks of some of
+them alone, so two processes can format disjoint parts of one text. A CSV body
 comes in one chunk per block of at most ``_FORMAT_VALUES`` values, all
 formatted at once by an exact vectorized ``%.17g`` kernel (``_format17``); a
-JSON body comes in one chunk per row. A series' rows are propagated and
-checked one part at a time as they are read, so its writers hold no series,
-and a part that fails its check raises after the rows before it were written.
-The network and cluster-report writers return the whole text.
+JSON body comes in one chunk per row. Row labels (node numbers, times, JSON
+separators) are built for one such block at a time, and a series' rows are
+propagated and checked one part at a time as they are read, so a writer
+holds neither a series nor a label per row, and a part that fails its check
+raises after the rows before it were written. The network and cluster-report
+writers return the whole text.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import ENTRY_FLOOR, LimitingMatrix, Series, _stripes
 from .network import Network
 from .spectral import Spectrum
@@ -59,13 +62,14 @@ def _zeroed(values, probability: bool) -> np.ndarray:
     return np.where(zero, 0.0, values)
 
 
-def _node_labels(n: int) -> list[str]:
-    return [str(k) for k in range(1, n + 1)]
+def _node_labels(rows: slice) -> list[str]:
+    """The 1-based node numbers of ``rows``."""
+    return [str(k) for k in range(rows.start + 1, rows.stop + 1)]
 
 
-def _separated(labels: list[str]) -> list[str]:
-    """``labels`` with the JSON ``",\\n"`` separator before all but the first."""
-    return labels[:1] + [",\n" + label for label in labels[1:]]
+def _json_separators(rows: slice) -> list[str]:
+    """The JSON ``",\\n"`` separator before each row of ``rows`` but row 0."""
+    return [",\n" if k else "" for k in range(rows.start, rows.stop)]
 
 
 #: Values formatted at once by ``_format17``: bounds the byte matrix of a CSV
@@ -292,28 +296,26 @@ class _Slots:
 class Rows:
     """A text as ``head``, the rows of ``values``, and ``tail``, formatted on demand.
 
-    ``values`` is a 2-D array or a ``Series``. Row i is ``template`` with
-    ``labels[i]`` written into every ``%s`` slot, one (the wide layouts) or
-    one before each value (the long ones), then ``% tuple(row)``, where
+    ``values`` is a 2-D array or a ``Series``; ``labels(rows)`` gives the
+    labels of a slice of rows, one each. Row i is ``template`` with its label
+    written into every ``%s`` slot, one (the wide layouts) or one before each
+    value (the long ones), then ``% tuple(row)``, where
     ``row`` is ``values[i]`` with zero and, for ``probability`` values, the
     clamp band set to ``0.0``: ``"%.17g"`` prints a value exactly as
     ``format_float`` or ``format_probability`` would except that it keeps the
     sign of ``-0.0``, and ``%r`` prints it as ``json`` does when it is finite.
     A ``%.17g`` template (the CSV layouts) is formatted a block of rows at a
     time by ``_format17``, one chunk per block; a ``%r`` one (JSON) one chunk
-    per row. Labels are node numbers, times and JSON separators built here,
-    and hold no ``%`` and no NUL.
+    per row. Labels are node numbers, times and JSON separators built here
+    for one such block of rows at a time, and hold no ``%`` and no NUL.
     """
 
     head: str
     template: str
-    labels: list[str]
+    labels: Callable[[slice], list[str]]
     values: np.ndarray | Series
     probability: bool
     tail: str = ""
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     def __iter__(self) -> Iterator[str]:
         yield self.head
@@ -321,10 +323,13 @@ class Rows:
         yield self.tail
 
     def parts(self) -> list[slice]:
-        """The body's parts in order: a series' blocks, or array blocks of ``_FORMAT_VALUES``."""
+        """The body's parts in order: a series' blocks, or an array's blocks of
+        ``_FORMAT_VALUES``, one part if it holds at most one series block of values."""
         if isinstance(self.values, Series):
             return self.values.blocks()
-        return _stripes(len(self), self.values.shape[1], _FORMAT_VALUES)
+        size = self.values.size
+        return _stripes(len(self.values), self.values.shape[1],
+                        size if size <= dynamics._BLOCK_ENTRIES else _FORMAT_VALUES)
 
     def rows(self, parts: list[slice]) -> Iterator[str]:
         """The chunks of the rows of ``parts`` (of ``parts()``), without the head or the tail."""
@@ -332,16 +337,15 @@ class Rows:
         for part in parts:
             block = (self.values.block(part) if isinstance(self.values, Series)
                      else self.values[part])
-            labels = self.labels[part]
-            if slots is None:
-                chunks = (self.template.replace("%s", label)
-                          % tuple(_zeroed(row, self.probability).tolist())
-                          for label, row in zip(labels, block))
-            else:
-                chunks = (slots.format(labels[rows], _zeroed(block[rows], self.probability))
-                          for rows in _stripes(len(block), block.shape[1], _FORMAT_VALUES))
-            yield from chunks
-            del block, chunks  # freed before the next series block is propagated
+            for rows in _stripes(len(block), block.shape[1], _FORMAT_VALUES):
+                labels = self.labels(slice(part.start + rows.start, part.start + rows.stop))
+                values = _zeroed(block[rows], self.probability)
+                if slots is None:
+                    yield from (self.template.replace("%s", label) % tuple(row)
+                                for label, row in zip(labels, values.tolist()))
+                else:
+                    yield slots.format(labels, values)
+            del block  # freed before the next series block is propagated
 
 
 def _json_list_template(n: int, indent: int) -> str:
@@ -378,7 +382,7 @@ def network_to_json(net: Network) -> str:
 
 def spectrum_to_csv(s: Spectrum) -> Rows:
     """The ``index,eigenvalue`` CSV: the header, then one row per eigenvalue."""
-    return Rows("index,eigenvalue\n", "%s,%.17g\n", _node_labels(s.order),
+    return Rows("index,eigenvalue\n", "%s,%.17g\n", _node_labels,
                 s.eigenvalues[:, np.newaxis], probability=False)
 
 
@@ -389,7 +393,7 @@ def spectrum_to_json(s: Spectrum) -> Rows:
     every eigenvalue printed as it reads back from ``format_float``.
     """
     return Rows(f'{{\n  "order": {s.order},\n  "eigenvalues": [\n', "%s    %r",
-                _separated([""] * s.order), s.eigenvalues[:, np.newaxis], probability=False,
+                _json_separators, s.eigenvalues[:, np.newaxis], probability=False,
                 tail="\n  ]\n}\n")
 
 
@@ -397,7 +401,7 @@ def eigenvectors_to_csv(s: Spectrum) -> Rows:
     """The ``node,q_1,...,q_N`` CSV: the header, then one row per node."""
     n = s.order
     header = "node," + ",".join(f"q_{m}" for m in range(1, n + 1)) + "\n"
-    return Rows(header, "%s" + ",%.17g" * n + "\n", _node_labels(n), s.eigenvectors,
+    return Rows(header, "%s" + ",%.17g" * n + "\n", _node_labels, s.eigenvectors,
                 probability=False)
 
 
@@ -410,7 +414,7 @@ def series_to_csv(series: Series, wide: bool = False) -> Rows:
     ``t,k,p_k`` per entry, time-major.
     """
     n = series.shape[1]
-    labels = [format_float(t) for t in series.times.tolist()]
+    labels = lambda rows: [format_float(t) for t in series.times[rows].tolist()]
     if wide:
         header = "t," + ",".join(f"p_{k}" for k in range(1, n + 1)) + "\n"
         return Rows(header, "%s" + ",%.17g" * n + "\n", labels, series, probability=True)
@@ -427,8 +431,11 @@ def series_to_json(series: Series) -> Rows:
     """
     head = (f'{{\n  "source": {series.source},\n  "kind": {json.dumps(series.kind)},\n'
             '  "snapshots": [\n')
-    times = _zeroed(series.times, probability=False).tolist()
-    labels = _separated([f'    {{\n      "t": {t!r}' for t in times])
+
+    def labels(rows: slice) -> list[str]:
+        times = _zeroed(series.times[rows], probability=False).tolist()
+        return [sep + f'    {{\n      "t": {t!r}' for sep, t in zip(_json_separators(rows), times)]
+
     template = '%s,\n      "p": ' + _json_list_template(series.shape[1], 6) + "\n    }"
     return Rows(head, template, labels, series, probability=True, tail="\n  ]\n}\n")
 
@@ -439,7 +446,7 @@ def limiting_matrix_to_csv(chi: LimitingMatrix) -> Rows:
     """The ``j,k,chi`` CSV: the header, then one row of N lines per source j."""
     # Source-major: the row for source j is column j of the matrix.
     template = "".join(f"%s,{k},%.17g\n" for k in range(1, chi.order + 1))
-    return Rows("j,k,chi\n", template, _node_labels(chi.order), chi.entries.T,
+    return Rows("j,k,chi\n", template, _node_labels, chi.entries.T,
                 probability=True)
 
 
@@ -450,7 +457,7 @@ def limiting_matrix_to_json(chi: LimitingMatrix) -> Rows:
     every entry printed as it reads back from ``format_probability``.
     """
     return Rows(f'{{\n  "order": {chi.order},\n  "entries": [\n',
-                "%s    " + _json_list_template(chi.order, 4), _separated([""] * chi.order),
+                "%s    " + _json_list_template(chi.order, 4), _json_separators,
                 chi.entries, probability=True, tail="\n  ]\n}\n")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apwalks import cli, dynamics, serialize, verify
+from apwalks import cli, dynamics, fork, serialize, verify
 from apwalks.cli import main
 from apwalks.dynamics import SUM_TOL, TimeGrid, closed_form_g2, evolve_series
 from apwalks.network import GENERATION_CAP, SERIES_VALUE_CAP, node_count_for_generation
@@ -326,10 +326,10 @@ def test_write_to_a_full_device_is_usage_error(argv, path):
 
 
 def test_write_to_a_closed_pipe_is_usage_error(pipe):
-    # 400 times at G=6 exceed the split threshold and are two blocks: the
+    # 400 times at G=6 exceed one block of values and are two blocks: the
     # parent's write fails while a forked child formats the second block.
     grid = TimeGrid(0.01, 100.0, 400, "logarithmic")
-    assert 400 * node_count_for_generation(6) >= cli._SPLIT_MIN_VALUES
+    assert 400 * node_count_for_generation(6) > dynamics._BLOCK_ENTRIES
     assert len(evolve_series(pipe.spectrum(6), 1, "quantum", grid).blocks()) >= 2
     proc = _spawn_cli(["evolve", "-g", "6", "--t-steps", "400"], subprocess.PIPE)
     assert len(proc.stdout.read(10)) == 10
@@ -549,7 +549,8 @@ def forks(monkeypatch):
     """Split every row-source body, as on two CPUs, and count the forks.
 
     Four times a series block at G=4, so the 9-time series of
-    ``split_writers`` is three blocks.
+    ``split_writers`` is three blocks, and its 43 x 43 arrays, more than one
+    block of values, are four parts of ``serialize._FORMAT_VALUES``.
     """
     calls = []
     real_fork = os.fork
@@ -558,23 +559,26 @@ def forks(monkeypatch):
         calls.append(os.getpid())
         return real_fork()
 
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
     monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 4 * 43)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
     return calls
 
 
-def split_writers(pipe):
-    s = pipe.spectrum(4)
-    series = evolve_series(s, 5, "quantum", TimeGrid(0.01, 100.0, 9, "logarithmic"))
+def split_writers(pipe, g=4, times=9):
+    """Every row-source body at generation ``g``; series of ``times`` times from node 5, or N < 5."""
+    s, chi = pipe.spectrum(g), pipe.chi(g)
+    series = evolve_series(s, min(5, s.order), "quantum",
+                           TimeGrid(0.01, 100.0, times, "logarithmic"))
     return {
-        "chi": serialize.limiting_matrix_to_csv(pipe.chi(4)),
+        "chi": serialize.limiting_matrix_to_csv(chi),
         "long": serialize.series_to_csv(series),
         "wide": serialize.series_to_csv(series, wide=True),
         "eigenvectors": serialize.eigenvectors_to_csv(s),
-        "chi-json": serialize.limiting_matrix_to_json(pipe.chi(4)),
+        "chi-json": serialize.limiting_matrix_to_json(chi),
         "series-json": serialize.series_to_json(series),
+        "spectrum": serialize.spectrum_to_csv(s),
+        "spectrum-json": serialize.spectrum_to_json(s),
     }
 
 
@@ -643,7 +647,7 @@ def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkey
     class RecordingRows(serialize.Rows):
         def rows(self, parts):
             for part in parts:
-                record("format", self.labels[part.start])
+                record("format", self.labels(part)[0])
                 yield from super().rows([part])
 
     real = dynamics._propagate
@@ -658,7 +662,7 @@ def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkey
     cli._write(rows, str(out))
     assert len(forks) == (middle is not None)
     assert out.read_bytes() == expected
-    firsts = [rows.labels[part.start] for part in rows.parts()]
+    firsts = [rows.labels(part)[0] for part in rows.parts()]
     assert (len(firsts) == 1) == (middle is None)
     shares = [("parent", first) if middle is None or i < middle else ("child", first)
               for i, first in enumerate(firsts)]
@@ -667,6 +671,38 @@ def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkey
             for step in ("format", "propagate")}
     assert done == {"format": sorted(shares),
                     "propagate": [] if body == "chi" else sorted(shares)}
+
+
+#: ``(body, G, times, row)``: the row at which ``cli._write_to`` splits each
+#: body between two processes, or None for a body written by one. Eigenvectors
+#: and chi split from G=6 on, one row a part, at the row nearest the middle; a
+#: series at its block edge nearest the middle (119 times a block at G=7), and
+#: a series of one block (357 times at G=6) not at all.
+SPLIT_ROWS = [
+    *[(name, g, 1, None) for name in ("spectrum", "spectrum-json") for g in range(8)],
+    *[(name, g, 1, {6: 183, 7: 548}.get(g))
+      for name in ("eigenvectors", "chi", "chi-json") for g in range(8)],
+    *[(name, 7, times, row) for name in ("long", "wide", "series-json")
+      for times, row in ((250, 119), (2000, 952))],
+    *[(name, 6, 357, None) for name in ("long", "wide", "series-json")],
+]
+
+
+@pytest.mark.parametrize("name, g, times, row", SPLIT_ROWS)
+def test_every_body_splits_at_its_pinned_row(tmp_path, pipe, monkeypatch, name, g, times, row):
+    # Each rows() call records the first row it formats and formats nothing,
+    # and the split runs both shares here, so no series is propagated.
+    starts = []
+
+    class RecordingRows(serialize.Rows):
+        def rows(self, parts):
+            starts.append(parts[0].start)
+            return iter(())
+
+    monkeypatch.setattr(fork, "split", lambda here, there, read, redo: (here(), redo()))
+    rows = RecordingRows(**vars(split_writers(pipe, g, times)[name]))
+    cli._write(rows, str(tmp_path / "body"))
+    assert starts == ([0] if row is None else [0, row])
 
 
 @pytest.mark.parametrize("failing, to_stdout", [("child", False), ("parent", False), ("child", True)],
@@ -731,11 +767,15 @@ def test_a_numeric_failure_in_the_childs_share_is_the_one_cpu_failure(forks, mon
     assert forked.out.count("\n") == lines
 
 
-@pytest.mark.parametrize("cpus, threshold", [({0}, 0), ({0, 1}, 1850)])
-def test_no_split_on_one_cpu_or_small_body(tmp_path, pipe, forks, monkeypatch, cpus, threshold):
+@pytest.mark.parametrize("cpus, block_entries", [({0}, 0), ({0, 1}, 1850)])
+def test_no_split_on_one_cpu_or_small_body(tmp_path, pipe, forks, monkeypatch, cpus,
+                                           block_entries):
+    # chi at G=4, 1849 values, is four parts on one CPU, and one part within
+    # a block of 1850 values on two.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", threshold)
-    rows = serialize.limiting_matrix_to_csv(pipe.chi(4))  # 1849 values
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", block_entries)
+    rows = serialize.limiting_matrix_to_csv(pipe.chi(4))
+    assert len(rows.parts()) == (4 if len(cpus) == 1 else 1)
     out = tmp_path / "chi.csv"
     cli._write(rows, str(out))
     assert forks == []
@@ -746,13 +786,13 @@ def test_split_child_runs_no_atexit_handler(tmp_path, pipe):
     out = tmp_path / "chi.csv"
     script = """
 import atexit, os, sys
-from apwalks import cli, serialize
+from apwalks import cli, dynamics, serialize
 from apwalks.verify import Pipeline
 forks = []
 real_fork = os.fork
 os.fork = lambda: forks.append(1) or real_fork()
 os.sched_getaffinity = lambda pid: {0, 1}
-cli._SPLIT_MIN_VALUES = 0
+dynamics._BLOCK_ENTRIES = 4 * 43
 atexit.register(lambda: print("atexit", len(forks)))
 cli._write(serialize.limiting_matrix_to_csv(Pipeline().chi(4)), sys.argv[1])
 """
@@ -776,9 +816,9 @@ def test_a_forked_child_that_cannot_write_is_a_usage_error(tmp_path, argv, cpus)
     # itself, so two CPUs give the exit, stdout and stderr of one.
     script = """
 import os, resource, sys
-from apwalks import cli
+from apwalks import cli, dynamics
 os.sched_getaffinity = lambda pid: set(map(int, sys.argv[2].split(",")))
-cli._SPLIT_MIN_VALUES = 0
+dynamics._BLOCK_ENTRIES = 4 * 43
 real_exit_code = os.waitstatus_to_exitcode
 def exit_code(status):
     with open(sys.argv[1], "a") as fh:

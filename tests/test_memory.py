@@ -130,6 +130,18 @@ def test_g7_limit_and_verify_peak_at_the_eigensolver_floor(tmp_path):
     assert max(growth) < 0.3, growth
 
 
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_peak_grows_only_by_its_times_at_small_n(tmp_path, fmt):
+    # At G=0 (N=1) a series block is 2**17 times and the labels of the rows
+    # are built a format block at a time, so 500,000 times cost what 1000 do
+    # but the times themselves: 8 bytes a time, twice while np.geomspace
+    # builds them from their exponents.
+    argv = ("evolve", "-g", "0", "--format", fmt, "-o", os.devnull, "--t-steps")
+    short, long = (_cli_peak_kb(tmp_path, *argv, str(steps)) for steps in (1000, 500_000))
+    assert (long - short) * 1024 < 2 * 8 * (500_000 - 1000)
+
 def test_chi_csv_is_formatted_one_block_at_a_time(pipe):
     # A block of rows (``serialize._FORMAT_VALUES``) is formatted at once;
     # a first call also builds the kernel's tables (0.08 N x N here).

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -55,6 +56,45 @@ def test_every_imported_name_is_read():
     modules = sorted([*(root / "src" / "apwalks").glob("*.py"), *(root / "tests").glob("*.py")])
     assert len(modules) > 10
     assert [entry for path in modules for entry in _unread_imports(path)] == []
+
+
+#: A double-backticked dotted name, maybe called: ``dynamics._BLOCK_ENTRIES``, ``Rows.parts()``.
+_CITED_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?``")
+
+
+def _resolves(obj, attrs: list[str]) -> bool:
+    """Whether ``obj.attrs[0].attrs[1]...`` exists; a dataclass field counts."""
+    for attr in attrs:
+        if attr in getattr(obj, "__dataclass_fields__", {}):
+            return True
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_name_cited_in_src_resolves():
+    # A docstring or comment that cites a name of the package, as
+    # ``module.name`` or by a name of its own module, goes stale silently
+    # when that name is deleted or renamed.
+    src = Path(apwalks.__file__).parent
+    modules = {path.stem: importlib.import_module(f"apwalks.{path.stem}")
+               for path in sorted(src.glob("*.py")) if path.stem != "__init__"}
+    stale, checked = [], 0
+    for name, module in modules.items():
+        for cited in _CITED_NAME.findall((src / f"{name}.py").read_text()):
+            first, *rest = cited.split(".")
+            if first in modules:
+                obj, attrs = modules[first], rest
+            elif first in vars(module):
+                obj, attrs = module, [first, *rest]
+            else:
+                continue
+            checked += 1
+            if not _resolves(obj, attrs):
+                stale.append(f"{name}.py: {cited}")
+    assert checked > 50
+    assert stale == []
 
 
 def test_every_cli_option_is_read():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apwalks import serialize
+from apwalks import dynamics, serialize
 from apwalks.dynamics import LimitingMatrix, Series, TimeGrid, evolve_series
 from apwalks.network import orbits
 from apwalks.spectral import Spectrum
@@ -211,7 +211,7 @@ def test_row_formatter_matches_per_value_formatters(long, probability):
     n = values.shape[1]
     template = ("".join(f"%s,{k},%.17g\n" for k in range(1, n + 1)) if long
                 else "%s" + ",%.17g" * n + "\n")
-    text = "".join(serialize.Rows("", template, labels, values, probability))
+    text = "".join(serialize.Rows("", template, labels.__getitem__, values, probability))
     fmt = serialize.format_probability if probability else serialize.format_float
     if long:
         expected = [f"{lab},{k},{fmt(v)}" for lab, row in zip(labels, values)
@@ -363,7 +363,7 @@ def test_kernel_matches_percent_near_powers_of_ten():
 
 def test_clamp_band_prints_zero_in_probability_rows():
     values = np.array([[-1e-12, -5e-13, -0.0, -2e-12]])
-    text = "".join(serialize.Rows("", "%s" + ",%.17g" * 4 + "\n", ["t"], values, True))
+    text = "".join(serialize.Rows("", "%s" + ",%.17g" * 4 + "\n", ["t"].__getitem__, values, True))
     assert text == f"t,0,0,0,{-2e-12:.17g}\n"
 
 
@@ -438,3 +438,37 @@ def test_spectrum_json_matches_json_dumps(pipe, g):
         chunks = list(serialize.spectrum_to_json(spectrum))
         assert len(chunks) == spectrum.order + 2
         assert "".join(chunks) == reference_spectrum_json(spectrum)
+
+
+#: ``EDGES`` with the values JSON cannot hold, NaN and the infinities, made finite.
+JSON_EDGES = [(1.0 / 3.0, 1e17), (1e300, -5e-13), (5e-324, 1e-300), (-1e-12, 0.0),
+              (-0.0, -1e-300), (2.2250738585072014e-308, 1e17)]
+
+
+@pytest.mark.parametrize("budget", [1, 13, 20])
+@pytest.mark.parametrize("writer", ["spectrum-json", "series-json", "chi-json"])
+def test_json_writers_match_json_dumps_across_part_edges(monkeypatch, writer, budget):
+    # Arrays above one series block of values are parts of the budget: six
+    # values a row, so 1 is one row a part, 13 two rows, 20 three; a column
+    # of 36 eigenvalues is 36, 3 or 2 parts. Series parts are blocks of four rows.
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(serialize, "_FORMAT_VALUES", budget)
+    values = np.random.default_rng(16).uniform(0.0, 1.0, (6, 6))
+    values[:, [0, -1]] = JSON_EDGES
+    if writer == "spectrum-json":
+        s = Spectrum(eigenvalues=values.ravel(), eigenvectors=np.eye(36))
+        rows, expected = serialize.spectrum_to_json(s), reference_spectrum_json(s)
+    elif writer == "chi-json":
+        chi = SimpleNamespace(order=6, entries=values)
+        rows, expected = serialize.limiting_matrix_to_json(chi), reference_chi_json(chi)
+    else:
+        times = np.array([0.0, 1.0 / 3.0, 5e-324, 1e-300, 2.0, 1e300])
+        series = GivenSeries(None, 1, "quantum", times, values, block_rows=4)
+        rows, expected = serialize.series_to_json(series), reference_series_json(series)
+    assert "".join(rows) == expected
+    # The parts from any one on, as a forked child formats its share, start
+    # with the row separator unless they start at row 0.
+    parts = rows.parts()
+    assert len(parts) > 1
+    for k in range(len(parts)):
+        assert "".join(rows.rows(parts[k:])).startswith(",\n") == (k > 0)
