@@ -33,8 +33,9 @@ are the same as from one process, and on one CPU everything runs in this
 process. If the child fails, for any reason, this process runs the child's
 share itself, so exit codes and messages are those of one CPU too. There is
 no flag for it. The CPU count is the affinity mask only; the split assumes
-the second CPU is idle, and a cgroup CPU quota or a busy second CPU leaves it
-with no gain and the cost of the fork.
+the second CPU is idle and adds throughput. A cgroup CPU quota, a busy second
+CPU, or an idle one that adds no throughput (a host may give two CPUs of one
+core's speed) leaves it with no gain and the cost of the fork.
 
 Output bytes are reproducible for a fixed BLAS thread count only: the
 eigensolver's last bits depend on it, and every value is printed with 17

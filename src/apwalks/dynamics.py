@@ -231,7 +231,12 @@ class TimeGrid:
         if self.steps == 1:
             return np.array([self.start], dtype=float)
         if self.spacing == "logarithmic":
-            return np.geomspace(self.start, self.end, self.steps)
+            # np.geomspace's values, with the exponents turned into times in
+            # place: a long grid never holds twice its size.
+            t = np.linspace(np.log10(self.start), np.log10(self.end), self.steps)
+            np.power(10.0, t, out=t)
+            t[0], t[-1] = self.start, self.end
+            return t
         return np.linspace(self.start, self.end, self.steps)
 
 

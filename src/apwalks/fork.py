@@ -3,10 +3,10 @@
 ``split`` is the one place that forks. The CLI's writer of large CSV and JSON
 bodies and the verification runner both split their work through it. It forks
 only where ``os.fork`` exists and the affinity mask holds two or more CPUs: it
-reads that mask only, so a cgroup CPU quota or a busy second CPU leaves a
-split with no gain and the cost of the fork. When the child fails, for any
-reason, this process runs the child's share itself: a split has no failure of
-its own.
+reads that mask only, so a cgroup CPU quota, a busy second CPU, or an idle one
+that adds no throughput leaves a split with no gain and the cost of the fork.
+When the child fails, for any reason, this process runs the child's share
+itself: a split has no failure of its own.
 """
 
 from __future__ import annotations

@@ -114,10 +114,11 @@ def _tables() -> tuple[np.ndarray, ...]:
 
     Powers 10**0..10**22 (all exact doubles) with their Dekker halves; 4-digit
     chunks as uint32 words, first in full, then with trailing zeros as NUL
-    (the last chunk of a number); by exponent E + 28, the ``e-05``..``e-28``
-    word and the layout; and the 8-byte lead of a number by (layout, sign,
-    first digit, bare): the sign, the ``0.`` and zeros of an exponent -1..-4,
-    or the point after the first digit unless no nonzero digit follows it.
+    (the last chunk of a number); by exponent E + 28 for E = -28..0, the
+    ``e-05``..``e-28`` word and the layout; and the 8-byte lead of a number
+    by (layout, sign, first digit, bare): the sign, the ``0.`` and zeros of an
+    exponent -1..-4, or the point after the first digit unless no nonzero
+    digit follows it.
     """
     powers = np.array([float(10**k) for k in range(23)])
     hi = powers * _SPLITTER
@@ -127,9 +128,9 @@ def _tables() -> tuple[np.ndarray, ...]:
     for j in range(4):
         digits[:, :, j] = chunks // 10 ** (3 - j) % 10 + 48
         digits[1, :, j] *= chunks % 10 ** (4 - j) != 0  # a nonzero digit from here on
-    exponents = range(-28, 16)
+    exponents = range(-28, 1)
     suffixes = "".join(f"e-{-x:02d}" if x < -4 else "\0" * 4 for x in exponents)
-    # Layouts: 0, exponent 0 or more; 1-4, exponent -1..-4; 5, e-notation.
+    # Layouts: 0, exponent 0; 1-4, exponent -1..-4; 5, e-notation.
     layouts = np.array([min(max(-x, 0), 5) * 40 for x in exponents])
     leads = []
     for layout in range(6):
@@ -183,43 +184,34 @@ def _format17(x: np.ndarray, out: np.ndarray) -> None:
 
     ``out`` is a (len(x), 32) uint8 array, each row contiguous (a strided view
     will do): row i holds the text with NUL bytes in and around it, to be
-    removed. The text is exact by construction, byte for byte. For
-    10**-28 <= |v| < 10**16 the decimal exponent E is guessed from ``log10``
-    and corrected by exact comparison of |v| * 10**(16 - E) with 1e16 and
-    1e17; that product, an exact sum of two-products (``_rounded``), rounds
-    half to even to the 17-digit integer N, whose digits come from 4-digit
-    chunks of a table, trailing zeros stripped. As ``%g`` does, a value is
-    printed in e-notation if E < -4 (the range holds no E >= 17). Zero prints
-    as ``0`` or ``-0``. Non-finite values, other values outside the range and
-    any rounding the inexact remainder cannot decide (within 2**-40 of a tie
-    or of 1e16 or 1e17) are printed by ``%`` itself.
+    removed. The text is exact by construction, byte for byte. A value with
+    10**-28 <= |v| < 10 gets one guess of its decimal exponent E, from
+    ``log10``, and one rounding: |v| * 10**(16 - E), an exact sum of
+    two-products (``_rounded``), rounds half to even to the 17-digit integer
+    N, whose digits come from 4-digit chunks of a table, trailing zeros
+    stripped. As ``%g`` does, the value is printed in e-notation if E < -4.
+    Every other value has one exit, ``%`` itself: zero, values outside the
+    range, non-finite ones, a guess that puts N outside [10**16, 10**17)
+    (``log10`` one off, near a power of ten), a rounding that carries to
+    10**17, and any rounding the inexact remainder cannot decide (within
+    2**-40 of a tie or of 10**16 or 10**17).
     """
     digit_words, suffix_words, layouts, lead_words = _tables()[3:]
     a = np.abs(x)
     # fl(1e-28) is below 10**-28, so the range starts at the double after it.
-    exact = (a > 1e-28) & (a < 1e16)
+    exact = (a > 1e-28) & (a < 10.0)
     a[~exact] = 1.0
     # A guess below -28 is one off, and so 10**44 the largest power used.
     e = np.maximum(np.floor(np.log10(a)), -28).astype(np.int64)
     n, w, inexact = _rounded(a, 16 - e)
-    low = (n - 10**16) + w < 0
-    high = (n - 10**17) + w >= 0
-    if low.any() or high.any():  # log10 was one off: near a power of ten
-        e += high
-        e -= low
-        n, w, inexact = _rounded(a, 16 - e)
-    fallback = ~exact
+    fallback = ~exact | ((n - 10**16) + w < 0) | ((n - 10**17) + w >= 0)
     if inexact.size:
         wi, ni = np.abs(w[inexact]), n[inexact]
         fallback[inexact] |= ((np.abs(wi - 0.5) < 2.0**-40)
                               | ((wi < 2.0**-40) & ((ni == 10**16) | (ni == 10**17))))
     n += w > 0.5
     n -= w < -0.5
-    carry = n == 10**17  # 99999999999999999.5 and up round to 10**17
-    n[carry] = 10**16
-    e += carry
-    zero = x == 0.0
-    n[zero] = 0
+    fallback |= n == 10**17  # 99999999999999999.5 and up round to 10**17
     lead = n // 10**16
     n -= lead * 10**16
     high8 = n // 10**8
@@ -239,14 +231,7 @@ def _format17(x: np.ndarray, out: np.ndarray) -> None:
     key += lead * 2
     key += bare
     lead_words.take(key, out=out.view(np.uint64)[:, 0], mode="clip")
-    for exponent in set(e[e > 28].tolist()):
-        # Digits 1..E move one place left, over the point, which follows them.
-        rows, at = (e == exponent).nonzero()[0], exponent - 28
-        moved = out[rows, 8:8 + at]
-        out[rows, 7:7 + at] = np.where(moved == 0, ord("0"), moved)
-        point = (out[rows, 8 + at:24] != 0).any(axis=1)
-        out[rows, 7 + at] = np.where(point, ord("."), 0)
-    for i in (fallback & ~zero).nonzero()[0]:
+    for i in fallback.nonzero()[0]:
         text = ("%.17g" % x[i]).encode()
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)

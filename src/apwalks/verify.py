@@ -184,10 +184,8 @@ def check_equipartition(pipe: Pipeline, g: int) -> CheckResult:
 def check_localization(pipe: Pipeline, g: int) -> CheckResult:
     chi = pipe.chi(g)
     n = chi.order
-    argmax_ok = all(
-        int(np.argmax(chi.column(j))) + 1 == j for j in range(1, n + 1)
-    )
-    above = all(chi.value(j, j) > 1.0 / n for j in range(1, n + 1))
+    argmax_ok = bool((np.argmax(chi.entries, axis=0) == np.arange(n)).all())
+    above = bool((np.diagonal(chi.entries) > 1.0 / n).all())
     return CheckResult(
         f"localization_g{g}",
         g,

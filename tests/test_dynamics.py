@@ -442,6 +442,22 @@ def test_time_grid_spacings():
     assert log[-1] == pytest.approx(100.0)
 
 
+def test_logarithmic_grids_are_geomspace_bit_for_bit():
+    rng = np.random.default_rng(30)
+    starts, spans = 10.0 ** rng.uniform(-8, 8, 300), 10.0 ** rng.uniform(-6, 8, 300)
+    grids = [(0.01, 100.0, 2), (0.01, 100.0, 2000), (0.01, 100.0, 2_000_000),
+             (1e-300, 1e300, 1001), (1e3, 1e300, 50), (1.0, 1.0 + 2**-52, 3), (5e-324, 1e-300, 17),
+             *zip(starts, starts * (1 + spans), rng.integers(2, 5000, 300).tolist())]
+    for start, end, steps in grids:
+        times = TimeGrid(start, end, steps, "logarithmic").times()
+        assert times.tobytes() == np.geomspace(start, end, steps).tobytes(), (start, end, steps)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_one_point_grid_is_its_start(spacing):
+    assert TimeGrid(5.0, 1.0, 1, spacing).times().tolist() == [5.0]
+
+
 def test_single_point_grid(pipe):
     grid = TimeGrid(start=0.0, end=0.0, steps=1)
     series = evolve_series(pipe.spectrum(2), 4, "quantum", grid)

@@ -14,6 +14,7 @@ import pytest
 
 import apwalks
 from apwalks import cli, verify
+from apwalks.network import node_count_for_generation
 
 
 def test_cli_import_leaves_signal_and_traceback_unloaded():
@@ -95,6 +96,17 @@ def test_every_name_cited_in_src_resolves():
                 stale.append(f"{name}.py: {cited}")
     assert checked > 50
     assert stale == []
+
+
+def test_every_node_count_cited_for_a_generation_is_its_node_count():
+    # A comment that says "G=g (N=n)" sizes a budget or an index by n.
+    root = Path(__file__).parents[1]
+    cited = [(path.name, int(g), int(n))
+             for path in sorted([*(root / "src" / "apwalks").glob("*.py"),
+                                 *(root / "tests").glob("*.py")])
+             for g, n in re.findall(r"G=(\d+) \(N=(\d+)\)", path.read_text())]
+    assert len(cited) >= 6
+    assert [c for c in cited if c[2] != node_count_for_generation(c[1])] == []
 
 
 def test_every_cli_option_is_read():
