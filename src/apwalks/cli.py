@@ -15,7 +15,10 @@ that maps a failure to an exit code, one exception type per code:
   (about 3 GB of CSV), refused before any work.
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
   to group (``spectral.default_degeneracy_tolerance``, reached through
-  ``verify.Pipeline.grouping`` by ``limit`` and ``verify``). ``evolve``
+  ``verify.Pipeline.grouping``). ``limit`` and ``verify`` group the spectrum
+  they read; ``spectrum`` and ``evolve`` reach the same rule at G >= 6, whose
+  spectrum is built from G-1's grouping (``spectral.spectrum_from_copies``,
+  which also refuses a G-1 spectrum off its structure). ``evolve``
   propagates its rows a block of times at a time as it writes them, so its
   output may hold the rows of the blocks before the failing one.
 

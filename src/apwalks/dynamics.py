@@ -24,7 +24,7 @@ scaled by sqrt(2) to count both orders, to one N x K matrix P, and
 chi = P P^T is a single matrix product. Each larger eigenspace adds its
 squared projector into chi one row stripe at a time (``_stripes``), so
 beside chi and P no N x N array is formed; ``LimitingMatrix`` checks
-symmetry over the same stripes.
+symmetry over narrower stripes of its own (``_CHECK_ENTRIES``).
 
 One kernel, ``_propagate``, evaluates p and pi for a whole block of times as
 phase-matrix products on the eigenvectors: with T the block's times and V
@@ -98,14 +98,13 @@ _BLOCK_ENTRIES = 2**17
 #: 0.19 s at 40, against 0.74 s for squaring every projector separately.
 _PAIR_MAX_DIM = 4
 
-#: Entries (2 MB) per row stripe of the N x N products and differences formed
-#: for chi and its symmetry check, so that none needs a second N x N array
-#: beside chi. Up to G=6 (N=367) one stripe is the whole matrix and each
-#: product stays one BLAS call: splitting a G=6 product changes its last bits
-#: (stripes of 2**17 entries move 1,226 chi entries by up to 3.3e-16). At G=7
-#: a stripe is 239 rows; every split tried there (64 to 256 rows) gave the
-#: bits of the single product, in the time of the single product within
-#: run-to-run noise (one BLAS thread).
+#: Entries (2 MB) per row stripe of the N x N products formed for chi, so
+#: that none needs a second N x N array beside chi. Up to G=6 (N=367) one
+#: stripe is the whole matrix and each product stays one BLAS call: splitting
+#: a G=6 product changes its last bits (stripes of 2**17 entries move 1,226
+#: chi entries by up to 3.3e-16). At G=7 a stripe is 239 rows; every split
+#: tried there (64 to 256 rows) gave the bits of the single product, in the
+#: time of the single product within run-to-run noise (one BLAS thread).
 _STRIPE_ENTRIES = 2**18
 
 
@@ -113,19 +112,26 @@ def _stripes(count: int, width: int, entries: int) -> list[slice]:
     """Slices of ``count`` rows of ``width`` entries, each of at most ``entries`` entries.
 
     Every bounded axis is cut here: times into blocks of ``_BLOCK_ENTRIES``,
-    the rows of N x N products into stripes of ``_STRIPE_ENTRIES``. A slice
-    holds at least one row. The budget has no default because a default
-    binds when the function is defined: a patched module constant would not
-    reach it.
+    the rows of N x N products into stripes of ``_STRIPE_ENTRIES`` and
+    ``_CHECK_ENTRIES``. A slice holds at least one row. The budget has no
+    default because a default binds when the function is defined: a patched
+    module constant would not reach it.
     """
     rows = max(1, entries // width)
     return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
+#: Entries (256 kB) per row stripe of the difference ``_asymmetry`` forms. Its
+#: result is exact at any stripe. At ``_STRIPE_ENTRIES`` the 2 MB difference
+#: stayed resident after the check, and the G=7 ``limit -o``, whose chi CSV is
+#: written after it, peaked 1.4 MiB higher (61.4 against 60.0 MiB).
+_CHECK_ENTRIES = 2**15
+
+
 def _asymmetry(m: np.ndarray) -> float:
     """max |m - m^T| over a square matrix, one row stripe at a time."""
     worst = 0.0
-    for rows in _stripes(len(m), len(m), _STRIPE_ENTRIES):
+    for rows in _stripes(len(m), len(m), _CHECK_ENTRIES):
         d = m[rows] - m[:, rows].T
         worst = max(worst, float(np.abs(d, out=d).max()))
     return worst

@@ -15,8 +15,10 @@ from itertools import permutations
 
 import numpy as np
 
-#: Largest generation the generator will build (N = 1096 nodes); dense
-#: eigendecomposition stays interactive up to this size.
+#: Largest generation the generator will build (N = 1096 nodes). Every command
+#: above it would hold N x N arrays (the eigenvectors and chi, 9.6 MB each
+#: here), while no solver sets the cap: G >= 6 is solved on a complement of
+#: order 3 r - 5 (``spectral.spectrum_from_copies``), 286 here.
 GENERATION_CAP = 7
 
 #: Most values (times x nodes) one ``evolve`` output may hold; a grid is
@@ -191,27 +193,58 @@ def laplacian(net: Network) -> np.ndarray:
     return a
 
 
+#: The three copies of generation G-1 that make up generation G: the images
+#: of G-1's corners 1, 2, 3 in each. They share nodes 1-4.
+_COPY_CORNERS: tuple[tuple[int, int, int], ...] = ((1, 2, 4), (1, 3, 4), (2, 3, 4))
+
+
+def _extend_from_corners(
+    net: Network, corners: tuple[int, int, int], count: int
+) -> tuple[int, ...]:
+    """Images of nodes 1..count of ``net`` when nodes 1, 2, 3 go to ``corners``.
+
+    Every inserted node maps to the node whose parent triangle is the image
+    of its own parent triangle, propagated in insertion order. The first
+    ``count`` nodes of ``net`` are the network of a smaller generation when
+    ``count`` is its node count, so their parents are read from ``net``.
+    """
+    image = [*corners, *[0] * (count - 3)]
+    for node in range(4, count + 1):
+        a, b, c = net.node_meta[node - 1].parent
+        mapped = tuple(sorted((image[a - 1], image[b - 1], image[c - 1])))
+        image[node - 1] = net.parent_to_node[mapped]
+    return tuple(image)
+
+
 def corner_automorphism(
     net: Network, corner_perm: tuple[int, int, int]
 ) -> NodePermutation:
     """Extend a permutation of the corners {1, 2, 3} to the whole network.
 
-    Every inserted node maps to the node whose parent triangle is the image
-    of its own parent triangle, propagated in insertion order. The result is
-    always a graph automorphism and fixes the central node.
+    The result (``_extend_from_corners``) is always a graph automorphism and
+    fixes the central node.
     """
     if sorted(corner_perm) != [1, 2, 3]:
         raise ValueError(
             f"corner_perm must be a permutation of (1, 2, 3), got {corner_perm!r}"
         )
-    image = [0] * net.node_count
-    for corner in (1, 2, 3):
-        image[corner - 1] = corner_perm[corner - 1]
-    for node in range(4, net.node_count + 1):
-        a, b, c = net.node_meta[node - 1].parent
-        mapped = tuple(sorted((image[a - 1], image[b - 1], image[c - 1])))
-        image[node - 1] = net.parent_to_node[mapped]
-    return NodePermutation(tuple(image))
+    return NodePermutation(_extend_from_corners(net, corner_perm, net.node_count))
+
+
+def copy_map(net: Network) -> tuple[tuple[int, ...], ...]:
+    """Each node of generation G-1 as labelled in each copy of ``_COPY_CORNERS`` in ``net``.
+
+    Entry ``[c][v - 1]`` is the label in ``net`` of node v of generation G-1
+    in copy c. Generation G-1 is the first nodes of ``net`` with the same
+    parents, so the copies are ``_extend_from_corners`` of ``net`` itself.
+
+    Raises:
+        ValueError: if ``net`` is generation 0, which is no union of copies.
+    """
+    if net.generation < 1:
+        raise ValueError("generation 0 is not made of copies of a smaller generation")
+    count = node_count_for_generation(net.generation - 1)
+    return tuple(_extend_from_corners(net, corners, count) for corners in _COPY_CORNERS)
 
 
 def corner_group(net: Network) -> tuple[NodePermutation, ...]:

@@ -1,35 +1,36 @@
 """Eigendecomposition of the transport Hamiltonian and degeneracy grouping.
 
 Every transport quantity downstream is a function of the eigenvalues and an
-orthonormal eigenbasis of the (real symmetric) Laplacian, so this module is
-the single place the matrix is diagonalized.
+orthonormal eigenbasis of the (real symmetric) Laplacian, and this module is
+the one place either is computed. Two routes give them:
 
-The solver is LAPACK ``dsyevd``, the routine ``np.linalg.eigh`` calls, from
-the library numpy loaded, run in the input's own buffer: beside the input it
-holds a 2 N^2 workspace instead of eigh's copy, workspace and separate output,
-and it gives eigh's bits. Where numpy's build does not export that routine,
-``np.linalg.eigh`` runs instead.
+- ``eigendecompose`` diagonalizes a dense matrix with ``np.linalg.eigh``
+  (LAPACK ``dsyevd``).
+- ``spectrum_from_copies`` builds generation G from generation G-1. G is
+  three copies of G-1 glued at nodes 1-4 (``network.copy_map``), so
+  N_G = 3 N_(G-1) - 5. Each eigenspace of G-1 of three modes or more vanishes
+  on G-1's corners and extends by zero into each copy: these are the family
+  modes. What is left, the complement, has dimension 3 r - 5, with r the
+  modes of G-1 in one- and two-mode eigenspaces. Its orthonormal basis
+  comes without a solver: the unit vectors on nodes 1-4, and in each copy the
+  orthonormalized interior rows of G-1's other modes. One dense solve of the
+  Laplacian projected on that basis, of order 286 at G=7 (N=1096), gives the
+  rest of the spectrum.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    # numpy's own linalg extension imports this symbol from its bundled
-    # OpenBLAS: ILP64 integers, then one hidden length per string argument.
-    _DSYEVD = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dsyevd_64_
-except (OSError, AttributeError):
-    _DSYEVD = None
-else:
-    _INT, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    _DSYEVD.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _INT, _PTR,
-                        _PTR, _INT, _PTR, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t]
-    _DSYEVD.restype = None
+#: What the copy route tolerates, in units of N eps (N the order of the
+#: spectrum it reads): in a family mode's corner rows, and in the split of
+#: M^T M's eigenvalues into 0 and 1 (``spectrum_from_copies``). Measured
+#: worst: 0.24 reading G=5 and 0.16 reading G=6 (1.3e-14 of 8.1e-14).
+COPY_TOL_FACTOR = 10.0
 
 
 class NumericError(RuntimeError):
@@ -59,44 +60,14 @@ class EigenspaceGrouping:
         return tuple(stop - start for start, stop in self.groups)
 
 
-def _dsyevd(a, w, work, lwork, iwork, liwork) -> None:
-    """``dsyevd`` with jobz "V" and uplo "L" on the column-major matrix in ``a``."""
-    i64, info = ctypes.c_int64, ctypes.c_int64()
-    _DSYEVD(b"V", b"L", i64(len(a)), a.ctypes.data, i64(max(1, len(a))), w.ctypes.data,
-            work.ctypes.data, i64(lwork), iwork.ctypes.data, i64(liwork), info, 1, 1)
-    if info.value < 0:
-        raise RuntimeError(f"dsyevd rejected argument {-info.value}")
-    if info.value > 0:
-        raise NumericError(f"eigendecomposition failed for matrix of order {len(a)}: "
-                           f"dsyevd info {info.value}")
-
-
-def _eigh_in_place(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(h)``'s bits, computed in ``h``'s C buffer, which ends up holding V^T.
-
-    A symmetric C buffer is also its own column-major buffer. The workspace
-    comes from the same size query eigh makes, because ``dsytrd`` picks its
-    blocked or unblocked reduction from that size.
-    """
-    w, work, iwork = np.empty(len(h)), np.empty(1), np.empty(1, dtype=np.int64)
-    _dsyevd(h, w, work, -1, iwork, -1)
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    _dsyevd(h, w, work, work.size, iwork, iwork.size)
-    del work, iwork  # freed before the copy below, so the copy adds nothing to the peak
-    return w, np.ascontiguousarray(h.T)
-
-
 def eigendecompose(h: np.ndarray) -> Spectrum:
-    """Diagonalize a real symmetric matrix; ``h`` is overwritten, so pass a copy to keep it.
+    """Diagonalize a real symmetric matrix with ``np.linalg.eigh``; ``h`` is left as it was.
 
-    Eigenvalues ascending, eigenvector columns orthonormal, both arrays frozen
-    read-only; the eigenvectors are a C-ordered array of their own. Both are
-    ``np.linalg.eigh(h)``'s bit for bit, and eigh itself runs instead (leaving
-    ``h`` as it was) where numpy exports no ``dsyevd``. A writable C-ordered
-    float64 ``h`` whose mirrored entries match bit for bit is the solver's
-    buffer; any other input is copied once. Output is deterministic for
-    identical input and a fixed BLAS thread count only: the last bits of
-    both arrays change with the number of threads the eigensolver uses.
+    Eigenvalues ascending, eigenvector columns orthonormal, both eigh's
+    arrays, frozen read-only; the eigenvectors are a C-ordered array of their
+    own. Output is deterministic for identical input and a fixed BLAS thread
+    count only: the last bits of both arrays change with the number of threads
+    the eigensolver uses.
 
     Raises:
         ValueError: if ``h`` is not square, has a non-finite entry, or is not
@@ -110,22 +81,121 @@ def eigendecompose(h: np.ndarray) -> Spectrum:
         raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(h, h.T):
         raise ValueError("matrix is not symmetric")
-    if _DSYEVD is not None:
-        # The solver reads its buffer as h's transpose: h's own C buffer only
-        # when mirrored entries share their bits, not just their values (0.0
-        # and -0.0 differ in bits and can change the result).
-        own = h.flags.carray and np.array_equal(h.view(np.int64), h.T.view(np.int64))
-        eigenvalues, eigenvectors = _eigh_in_place(h if own else h.T.copy())
-    else:
-        try:
-            eigenvalues, eigenvectors = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"eigendecomposition failed for matrix of order {h.shape[0]}: {exc}"
-            ) from exc
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigendecomposition failed for matrix of order {h.shape[0]}: {exc}"
+        ) from exc
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2, whose mirrored entries are equal bit for bit."""
+    return (a + a.T) * 0.5
+
+
+def spectrum_from_copies(
+    prev: Spectrum,
+    grouping: EigenspaceGrouping,
+    copies: tuple[tuple[int, ...], ...],
+    edges: tuple[tuple[int, int], ...],
+    solve: Callable[[np.ndarray], Spectrum],
+) -> Spectrum:
+    """The Laplacian spectrum of generation G from G-1's spectrum and grouping.
+
+    ``copies`` is ``network.copy_map`` of G's network, ``edges`` its edge
+    list, and ``solve`` diagonalizes the complement (``eigendecompose``). In
+    four steps (module docstring):
+
+    - **Family modes.** The modes of G-1's eigenspaces of three or more, zero
+      extended into each copy, corner rows exactly 0, with G-1's eigenvalues.
+    - **Complement basis.** Q: the unit vectors on nodes 1-4, and in each copy
+      the columns M U / sqrt(w), where M is the interior rows of G-1's other
+      r modes and (w, U) the eigenpairs of M^T M with w near 1. As G-1's rows
+      are orthonormal, its corner rows C satisfy C C^T = I, so M^T M = I - C^T C
+      has the eigenvalues 0 (three times) and 1 (r - 3 times).
+    - **Complement solve.** ``solve`` of Q^T (L Q), with L Q taken from the
+      edge list one edge at a time, and symmetrized.
+    - **Assembly.** Every column goes straight into its slot of ascending
+      eigenvalue, and the ground mode is set to exactly 1/sqrt(N).
+
+    Raises:
+        NumericError: if a family mode's corner rows, or M^T M's eigenvalues
+            off 0 and 1, exceed ``COPY_TOL_FACTOR`` N eps, or if the copies,
+            family and complement do not account for G's N nodes. Each
+            message gives the measured value and its bound.
+    """
+    copies = np.asarray(copies) - 1
+    n, n_prev = int(copies.max()) + 1, prev.order
+    v = prev.eigenvectors
+    tol = COPY_TOL_FACTOR * n_prev * np.finfo(float).eps
+    in_family = np.zeros(n_prev, dtype=bool)
+    for start, stop in grouping.groups:
+        in_family[start:stop] = stop - start >= 3
+    family, other = np.flatnonzero(in_family), np.flatnonzero(~in_family)
+    f, r = len(family), len(other)
+    width = r - 3  # complement columns per copy
+    if copies.shape != (3, n_prev) or 3 * f + 3 * width + 4 != n:
+        raise NumericError(
+            f"copies of {n_prev} nodes with {f} family and {r} other modes give "
+            f"3*{f} + 3*{width} + 4 = {3 * f + 3 * width + 4} modes, not N = {n}")
+    corner = float(np.abs(v[:3, family]).max(initial=0.0))
+    if not corner <= tol:
+        raise NumericError(f"family modes do not vanish on the corners: {corner:.3e} "
+                           f"exceeds {tol:.3e} ({COPY_TOL_FACTOR:g} N eps)")
+
+    m = v[3:, other]
+    gram = eigendecompose(_symmetrized(m.T @ m))
+    w = gram.eigenvalues
+    split = max(float(np.abs(w[:3]).max()), float(np.abs(w[3:] - 1.0).max(initial=0.0)))
+    if not split <= tol:
+        raise NumericError(f"interior Gram matrix is not three 0s and {width} 1s: "
+                           f"{split:.3e} off exceeds {tol:.3e} ({COPY_TOL_FACTOR:g} N eps)")
+    basis = m @ gram.eigenvectors[:, 3:]
+    basis /= np.sqrt(w[3:])
+    del m, gram
+
+    # Q and L Q are formed in the buffer that the eigenvectors fill later,
+    # which holds both from G=6 on, so that beside it the build holds no array
+    # of N rows. At G=7 that keeps the limit command's peak 1.1 MiB lower.
+    interiors, k = copies[:, 3:], 4 + 3 * width
+    vectors = np.zeros((n, n))
+    scratch = vectors.reshape(-1) if 2 * k <= n else np.zeros(2 * n * k)
+    q, lq = scratch[:2 * n * k].reshape(2, n, k)
+    q[np.arange(4), np.arange(4)] = 1.0
+    blocks = [slice(4 + c * width, 4 + (c + 1) * width) for c in range(3)]
+    for rows, cols in zip(interiors, blocks):
+        q[rows, cols] = basis
+    degree = np.bincount(np.ravel(edges), minlength=n + 1)[1:]
+    np.multiply(degree[:, None], q, out=lq)
+    for a, b in edges:
+        lq[a - 1] -= q[b - 1]
+        lq[b - 1] -= q[a - 1]
+    h = q.T @ lq
+    vectors.fill(0.0)
+    del scratch, q, lq
+    complement = solve(_symmetrized(h))
+    del h
+    y = complement.eigenvectors
+
+    values = np.concatenate([np.tile(prev.eigenvalues[family], 3), complement.eigenvalues])
+    order = np.argsort(values, kind="stable")
+    slot = np.empty(n, dtype=int)
+    slot[order] = np.arange(n)
+    for c, rows in enumerate(interiors):
+        vectors[np.ix_(rows, slot[c * f:(c + 1) * f])] = v[3:, family]
+    cols = slot[3 * f:]
+    vectors[np.ix_(np.arange(4), cols)] = y[:4]
+    for rows, block in zip(interiors, blocks):
+        vectors[np.ix_(rows, cols)] = basis @ y[block]
+    vectors[:, 0] = 1.0 / math.sqrt(n)
+    eigenvalues = values[order]
+    eigenvalues.flags.writeable = False
+    vectors.flags.writeable = False
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 def default_degeneracy_tolerance(s: Spectrum) -> float:

@@ -12,11 +12,12 @@ command build their networks, spectra and limiting matrices through
 The runner splits the checks in two through ``fork.split``. This process
 runs ``check_reconstruction``, the only check that reads a generation above 5
 (it holds one N x N array beside the spectrum, for both residuals), which
-solves the largest generation first; a forked child runs every other check
-and hands back its results, pickled. On one CPU, or if the child fails, this
-process runs those checks itself, after its own. The verdict lists the checks
-in the same order with the same values either way, so the verdict's bytes,
-and any exception raised instead, do not depend on the CPU count.
+builds the largest generation first, with the generations it is built from;
+a forked child runs every other check and hands back its results, pickled.
+On one CPU, or if the child fails, this process runs those checks itself,
+after its own. The verdict lists the checks in the same order with the same
+values either way, so the verdict's bytes, and any exception raised instead,
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -45,17 +46,27 @@ from .dynamics import (
     max_return_probability,
     quantum_probability,
 )
-from .network import Network, corner_group, generate_apollonian, laplacian, orbits
+from .network import Network, copy_map, corner_group, generate_apollonian, laplacian, orbits
 from .spectral import (
     EigenspaceGrouping,
     Spectrum,
     default_degeneracy_tolerance,
     eigendecompose,
     group_degenerate,
+    spectrum_from_copies,
 )
 from .symmetry import cluster_equal_limits, orbit_consistency
 
 _T = TypeVar("_T")
+
+#: Largest generation whose spectrum is one dense solve of its Laplacian; each
+#: larger one is built from copies of the one below (``spectrum_from_copies``).
+#: Every copy step adds rounding, and at G=7 node 4's modes beyond the 65 that
+#: reach it must carry at most (N eps)^2 = 5.9e-26 in all, which
+#: ``dynamics._source_modes`` drops. Built from a dense G=5 they carry
+#: 1.1e-26; from G=4 2.0e-26, from G=3 4.9e-26 and from G=2 3.1e-26. A dense
+#: G=5 (N=124) costs under 2 ms.
+DENSE_BASE = 5
 
 
 @dataclass(frozen=True)
@@ -71,10 +82,12 @@ class Pipeline:
 
     The one place a generation becomes a network, its Laplacian spectrum, the
     spectrum's degeneracy grouping and the limiting matrix chi, for the CLI
-    and for the checks here. It lives in this module, and not in one of its
-    own, because ``bench/traced.py`` times the layer functions only where
-    ``cli`` and ``verify`` bind them, and each method looks them up here when
-    it builds; calls made from another module would go untimed.
+    and for the checks here. A spectrum is one dense solve up to
+    ``DENSE_BASE`` and is built from the generation below above it. It lives
+    in this module, and not in one of its own, because ``bench/traced.py``
+    times the layer functions only where ``cli`` and ``verify`` bind them, and
+    each method looks them up here when it builds; calls made from another
+    module would go untimed.
     """
 
     def __init__(self) -> None:
@@ -90,7 +103,13 @@ class Pipeline:
         return self._memo("net", g, lambda: generate_apollonian(g))
 
     def spectrum(self, g: int) -> Spectrum:
-        return self._memo("spectrum", g, lambda: eigendecompose(laplacian(self.net(g))))
+        def build() -> Spectrum:
+            if g <= DENSE_BASE:
+                return eigendecompose(laplacian(self.net(g)))
+            net = self.net(g)
+            return spectrum_from_copies(self.spectrum(g - 1), self.grouping(g - 1),
+                                        copy_map(net), net.edges, eigendecompose)
+        return self._memo("spectrum", g, build)
 
     def grouping(self, g: int) -> EigenspaceGrouping:
         def build() -> EigenspaceGrouping:
@@ -334,7 +353,7 @@ def _eigen_residual(net: Network, s: Spectrum) -> np.ndarray:
 def check_reconstruction(pipe: Pipeline, max_g: int) -> CheckResult:
     """Residuals of H Q = Q E and Q^T Q = I up to max_g, largest generation first.
 
-    The largest solve, the biggest transient after this check's own, then runs
+    The largest build, the biggest transient after this check's own, then runs
     while the fewest other arrays are alive; a max over generations ignores order.
     """
     worst_rec = 0.0

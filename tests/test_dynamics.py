@@ -380,7 +380,8 @@ def test_striped_limiting_matrix_equals_the_one_buffer_formula(pipe, g):
 def test_small_stripes_keep_chi_and_its_asymmetry(pipe, g, entries, seed):
     s, grouping = pipe.spectrum(g), pipe.grouping(g)
     noisy = np.random.default_rng(seed).normal(scale=1e-13, size=(s.order, s.order))
-    with mock.patch.object(dynamics, "_STRIPE_ENTRIES", entries):
+    with mock.patch.object(dynamics, "_STRIPE_ENTRIES", entries), \
+            mock.patch.object(dynamics, "_CHECK_ENTRIES", entries):
         chi = limiting_matrix(s, grouping).entries
         noisy += chi
         asymmetry = [dynamics._asymmetry(m) for m in (chi, noisy)]
@@ -392,8 +393,8 @@ def test_small_stripes_keep_chi_and_its_asymmetry(pipe, g, entries, seed):
 def test_asymmetry_in_the_last_stripe_is_caught(pipe, monkeypatch):
     entries = pipe.chi(3).entries.copy()  # N = 16
     entries[-1, -2] += 1e-9
-    monkeypatch.setattr(dynamics, "_STRIPE_ENTRIES", 2 * 16)
-    assert [r.start for r in dynamics._stripes(16, 16, dynamics._STRIPE_ENTRIES)][-1] == 14
+    monkeypatch.setattr(dynamics, "_CHECK_ENTRIES", 2 * 16)
+    assert [r.start for r in dynamics._stripes(16, 16, dynamics._CHECK_ENTRIES)][-1] == 14
     with pytest.raises(NumericError, match="not symmetric"):
         LimitingMatrix(entries=entries)
 

@@ -7,6 +7,7 @@ from apwalks.network import (
     CapacityError,
     NodePermutation,
     check_node,
+    copy_map,
     corner_automorphism,
     corner_group,
     generate_apollonian,
@@ -190,6 +191,26 @@ def test_corner_extensions_preserve_edges(pipe, g):
         assert sorted(perm.image) == list(range(1, net.node_count + 1))
         mapped = {tuple(sorted((perm(i), perm(j)))) for i, j in net.edges}
         assert mapped == set(net.edges)
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_copies_of_the_generation_below_tile_the_network(pipe, g):
+    # Each copy maps G-1's edges onto G's; the copies share nodes 1-4 and
+    # their edges among them, and together they are all of G.
+    net, below = pipe.net(g), pipe.net(g - 1)
+    copies = copy_map(net)
+    images = [{tuple(sorted((c[i - 1], c[j - 1]))) for i, j in below.edges} for c in copies]
+    assert set().union(*images) == set(net.edges)
+    assert all(len(image) == len(below.edges) for image in images)
+    assert set().union(*copies) == set(range(1, net.node_count + 1))
+    for c, d in ((0, 1), (0, 2), (1, 2)):
+        assert set(copies[c]) & set(copies[d]) <= {1, 2, 3, 4}
+    assert [c[:3] for c in copies] == [(1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+
+def test_generation_0_has_no_copies(pipe):
+    with pytest.raises(ValueError, match="generation 0"):
+        copy_map(pipe.net(0))
 
 
 @pytest.mark.parametrize("node", [0, 8, -1, True])

@@ -264,8 +264,9 @@ def test_only_stripes_cuts_an_axis_into_chunks():
     assert found == ["dynamics.py:_stripes"]
 
 
-BUILDERS = {"generate_apollonian", "laplacian", "eigendecompose", "group_degenerate",
-            "default_degeneracy_tolerance", "limiting_matrix"}
+BUILDERS = {"generate_apollonian", "laplacian", "eigendecompose", "copy_map",
+            "spectrum_from_copies", "group_degenerate", "default_degeneracy_tolerance",
+            "limiting_matrix"}
 
 
 def test_cli_builds_only_through_the_verify_pipeline():
@@ -297,6 +298,8 @@ def test_verify_names_the_builders_only_inside_pipeline_methods():
         ("Pipeline.net", "generate_apollonian"),
         ("Pipeline.spectrum", "eigendecompose"),
         ("Pipeline.spectrum", "laplacian"),
+        ("Pipeline.spectrum", "copy_map"),
+        ("Pipeline.spectrum", "spectrum_from_copies"),
         ("Pipeline.grouping", "group_degenerate"),
         ("Pipeline.grouping", "default_degeneracy_tolerance"),
         ("Pipeline.chi", "limiting_matrix"),

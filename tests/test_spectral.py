@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from apwalks import spectral
-from apwalks.network import laplacian
+from apwalks import cli, verify
+from apwalks.dynamics import TimeGrid, evolve_series
+from apwalks.network import copy_map, laplacian, orbits
 from apwalks.spectral import (
     NumericError,
     Spectrum,
@@ -15,8 +17,10 @@ from apwalks.spectral import (
     eigendecompose,
     gap_runs,
     group_degenerate,
+    spectrum_from_copies,
 )
-from apwalks.verify import Pipeline, _eigen_residual, check_reconstruction
+from apwalks.symmetry import cluster_equal_limits, orbit_consistency
+from apwalks.verify import DENSE_BASE, Pipeline, _eigen_residual, check_reconstruction
 
 
 def _spectrum_from_values(values):
@@ -91,7 +95,7 @@ def test_reconstruction_check_sees_a_moved_eigenvalue(shift, passed):
     assert result.detail["max_orthonormality_error"] <= 1e-12
 
 
-@pytest.mark.parametrize("g", range(0, 6))
+@pytest.mark.parametrize("g", range(0, 8))
 def test_ground_mode_is_uniform(pipe, g):
     s = pipe.spectrum(g)
     n = s.order
@@ -110,7 +114,6 @@ def test_positive_semidefinite(pipe, g):
 
 
 def test_determinism(pipe):
-    # eigendecompose overwrites its input, so each call gets a fresh Laplacian.
     a = eigendecompose(laplacian(pipe.net(3)))
     b = eigendecompose(laplacian(pipe.net(3)))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -154,22 +157,20 @@ def test_symmetric_spectrum_is_numpy_eigh_bit_for_bit(h):
     _assert_same_bits_as_numpy(h)
 
 
-def test_fallback_is_numpy_eigh_and_keeps_its_input(pipe, monkeypatch):
+def test_solver_failure_is_a_numeric_error(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="order 3"):
+        eigendecompose(np.eye(3))
+
+
+def test_input_is_left_as_it_was(pipe):
     h = laplacian(pipe.net(4))
     kept = h.copy()
-    monkeypatch.setattr(spectral, "_DSYEVD", None)
-    _assert_same_bits_as_numpy(h)
+    eigendecompose(h)
     assert np.array_equal(h, kept)
-
-
-@pytest.mark.parametrize(("info", "error"), [(3, spectral.NumericError), (-4, RuntimeError)])
-def test_solver_failures_raise(monkeypatch, info, error):
-    def fail(*args):
-        args[10].value = info  # the INFO argument
-
-    monkeypatch.setattr(spectral, "_DSYEVD", fail)
-    with pytest.raises(error):
-        eigendecompose(np.eye(3))
 
 
 def test_eigenvectors_are_a_read_only_c_array_of_their_own(pipe):
@@ -360,3 +361,142 @@ def test_measured_tolerance_recovers_planted_clusters(planted):
     values, groups = planted
     s = _spectrum_from_values(values)
     assert gap_runs(values, default_degeneracy_tolerance(s)) == groups
+
+
+# -- generations 6 and 7 from copies of the one below ------------------------
+
+class _DensePipeline(Pipeline):
+    """Every spectrum from one dense solve of its Laplacian."""
+
+    def spectrum(self, g):
+        return self._memo("spectrum", g, lambda: eigendecompose(laplacian(self.net(g))))
+
+
+@pytest.fixture(scope="module")
+def dense():
+    return _DensePipeline()
+
+
+EPS = np.finfo(float).eps
+
+
+# Measured against dense: eigenvalues 7.1e-14 and 2.3e-13 apart at G=6 and 7,
+# chi 4.3e-13 and 2.6e-12 (1.8 and 11 N eps), the quantum series from node 77
+# 2.6e-13 and 5.9e-13 (1.1 and 2.4 N eps).
+@pytest.mark.parametrize("g, groups", [(6, 80), (7, 160)])
+def test_copied_spectrum_matches_the_dense_one(pipe, dense, g, groups):
+    s, d = pipe.spectrum(g), dense.spectrum(g)
+    n = s.order
+    radius = float(d.eigenvalues[-1])
+    assert DENSE_BASE < g
+    assert np.abs(s.eigenvalues - d.eigenvalues).max() <= n * EPS * radius
+    assert pipe.grouping(g).sizes == dense.grouping(g).sizes
+    assert len(pipe.grouping(g).groups) == groups
+    assert np.abs(pipe.chi(g).entries - dense.chi(g).entries).max() <= 64 * n * EPS
+    grid = TimeGrid(0.01, 100.0, 2000, "logarithmic")
+    series = [np.vstack(list(evolve_series(t, 77, "quantum", grid))) for t in (s, d)]
+    assert np.abs(series[0] - series[1]).max() <= 16 * n * EPS
+
+
+def _cluster_report(p, g, source):
+    clustering = cluster_equal_limits(p.chi(g).column(source), source)
+    consistency = orbit_consistency(clustering, orbits(p.net(g), fixed_source=source))
+    return clustering, consistency
+
+
+@pytest.mark.parametrize("source", [4, 8, 64, 77, 276, 1000])
+def test_copied_spectrum_keeps_the_g7_cluster_reports(pipe, dense, source):
+    # The clusters and unexplained pairs are the dense route's; the cluster
+    # means, which the report prints, move within chi's bound above.
+    (ours, pairs), (theirs, their_pairs) = (_cluster_report(p, 7, source) for p in (pipe, dense))
+    assert ours.clusters == theirs.clusters
+    assert pairs == their_pairs
+    assert np.abs(np.subtract(ours.values, theirs.values)).max() <= 64 * 1096 * EPS
+
+
+def test_g7_is_810_family_modes_and_a_complement_of_286(pipe):
+    solved = []
+
+    def solve(h):
+        solved.append(h.shape)
+        return eigendecompose(h)
+
+    net = pipe.net(7)
+    s = spectrum_from_copies(pipe.spectrum(6), pipe.grouping(6), copy_map(net), net.edges, solve)
+    assert solved == [(286, 286)]
+    # The family modes are exactly 0 on nodes 1-4.
+    assert np.count_nonzero(~s.eigenvectors[:4].any(axis=0)) == 810
+    assert np.array_equal(s.eigenvectors[:, 0], np.full(1096, 1.0 / np.sqrt(1096)))
+
+
+class _BentPipeline(Pipeline):
+    """G=5's eigenvectors with one entry moved: ``(row, column, by)``."""
+
+    def __init__(self, row, column, by):
+        super().__init__()
+        self.entry, self.by = (row, column), by
+
+    def spectrum(self, g):
+        s = super().spectrum(g)
+        if g != 5:
+            return s
+        v = s.eigenvectors.copy()
+        v[self.entry] += self.by
+        return Spectrum(eigenvalues=s.eigenvalues, eigenvectors=v)
+
+
+# The bound is 10 N eps, 2.8e-13 at G=5; a family corner row read 6.6e-15,
+# and M^T M's eigenvalues were 3.7e-15 off 0 and 1 at worst.
+@pytest.mark.parametrize("family, row, message", [
+    (True, 0, "do not vanish on the corners"),
+    (False, 10, "not three 0s"),
+], ids=["family-corner", "other-interior"])
+def test_copy_route_refuses_a_spectrum_off_its_structure(pipe, family, row, message):
+    column = next(start for start, stop in pipe.grouping(5).groups
+                  if (stop - start >= 3) == family)
+    with pytest.raises(NumericError, match=message):
+        _BentPipeline(row, column, 1e-11).spectrum(6)
+
+
+def test_copy_route_refuses_copies_of_another_generation(pipe):
+    net = pipe.net(6)
+    with pytest.raises(NumericError, match="not N = 367"):
+        spectrum_from_copies(pipe.spectrum(4), pipe.grouping(4), copy_map(net), net.edges,
+                             eigendecompose)
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "-g", "7", "-s", "77", "--report", os.devnull),
+    ("evolve", "-g", "7", "-s", "77", "--t-steps", "5", "-o", os.devnull),
+], ids=["limit", "evolve"])
+def test_g7_commands_solve_no_laplacian_above_the_dense_base(monkeypatch, argv):
+    generations, orders = [], []
+    laplacian_of, solve = verify.laplacian, verify.eigendecompose
+
+    def record_laplacian(net):
+        generations.append(net.generation)
+        return laplacian_of(net)
+
+    def record_solve(h):
+        orders.append(len(h))
+        return solve(h)
+
+    monkeypatch.setattr(verify, "laplacian", record_laplacian)
+    monkeypatch.setattr(verify, "eigendecompose", record_solve)
+    assert cli.main(list(argv)) == 0
+    # One Laplacian, G=5's; then the complements of G=6 and G=7.
+    assert generations == [DENSE_BASE]
+    assert orders == [124, 142, 286]
+
+
+def test_copy_route_from_g2_matches_dense_at_g3_to_g5(dense, monkeypatch):
+    # Below G=6 the projected basis does not fit in the eigenvector buffer.
+    monkeypatch.setattr(verify, "DENSE_BASE", 2)
+    chained = Pipeline()
+    for g in (3, 4, 5):
+        s, d = chained.spectrum(g), dense.spectrum(g)
+        q = s.eigenvectors
+        radius = float(d.eigenvalues[-1])
+        assert np.abs(s.eigenvalues - d.eigenvalues).max() <= s.order * EPS * radius
+        assert np.abs(q.T @ q - np.eye(s.order)).max() <= s.order * EPS
+        assert chained.grouping(g).sizes == dense.grouping(g).sizes
