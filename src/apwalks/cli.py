@@ -15,12 +15,14 @@ that maps a failure to an exit code, one exception type per code:
   (about 3 GB of CSV), refused before any work.
 - 4 (``spectral.NumericError``): numeric failure, also eigenvalues too close
   to group (``spectral.default_degeneracy_tolerance``, reached through
-  ``verify.Pipeline.grouping``). ``limit`` and ``verify`` group the spectrum
-  they read; ``spectrum`` and ``evolve`` reach the same rule at G >= 6, whose
-  spectrum is built from G-1's grouping (``spectral.spectrum_from_copies``,
-  which also refuses a G-1 spectrum off its structure). ``evolve``
-  propagates its rows a block of times at a time as it writes them, so its
-  output may hold the rows of the blocks before the failing one.
+  ``verify.Pipeline.grouping``). ``limit``, ``evolve`` and ``verify`` group
+  the spectrum they read at every G: ``evolve`` propagates over the source's
+  eigenspaces (``dynamics.source_projections``). ``spectrum`` reaches the
+  same rule at G >= 6, whose spectrum is built from G-1's grouping
+  (``spectral.spectrum_from_copies``, which also refuses a G-1 spectrum off
+  its structure). ``evolve`` propagates its rows a block of times at a time
+  as it writes them, so its output may hold the rows of the blocks before
+  the failing one.
 
 Four commands use a second CPU when this process may run on two or more,
 through ``fork.split``. ``spectrum --eigenvectors``, ``evolve`` and ``limit``
@@ -291,10 +293,11 @@ def _cmd_evolve(args) -> int:
                    for one_kind in ("classical", "quantum")}
         _distinct(*outputs.values())
     pipe = Pipeline()
-    source = _source(args, pipe.net(args.generation))
-    s = pipe.spectrum(args.generation)
+    projections = pipe.projections(args.generation, _source(args, pipe.net(args.generation)))
+    del pipe  # and its spectra: the series read W_j alone
     for one_kind, target in outputs.items():
-        series = evolve_series(s, source, one_kind, grid)
+        # By keyword: bench/traced.py names the span after the kind.
+        series = evolve_series(projections, kind=one_kind, grid=grid)
         _write(serialize.series_to_json(series) if args.format == "json"
                else serialize.series_to_csv(series, wide=args.wide), target)
     return EXIT_OK
@@ -308,6 +311,7 @@ def _cmd_limit(args) -> int:
     net = pipe.net(args.generation)
     source = _source(args, net)
     chi = pipe.chi(args.generation)
+    del pipe  # and its spectra: the rest reads chi and the network alone
     clustering = cluster_equal_limits(chi.column(source), source)
     partition = orbits(net, fixed_source=source)
     consistency = orbit_consistency(clustering, partition)

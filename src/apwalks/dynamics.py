@@ -26,37 +26,52 @@ squared projector into chi one row stripe at a time (``_stripes``), so
 beside chi and P no N x N array is formed; ``LimitingMatrix`` checks
 symmetry over narrower stripes of its own (``_CHECK_ENTRIES``).
 
-One kernel, ``_propagate``, evaluates p and pi for a whole block of times as
-phase-matrix products on the eigenvectors: with T the block's times and V
-the eigenvector matrix, the classical rows are ``(exp(-T E) * q[j]) @ V^T``
-and the coherent rows are the squared norms of the cosine and sine parts of
-``(exp(-i T E) * q[j]) @ V^T``. Point probabilities, series, the
-finite-time average and the revival scan all call it. The revival scan asks
-for one target node: V^T shrinks to that node's eigenvector row, and each
-block yields one column, the return probability pi_jj. A block holds at
-most ``_BLOCK_ENTRIES`` phase entries (times x modes) and at most as many
-result entries, so each of the kernel's temporaries stays near 1 MB
-whatever the grid length. The one helper ``_stripes`` cuts both kinds of
-bounded axis, times into blocks and rows of N x N products into stripes,
-each against its own budget.
+Series, point probabilities, the revival scan and the finite-time average
+sum over the eigenspaces g that reach the source j instead (Mulken & Blumen,
+Phys. Rep. 502, 37 (2011)):
 
-A ``Series`` holds no probabilities: its rows are propagated, checked and
-handed out one whole block (``Series.blocks``) at a time as they are read, so
-a reader holds about one block, and a row's bits do not depend on which
-blocks are read. A failed check raises after the rows before its block were
-handed out.
+    p_kj(t) = sum_g exp(-t theta_g) W[k, g]      pi_kj(t) = |sum_g exp(-i t theta_g) W[k, g]|^2
 
-Point probabilities and series sum over every mode. The revival scan and
-the finite-time average sum over the modes that reach the source j only
-(``_source_modes``): the modes with the smallest weights q_n[j]^2 are
-dropped while their sum D stays at most (N eps)^2, eps the machine epsilon.
-By Cauchy-Schwarz every amplitude a_kj(t) then moves by at most
-sqrt(D) <= N eps, and the return amplitude a_jj(t) by at most D, at any t;
-so, up to rounding, the probabilities move by at most 2 N eps + (N eps)^2
-and the return probability by at most 2 (N eps)^2 + (N eps)^4. The central node of
-G=3 keeps 5 of 16 modes, that of G=7 65 of 1096. No sum runs over
-degeneracy groups, so the series depend on no degeneracy tolerance and
-carry no phase error from the spread inside a group.
+with W = W_j (``SourceProjections``), column g = P_g e_j = sum_{n in g} q_n q_n[j],
+and theta_g the mean eigenvalue of the group. So they depend on the
+grouping, with two bounded departures from the sums over modes:
+
+- **Dropped eigenspaces.** Those of smallest weight W[j, g] = ||P_g e_j||^2
+  are dropped while their sum D stays at most (N eps)^2, eps the machine
+  epsilon. By Cauchy-Schwarz every amplitude a_kj(t) then moves by at most
+  sqrt(D) <= N eps, and the return amplitude a_jj(t) by at most D, at any t;
+  so, up to rounding, the probabilities move by at most 2 N eps + (N eps)^2
+  and the return probability by at most 2 (N eps)^2 + (N eps)^4. The central
+  node of G=3 keeps 5 of 10 eigenspaces, that of G=7 65 of 160.
+- **Phase.** Rounding spreads the computed eigenvalues of one eigenspace; a
+  sum over modes gives mode n the phase t E_n, this one t theta_g. With
+  ``spread`` the largest |E_n - theta_g|, each phase differs by at most
+  t spread, so an amplitude by at most t spread (sum_n |q_n[k] q_n[j]| <= 1)
+  and a probability by at most 2 t spread + (t spread)^2. At G=7 (N=1096)
+  the spread is 4.3e-14, in a two-mode eigenspace near E = 97, so the bound
+  is 8.5e-12 at t = 100. Measured over 2000 times in [0.01, 100], the
+  coherent rows from sources 4, 64 and 77 move by 1.3e-15, 6.3e-14 and
+  1.8e-13, and from the corner 1 by 1.6e-12; the classical ones by under
+  2e-14. Neither sum is the exact one: against a 34-digit eigensolve at G=5,
+  from node 1 at t = 90, the sum over modes is 5.3e-13 off and this one
+  3.6e-13.
+
+One kernel, ``_propagate``, evaluates them for a whole block of times as
+phase-matrix products on W: with T the block's times, the classical rows are
+``exp(-T theta) @ W^T`` and the coherent rows are the squared norms of the
+cosine and sine parts of ``exp(-i T theta) @ W^T``. The revival scan passes
+row j of W alone, the return column, and each block yields one column, the
+return probability pi_jj. A block holds at most ``_BLOCK_ENTRIES`` phase
+entries (times x eigenspaces) and at most as many result entries, so each of
+the kernel's temporaries stays near 1 MB whatever the grid length. The one
+helper ``_stripes`` cuts both kinds of bounded axis, times into blocks and
+rows of N x N products into stripes, each against its own budget.
+
+A ``Series`` holds W_j and no probabilities: its rows are propagated, checked
+and handed out one whole block (``Series.blocks``) at a time as they are
+read, so a reader holds about one block, and a row's bits do not depend on
+which blocks are read. A failed check raises after the rows before its block
+were handed out.
 
 Time is measured in units of the inverse hopping rate throughout.
 """
@@ -83,9 +98,9 @@ ENTRY_CEIL = 1.0 + 1e-12
 SUM_TOL = 1e-10
 
 #: Phase or result entries per time block: bounds the kernel's temporaries;
-#: the block length follows from the wider of the mode count and the result
-#: width. Over all N modes, a block at G=3 (N=16) is 8192 times; at G=7 it
-#: is 119 times, which multiply as fast as larger blocks. Blocks of 2**20
+#: the block length follows from the wider of the eigenspace count and the
+#: result width. For rows of N entries a block at G=3 (N=16) is 8192 times; at
+#: G=7 it is 119 times, which multiply as fast as larger blocks. Blocks of 2**20
 #: entries ran no faster and raised peak memory at G=3 by 30-40 MB.
 _BLOCK_ENTRIES = 2**17
 
@@ -121,10 +136,11 @@ def _stripes(count: int, width: int, entries: int) -> list[slice]:
     return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
-#: Entries (256 kB) per row stripe of the difference ``_asymmetry`` forms. Its
-#: result is exact at any stripe. At ``_STRIPE_ENTRIES`` the 2 MB difference
-#: stayed resident after the check, and the G=7 ``limit -o``, whose chi CSV is
-#: written after it, peaked 1.4 MiB higher (61.4 against 60.0 MiB).
+#: Entries (256 kB) per row stripe of the difference ``_asymmetry`` forms and
+#: of the factor ``_pair_columns`` multiplies by; both results are exact at any
+#: stripe. At ``_STRIPE_ENTRIES`` the 2 MB difference stayed resident after the
+#: check, and the G=7 ``limit -o``, whose chi CSV is written after it, peaked
+#: 1.4 MiB higher (61.4 against 60.0 MiB).
 _CHECK_ENTRIES = 2**15
 
 
@@ -246,87 +262,105 @@ class TimeGrid:
         return np.linspace(self.start, self.end, self.steps)
 
 
+@dataclass(frozen=True)
+class SourceProjections:
+    """W_j: node j split over the eigenspaces that reach it.
+
+    Column g of ``weights`` (N x support) is P_g e_j, the projection of the
+    unit vector on j onto eigenspace g, and ``theta[g]`` is that eigenspace's
+    value: the mean of its eigenvalues, and exactly 0 for the ground
+    eigenspace. Row j of ``weights`` is the return column W[j, g] =
+    ||P_g e_j||^2. Built by ``source_projections``.
+    """
+
+    source: int
+    theta: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.weights.shape[0]
+
+
+def source_projections(s: Spectrum, grouping: EigenspaceGrouping, j: int) -> SourceProjections:
+    """W_j of node j from the spectrum and its degeneracy grouping.
+
+    The eigenspaces of smallest W[j, g] are dropped while their sum stays at
+    most (N eps)^2, eps the machine epsilon (module docstring). The central
+    node of G=3 keeps 5 of 10 eigenspaces, that of G=7 65 of 160.
+
+    ``s`` is a connected graph's Laplacian: its first eigenspace is the
+    ground, of the one zero eigenvalue, whose value is taken as exactly 0 (as
+    computed it is a few 1e-15 off, and exp(-t E_0) drifts from 1 from
+    t = 1e5 on).
+
+    Raises:
+        ValueError: if the grouping does not match the spectrum, or j is not
+            a node.
+    """
+    _check_grouping(s, grouping)
+    check_node(j, s.order)
+    v, row = s.eigenvectors, s.eigenvectors[j - 1]
+    groups = grouping.groups
+    reach = np.array([row[start:stop] @ row[start:stop] for start, stop in groups])
+    order = np.argsort(reach, kind="stable")
+    floor = (s.order * np.finfo(float).eps) ** 2
+    kept = np.sort(order[np.count_nonzero(np.cumsum(reach[order]) <= floor):])
+    weights = np.empty((s.order, len(kept)))
+    for column, g in enumerate(kept.tolist()):
+        start, stop = groups[g]
+        weights[:, column] = v[:, start:stop] @ row[start:stop]
+    theta = np.add.reduceat(s.eigenvalues, [start for start, _ in groups]) / grouping.sizes
+    theta[0] = 0.0
+    theta = theta[kept]
+    theta.flags.writeable = False
+    weights.flags.writeable = False
+    return SourceProjections(source=j, theta=theta, weights=weights)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate(
-    s: Spectrum,
-    j: int,
-    times: np.ndarray,
-    kind: TransitionKind,
-    target: int | None = None,
-    modes: np.ndarray | None = None,
-) -> np.ndarray:
-    """Distributions from node j, one row per time: a (len(times) x N) array.
+def _propagate(theta: np.ndarray, weights: np.ndarray, times: np.ndarray,
+               kind: TransitionKind) -> np.ndarray:
+    """Rows over the columns of ``weights``, one per time: a (len(times) x len(weights)) array.
 
-    With a ``target`` node, only that node's probability is formed: the
-    result is one (len(times) x 1) column. With ``modes`` (ascending mode
-    indices, from ``_source_modes``) the sums run over those modes only;
-    without, over all N. Each block of times is two real GEMMs at most; the
-    coherent rows are |cos part|^2 + |sin part|^2 of the amplitudes. Beside
-    the result, a block holds at most two temporaries of its size.
+    ``weights`` is W_j, or some of its rows (the return column is row j
+    alone), and ``theta`` the values of its columns. The classical rows are
+    ``exp(-T theta) @ W^T``, the coherent ones |cos part|^2 + |sin part|^2 of
+    ``exp(-i T theta) @ W^T``, for each block of times T: two real GEMMs at
+    most. Beside the result, a block holds at most two temporaries of its size.
 
-    ``s`` is a connected graph's Laplacian: its one zero eigenvalue is its
-    smallest, and the classical kernel takes it as exactly 0 (as computed it
-    is a few 1e-15 off, and exp(-t E_0) drifts from 1 from t = 1e5 on).
-
-    Near the largest doubles t E_n overflows to inf, silently: exp(-inf) = 0
+    Near the largest doubles t theta overflows to inf, silently: exp(-inf) = 0
     is the classical limit, and the coherent rows turn NaN, which
     ``_check_rows`` refuses.
     """
-    e, v = s.eigenvalues, s.eigenvectors
-    if kind == "classical":
-        e = np.concatenate(([0.0], e[1:]))
-    if modes is not None:
-        e, v = e[modes], v[:, modes]
-    w = v[j - 1, :]
-    vt = v.T
-    if target is not None:
-        vt = vt[:, target - 1 : target]
-    out = np.empty((len(times), vt.shape[1]))
-    for block in _stripes(len(times), max(vt.shape), _BLOCK_ENTRIES):
-        arg = np.outer(times[block], e)
+    wt = weights.T
+    out = np.empty((len(times), len(weights)))
+    for block in _stripes(len(times), max(weights.shape), _BLOCK_ENTRIES):
+        arg = np.outer(times[block], theta)
         rows = out[block]
         if kind == "classical":
             np.exp(np.negative(arg, out=arg), out=arg)
-            arg *= w
-            np.matmul(arg, vt, out=rows)
+            np.matmul(arg, wt, out=rows)
         else:
             phase = np.cos(arg)
-            phase *= w
-            np.matmul(phase, vt, out=rows)
+            np.matmul(phase, wt, out=rows)
             del phase
             np.sin(arg, out=arg)
-            arg *= w
-            im = arg @ vt
+            im = arg @ wt
             rows *= rows
             im *= im
             rows += im
     return out
 
 
-def _source_modes(s: Spectrum, j: int) -> np.ndarray:
-    """Ascending indices of the modes that reach node j.
-
-    The modes of smallest weight q_n[j]^2 are dropped while the dropped
-    weights sum to at most (N eps)^2, so every amplitude from j moves by at
-    most N eps and the return amplitude by at most (N eps)^2 (module
-    docstring).
-    """
-    check_node(j, s.order)
-    weights = s.eigenvectors[j - 1] ** 2
-    order = np.argsort(weights, kind="stable")
-    floor = (s.order * np.finfo(float).eps) ** 2
-    dropped = np.count_nonzero(np.cumsum(weights[order]) <= floor)
-    return np.sort(order[dropped:])
+def classical_probability(p: SourceProjections, t: float) -> np.ndarray:
+    """Continuous-time random-walk distribution from ``p.source`` at time t >= 0, read-only."""
+    return next(iter(evolve_series(p, "classical", TimeGrid(t, t, 1))))
 
 
-def classical_probability(s: Spectrum, j: int, t: float) -> np.ndarray:
-    """Continuous-time random-walk distribution from node j at time t >= 0, read-only."""
-    return next(iter(evolve_series(s, j, "classical", TimeGrid(t, t, 1))))
-
-
-def quantum_probability(s: Spectrum, j: int, t: float) -> np.ndarray:
-    """Coherent-walk distribution |a_kj(t)|^2 from node j at time t >= 0, read-only."""
-    return next(iter(evolve_series(s, j, "quantum", TimeGrid(t, t, 1))))
+def quantum_probability(p: SourceProjections, t: float) -> np.ndarray:
+    """Coherent-walk distribution |a_kj(t)|^2 from j = ``p.source`` at time t >= 0, read-only."""
+    return next(iter(evolve_series(p, "quantum", TimeGrid(t, t, 1))))
 
 
 def closed_form_g1(j: int, k: int, t: float) -> float:
@@ -351,6 +385,21 @@ def _check_grouping(s: Spectrum, grouping: EigenspaceGrouping) -> None:
         )
 
 
+def _pair_columns(v: np.ndarray, small: list[tuple[int, int]]) -> np.ndarray:
+    """The N x K pair columns q_a o q_b of the eigenspaces ``small``, off-diagonal ones x sqrt(2).
+
+    Formed in their own array: v[:, b] one row stripe at a time, and the
+    sqrt(2) as a weight row (x * 1.0 is x), so no second array of their size.
+    """
+    index = [(a, b) for start, stop in small for a in range(start, stop) for b in range(a, stop)]
+    a, b = np.array(index, dtype=int).reshape(-1, 2).T
+    pairs = v[:, a]
+    for rows in _stripes(len(v), max(len(a), 1), _CHECK_ENTRIES):
+        pairs[rows] *= v[rows, b]
+    pairs *= np.where(a != b, math.sqrt(2.0), 1.0)
+    return pairs
+
+
 def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix:
     """Long-time averages for every source/target pair at once.
 
@@ -359,14 +408,8 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
     """
     _check_grouping(s, grouping)
     v = s.eigenvectors
-    small = [g for g in grouping.groups if g[1] - g[0] <= _PAIR_MAX_DIM]
     large = [g for g in grouping.groups if g[1] - g[0] > _PAIR_MAX_DIM]
-    index = [(a, b) for start, stop in small
-             for a in range(start, stop) for b in range(a, stop)]
-    a, b = np.array(index, dtype=int).reshape(-1, 2).T
-    pairs = v[:, a]
-    pairs *= v[:, b]
-    pairs[:, a != b] *= math.sqrt(2.0)
+    pairs = _pair_columns(v, [g for g in grouping.groups if g[1] - g[0] <= _PAIR_MAX_DIM])
     chi = pairs @ pairs.T
     del pairs
     stripes = _stripes(s.order, s.order, _STRIPE_ENTRIES)
@@ -387,8 +430,7 @@ def limiting_matrix(s: Spectrum, grouping: EigenspaceGrouping) -> LimitingMatrix
 class Series:
     """Distributions from ``source``, row i at ``times[i]``, propagated as they are read."""
 
-    spectrum: Spectrum
-    source: int
+    projections: SourceProjections
     kind: TransitionKind
     times: np.ndarray
 
@@ -400,44 +442,43 @@ class Series:
             yield from self.block(rows)
 
     @property
+    def source(self) -> int:
+        return self.projections.source
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return len(self), self.spectrum.order
+        return len(self), self.projections.order
 
     def blocks(self) -> list[slice]:
         """The slices of rows that ``block`` propagates and checks at once."""
-        return _stripes(len(self), self.spectrum.order, _BLOCK_ENTRIES)
+        return _stripes(len(self), self.projections.order, _BLOCK_ENTRIES)
 
     def block(self, rows: slice) -> np.ndarray:
         """The rows of one of ``blocks()``, propagated and checked, as a read-only 2-D array."""
-        times = self.times[rows]
-        return _check_rows(times, _propagate(self.spectrum, self.source, times, self.kind))
+        times, p = self.times[rows], self.projections
+        return _check_rows(times, _propagate(p.theta, p.weights, times, self.kind))
 
 
-def evolve_series(s: Spectrum, j: int, kind: TransitionKind, grid: TimeGrid) -> Series:
-    """The series from node j over the grid; kind and node are checked before any row is read."""
+def evolve_series(p: SourceProjections, kind: TransitionKind, grid: TimeGrid) -> Series:
+    """The series from ``p.source`` over the grid; the kind is checked before any row is read."""
     if kind not in ("classical", "quantum"):
         raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    check_node(j, s.order)
-    return Series(spectrum=s, source=j, kind=kind, times=grid.times())
+    return Series(projections=p, kind=kind, times=grid.times())
 
 
-def max_return_probability(
-    s: Spectrum, j: int, window: TimeGrid
-) -> tuple[float, float]:
-    """Grid time and value maximizing the return probability pi_jj.
+def max_return_probability(p: SourceProjections, window: TimeGrid) -> tuple[float, float]:
+    """Grid time and value maximizing the return probability pi_jj, j = ``p.source``.
 
     The window must start strictly after t = 0 (the trivial maximum). The
     search is a dense scan; the grid resolution is the caller's to report.
-    The earliest of equal maxima wins. The sum runs over the modes that reach
-    j (``_source_modes``): up to rounding, each value is within
-    2 (N eps)^2 + (N eps)^4 of the sum over all N modes, eps the machine
-    epsilon.
+    The earliest of equal maxima wins. Each value is the kernel's on the
+    return column alone, row j of W_j.
     """
     if not window.start > 0:
         raise ValueError("revival search window must exclude t = 0")
-    modes = _source_modes(s, j)
     times = window.times()
-    probs = _propagate(s, j, times, "quantum", target=j, modes=modes)[:, 0]
+    j = p.source
+    probs = _propagate(p.theta, p.weights[j - 1 : j], times, "quantum")[:, 0]
     i = int(np.argmax(probs))
     return float(times[i]), float(probs[i])
 
@@ -447,25 +488,23 @@ def default_revival_window() -> TimeGrid:
     return TimeGrid(start=0.1, end=200.0, steps=100_000, spacing="linear")
 
 
-def finite_time_average(s: Spectrum, j: int, horizon: float) -> np.ndarray:
-    """Trapezoidal average of the coherent distribution over [0, horizon].
+def finite_time_average(p: SourceProjections, horizon: float) -> np.ndarray:
+    """Trapezoidal average of the coherent distribution from ``p.source`` over [0, horizon].
 
-    The grid has about 25 times per period of the fastest oscillation, and at
+    The grid has about 25 times per period of the fastest oscillation, the
+    widest spread of the eigenspace values that reach the source, and at
     least 1000. This is a consistency check only: the limiting probabilities
     are defined by their infinite-horizon spectral form, never by this
-    average. The sum runs over the modes that reach j (``_source_modes``), so
-    up to rounding each entry is within 2 N eps + (N eps)^2 of the sum over
-    all N modes, eps the machine epsilon; it reads no degeneracy grouping.
+    average.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    fastest = float(s.eigenvalues[-1] - s.eigenvalues[0])
+    fastest = float(p.theta[-1] - p.theta[0])
     samples = max(1000, int(horizon * max(fastest, 1.0) * 4))
     times = np.linspace(0.0, horizon, samples)
     weights = np.ones(samples)
     weights[[0, -1]] = 0.5
-    modes = _source_modes(s, j)
-    acc = np.zeros(s.order)
-    for block in _stripes(samples, s.order, _BLOCK_ENTRIES):
-        acc += weights[block] @ _propagate(s, j, times[block], "quantum", modes=modes)
+    acc = np.zeros(p.order)
+    for block in _stripes(samples, p.order, _BLOCK_ENTRIES):
+        acc += weights[block] @ _propagate(p.theta, p.weights, times[block], "quantum")
     return acc / (samples - 1)

@@ -13,17 +13,16 @@ only as it is read, and the tail, so a caller can write each chunk as soon as
 it is formatted; the text is ``"".join`` of the chunks. A body is a list of
 parts, ``Rows.parts()``: the blocks of a series (``dynamics.Series.blocks``),
 or an array of at most one series block of values (``dynamics._BLOCK_ENTRIES``)
-as one part, and a larger one as blocks of at most ``_FORMAT_VALUES`` values,
-whole rows, one at least. ``Rows.rows(parts)`` yields the chunks of some of
+as one part, and a larger one as format blocks of whole rows, one at least
+(``_format_values``). ``Rows.rows(parts)`` yields the chunks of some of
 them alone, so two processes can format disjoint parts of one text. A CSV body
-comes in one chunk per block of at most ``_FORMAT_VALUES`` values, all
-formatted at once by an exact vectorized ``%.17g`` kernel (``_format17``); a
-JSON body comes in one chunk per row. Row labels (node numbers, times, JSON
-separators) are built for one such block at a time, and a series' rows are
-propagated and checked one part at a time as they are read, so a writer
-holds neither a series nor a label per row, and a part that fails its check
-raises after the rows before it were written. The network and cluster-report
-writers return the whole text.
+comes in one chunk per format block, all formatted at once by an exact
+vectorized ``%.17g`` kernel (``_format17``); a JSON body comes in one chunk
+per row. Row labels (node numbers, times, JSON separators) are built for one
+such block at a time, and a series' rows are propagated and checked one part
+at a time as they are read, so a writer holds neither a series nor a label
+per row, and a part that fails its check raises after the rows before it
+were written. The network and cluster-report writers return the whole text.
 """
 
 from __future__ import annotations
@@ -72,15 +71,25 @@ def _json_separators(rows: slice) -> list[str]:
     return [",\n" if k else "" for k in range(rows.start, rows.stop)]
 
 
-#: Values formatted at once by ``_format17``: bounds the byte matrix of a CSV
-#: chunk and the kernel's temporaries, about 0.2 kB a value together. Blocks
-#: are whole rows, at least one. Measured on the G=7 chi CSV (one process):
-#: 183 ns a value at one row a block (any budget below 2192), 159 at two rows,
-#: 139 at four and 125 at eight, against 567 for one ``%`` per value. But
-#: the G=6 chi CSV (367 values a row) must stay within 0.25 N x N
-#: (``tests/test_memory.py``): two rows a block peak at 0.15, and 0.23 on a
-#: first call, which builds the tables; one row peaks at 0.11, and 0.19.
+#: Values formatted at once by ``_format17`` for rows of up to 362 values:
+#: bounds the byte matrix of a CSV chunk and the kernel's temporaries, about
+#: 0.2 kB a value together. A wider row of w values takes w**2 // 256
+#: (``_format_values``), so a block costs the same share of an N x N matrix at
+#: every N. Blocks are whole rows, at least one. Measured on the G=7 chi CSV
+#: (one process): 183 ns a value at one row a block, 159 at two rows, 139 at
+#: four and 125 at eight, against 567 for one ``%`` per value; each block pays
+#: a fixed cost of some 60 numpy calls. The G=6 chi CSV (367 values a row) must
+#: stay within 0.25 N x N (``tests/test_memory.py``): two rows a block peak at
+#: 0.15, and 0.23 on a first call, which builds the tables; one row, its
+#: block here, peaks at 0.11, and 0.19. At G=7 a block is 4 rows (4,384
+#: values), and the chi CSV peaks at 0.08 N x N.
 _FORMAT_VALUES = 512
+
+
+def _format_values(width: int) -> int:
+    """Values per ``_format17`` block for rows of ``width`` values (``_FORMAT_VALUES``)."""
+    return max(_FORMAT_VALUES, width**2 // 256)
+
 
 #: Dekker's splitting constant, 2**27 + 1: ``_two_product`` cuts a double
 #: into two halves of at most 26 significant bits, whose products are exact.
@@ -308,13 +317,13 @@ class Rows:
         yield self.tail
 
     def parts(self) -> list[slice]:
-        """The body's parts in order: a series' blocks, or an array's blocks of
-        ``_FORMAT_VALUES``, one part if it holds at most one series block of values."""
+        """The body's parts in order: a series' blocks, or an array's format blocks
+        (``_format_values``), one part if it holds at most one series block of values."""
         if isinstance(self.values, Series):
             return self.values.blocks()
-        size = self.values.size
-        return _stripes(len(self.values), self.values.shape[1],
-                        size if size <= dynamics._BLOCK_ENTRIES else _FORMAT_VALUES)
+        size, width = self.values.size, self.values.shape[1]
+        return _stripes(len(self.values), width,
+                        size if size <= dynamics._BLOCK_ENTRIES else _format_values(width))
 
     def rows(self, parts: list[slice]) -> Iterator[str]:
         """The chunks of the rows of ``parts`` (of ``parts()``), without the head or the tail."""
@@ -322,7 +331,7 @@ class Rows:
         for part in parts:
             block = (self.values.block(part) if isinstance(self.values, Series)
                      else self.values[part])
-            for rows in _stripes(len(block), block.shape[1], _FORMAT_VALUES):
+            for rows in _stripes(len(block), block.shape[1], _format_values(block.shape[1])):
                 labels = self.labels(slice(part.start + rows.start, part.start + rows.stop))
                 values = _zeroed(block[rows], self.probability)
                 if slots is None:

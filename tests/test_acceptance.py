@@ -17,9 +17,10 @@ from apwalks.dynamics import (
     finite_time_average,
     max_return_probability,
     quantum_probability,
+    source_projections,
 )
 from apwalks.network import corner_group, generate_apollonian, laplacian, orbits
-from apwalks.spectral import eigendecompose
+from apwalks.spectral import default_degeneracy_tolerance, eigendecompose, group_degenerate
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
 
 # Observed on the default 100000-point window over (0.1, 200]; kept as a
@@ -32,17 +33,20 @@ def report(number, label, ok, detail):
     assert ok, f"criterion {number} failed: {label} ({detail})"
 
 
-def fresh_spectrum(g):
-    return eigendecompose(laplacian(generate_apollonian(g)))
+def fresh_projections(g, sources):
+    """W_j of each source at generation g, from a fresh network, spectrum and grouping."""
+    s = eigendecompose(laplacian(generate_apollonian(g)))
+    grouping = group_degenerate(s, default_degeneracy_tolerance(s))
+    return {j: source_projections(s, grouping, j) for j in sources}
 
 
 def test_criterion_1_g1_closed_form():
     start = time.perf_counter()
-    s = fresh_spectrum(1)
+    projections = fresh_projections(1, range(1, 5))
     worst = 0.0
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
         for j in range(1, 5):
-            row = quantum_probability(s, j, float(t))
+            row = quantum_probability(projections[j], float(t))
             for k in range(1, 5):
                 worst = max(worst, abs(row[k - 1] - closed_form_g1(j, k, float(t))))
     elapsed = time.perf_counter() - start
@@ -53,10 +57,10 @@ def test_criterion_1_g1_closed_form():
 
 def test_criterion_2_g2_closed_form():
     start = time.perf_counter()
-    s = fresh_spectrum(2)
+    center = fresh_projections(2, (4,))[4]
     worst = 0.0
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
-        row = quantum_probability(s, 4, float(t))
+        row = quantum_probability(center, float(t))
         for k in range(1, 8):
             worst = max(worst, abs(row[k - 1] - closed_form_g2(k, float(t))))
     elapsed = time.perf_counter() - start
@@ -66,14 +70,13 @@ def test_criterion_2_g2_closed_form():
 
 
 def test_criterion_3_perfect_revivals(pipe):
-    s1, s2 = pipe.spectrum(1), pipe.spectrum(2)
     lowest = 1.0
     for cycle in range(1, 6):
         for j in range(1, 5):
             lowest = min(lowest, quantum_probability(
-                s1, j, 2.0 * np.pi * cycle / 4.0)[j - 1])
+                pipe.projections(1, j), 2.0 * np.pi * cycle / 4.0)[j - 1])
         lowest = min(lowest, quantum_probability(
-            s2, 4, 2.0 * np.pi * cycle / 7.0)[3])
+            pipe.projections(2, 4), 2.0 * np.pi * cycle / 7.0)[3])
     ok = lowest >= 1.0 - 1e-9
     report(3, "perfect revivals at multiples of 2*pi/N for G=1 and G=2",
            ok, f"min_return={lowest:.12f} >= 1-1e-9")
@@ -81,7 +84,7 @@ def test_criterion_3_perfect_revivals(pipe):
 
 def test_criterion_4_partial_revival_g3(pipe):
     window = default_revival_window()
-    t_star, p_star = max_return_probability(pipe.spectrum(3), 4, window)
+    t_star, p_star = max_return_probability(pipe.projections(3, 4), window)
     ok = p_star < 1.0 - 1e-6 and abs(p_star - G3_PARTIAL_REVIVAL_BASELINE) <= 1e-6
     report(4, "generation-3 revivals are only partial",
            ok, f"max={p_star:.12f} at t={t_star:.4f} on {window.steps} points, "
@@ -92,10 +95,9 @@ def test_criterion_5_classical_equipartition():
     start = time.perf_counter()
     devs = {}
     for g in (3, 4):
-        s = fresh_spectrum(g)
-        n = s.order
-        row = classical_probability(s, 4, 100.0)
-        devs[g] = float(np.abs(row - 1.0 / n).max())
+        center = fresh_projections(g, (4,))[4]
+        row = classical_probability(center, 100.0)
+        devs[g] = float(np.abs(row - 1.0 / center.order).max())
     elapsed = time.perf_counter() - start
     ok = max(devs.values()) <= 1e-6 and elapsed < 5.0
     report(5, "classical walk reaches equipartition by t=100 for G=3,4",
@@ -160,12 +162,12 @@ def test_criterion_10a_unitarity_stochasticity(pipe):
     rng = np.random.default_rng(42)
     worst_sum, worst_entry = 0.0, 0.0
     for g in range(0, 6):
-        s = pipe.spectrum(g)
-        n = s.order
+        n = pipe.net(g).node_count
         for _ in range(5):
             j = int(rng.integers(1, n + 1))
             t = float(rng.uniform(0.0, 50.0))
-            for row in (quantum_probability(s, j, t), classical_probability(s, j, t)):
+            p = pipe.projections(g, j)
+            for row in (quantum_probability(p, t), classical_probability(p, t)):
                 worst_sum = max(worst_sum, abs(float(row.sum()) - 1.0))
                 worst_entry = min(worst_entry, float(row.min()))
     ok = worst_sum <= 1e-10 and worst_entry >= -1e-12
@@ -177,17 +179,17 @@ def test_criterion_10b_pair_symmetry(pipe):
     rng = np.random.default_rng(43)
     worst = 0.0
     for g in (1, 2, 3, 4):
-        s = pipe.spectrum(g)
-        n = s.order
+        n = pipe.net(g).node_count
         for _ in range(8):
             j, k = (int(v) for v in rng.integers(1, n + 1, size=2))
             t = float(rng.uniform(0.0, 25.0))
+            p_j, p_k = pipe.projections(g, j), pipe.projections(g, k)
             worst = max(worst, abs(
-                quantum_probability(s, j, t)[k - 1]
-                - quantum_probability(s, k, t)[j - 1]))
+                quantum_probability(p_j, t)[k - 1]
+                - quantum_probability(p_k, t)[j - 1]))
             worst = max(worst, abs(
-                classical_probability(s, j, t)[k - 1]
-                - classical_probability(s, k, t)[j - 1]))
+                classical_probability(p_j, t)[k - 1]
+                - classical_probability(p_k, t)[j - 1]))
     ok = worst <= 1e-12
     report("10b", "transition probabilities are symmetric in source/target",
            ok, f"max_asymmetry={worst:.3e} tol=1e-12")
@@ -198,13 +200,12 @@ def test_criterion_10c_equivariance(pipe):
     worst = 0.0
     for g in (1, 2, 3, 4):
         net = pipe.net(g)
-        s = pipe.spectrum(g)
         n = net.node_count
         for sigma in corner_group(net):
             j = int(rng.integers(1, n + 1))
             t = float(rng.uniform(0.0, 20.0))
-            row = quantum_probability(s, j, t)
-            mapped = quantum_probability(s, sigma(j), t)
+            row = quantum_probability(pipe.projections(g, j), t)
+            mapped = quantum_probability(pipe.projections(g, sigma(j)), t)
             for k in range(1, n + 1):
                 worst = max(worst, abs(row[k - 1] - mapped[sigma(k) - 1]))
     ok = worst <= 1e-10
@@ -229,10 +230,9 @@ def test_criterion_10d_reconstruction(pipe):
 def test_criterion_10e_finite_time_average(pipe):
     worst = 0.0
     for g in (0, 1, 2, 3):
-        s = pipe.spectrum(g)
         chi = pipe.chi(g)
         j = 4 if g >= 1 else 1
-        avg = finite_time_average(s, j, 2000.0)
+        avg = finite_time_average(pipe.projections(g, j), 2000.0)
         worst = max(worst, float(np.abs(avg - chi.column(j)).max()))
     ok = worst <= 0.01
     report("10e", "finite-horizon averages converge to the limiting values (G<=3)",
@@ -256,10 +256,9 @@ def test_criterion_10f_heat_kernel_oracle(pipe):
     for g in (0, 1, 2):
         net = pipe.net(g)
         h = laplacian(net)
-        s = pipe.spectrum(g)
         for j in range(1, net.node_count + 1):
             for t in (0.1, 0.5, 1.0):
-                spectral = classical_probability(s, j, t)
+                spectral = classical_probability(pipe.projections(g, j), t)
                 worst = max(worst, float(np.abs(spectral - series_column(h, j, t)).max()))
     ok = worst <= 1e-8
     report("10f", "spectral heat kernel matches the power-series oracle (G<=2, t<=1)",

@@ -330,7 +330,7 @@ def test_write_to_a_closed_pipe_is_usage_error(pipe):
     # parent's write fails while a forked child formats the second block.
     grid = TimeGrid(0.01, 100.0, 400, "logarithmic")
     assert 400 * node_count_for_generation(6) > dynamics._BLOCK_ENTRIES
-    assert len(evolve_series(pipe.spectrum(6), 1, "quantum", grid).blocks()) >= 2
+    assert len(evolve_series(pipe.projections(6, 1), "quantum", grid).blocks()) >= 2
     proc = _spawn_cli(["evolve", "-g", "6", "--t-steps", "400"], subprocess.PIPE)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
@@ -507,7 +507,7 @@ def test_evolve_file_stdout_and_writer_agree(tmp_path, capsys, pipe, layout):
     grid = TimeGrid(0.01, 100.0, 9, "logarithmic")
     assert run(*argv, "--kind", "both", "-o", str(tmp_path / "both.csv")) == 0
     for kind in ("classical", "quantum"):
-        series = evolve_series(pipe.spectrum(3), 2, kind, grid)
+        series = evolve_series(pipe.projections(3, 2), kind, grid)
         expected = "".join(serialize.series_to_csv(series, wide=bool(layout)))
         out = tmp_path / f"{kind}.csv"
         assert run(*argv, "--kind", kind, "-o", str(out)) == 0
@@ -568,7 +568,7 @@ def forks(monkeypatch):
 def split_writers(pipe, g=4, times=9):
     """Every row-source body at generation ``g``; series of ``times`` times from node 5, or N < 5."""
     s, chi = pipe.spectrum(g), pipe.chi(g)
-    series = evolve_series(s, min(5, s.order), "quantum",
+    series = evolve_series(pipe.projections(g, min(5, s.order)), "quantum",
                            TimeGrid(0.01, 100.0, times, "logarithmic"))
     return {
         "chi": serialize.limiting_matrix_to_csv(chi),
@@ -635,7 +635,7 @@ def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkey
         rows = serialize.limiting_matrix_to_csv(pipe.chi(4))
     else:
         grid = TimeGrid(0.01, 100.0, times, "logarithmic")
-        rows = serialize.series_to_csv(evolve_series(pipe.spectrum(3), 2, "quantum", grid))
+        rows = serialize.series_to_csv(evolve_series(pipe.projections(3, 2), "quantum", grid))
     expected = "".join(rows).encode()
     log = tmp_path / "log"
     parent = os.getpid()
@@ -652,9 +652,9 @@ def test_a_split_series_propagates_each_block_once(tmp_path, pipe, forks, monkey
 
     real = dynamics._propagate
 
-    def propagate(s, j, block_times, kind, *args, **kwargs):
+    def propagate(theta, weights, block_times, kind):
         record("propagate", format(float(block_times[0]), ".17g"))
-        return real(s, j, block_times, kind, *args, **kwargs)
+        return real(theta, weights, block_times, kind)
 
     monkeypatch.setattr(dynamics, "_propagate", propagate)
     rows = RecordingRows(**vars(rows))

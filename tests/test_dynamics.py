@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,9 +19,17 @@ from apwalks.dynamics import (
     limiting_matrix,
     max_return_probability,
     quantum_probability,
+    source_projections,
 )
-from apwalks.network import corner_group, laplacian, node_count_for_generation
-from apwalks.spectral import EigenspaceGrouping, NumericError, Spectrum, group_degenerate
+from apwalks.network import corner_group, generate_apollonian, laplacian, node_count_for_generation
+from apwalks.spectral import (
+    EigenspaceGrouping,
+    NumericError,
+    Spectrum,
+    default_degeneracy_tolerance,
+    eigendecompose,
+    group_degenerate,
+)
 from apwalks.symmetry import cluster_equal_limits
 
 
@@ -88,7 +97,7 @@ def one_buffer_limit_matrix(s, grouping):
 # -- classical walk -----------------------------------------------------------
 
 def test_classical_indicator_at_t0(pipe):
-    row = classical_probability(pipe.spectrum(3), 5, 0.0)
+    row = classical_probability(pipe.projections(3, 5), 0.0)
     expected = np.zeros(16)
     expected[4] = 1.0
     assert np.abs(row - expected).max() <= 1e-12
@@ -96,15 +105,14 @@ def test_classical_indicator_at_t0(pipe):
 
 def test_classical_k4_return_probability(pipe):
     # complete graph: p_jj(t) = 1/4 + (3/4) exp(-4t)
-    s = pipe.spectrum(1)
     for t in (0.0, 0.1, 0.5, 1.0, 3.0):
         for j in range(1, 5):
             expected = 0.25 + 0.75 * np.exp(-4.0 * t)
-            assert abs(classical_probability(s, j, t)[j - 1] - expected) <= 1e-12
+            assert abs(classical_probability(pipe.projections(1, j), t)[j - 1] - expected) <= 1e-12
 
 
 def test_classical_equipartition_g3(pipe):
-    row = classical_probability(pipe.spectrum(3), 4, 100.0)
+    row = classical_probability(pipe.projections(3, 4), 100.0)
     assert np.abs(row - 1.0 / 16.0).max() <= 1e-6
 
 
@@ -114,25 +122,25 @@ def test_classical_walk_stays_stochastic_at_long_times(pipe, g):
     # as computed drifts from 1 from t = 1e5 on; the rows' own sum check
     # would then raise.
     s = pipe.spectrum(g)
-    rows = list(evolve_series(s, 1, "classical", TimeGrid(1e5, 1e12, 8, "logarithmic")))
+    rows = list(evolve_series(pipe.projections(g, 1), "classical",
+                              TimeGrid(1e5, 1e12, 8, "logarithmic")))
     assert max(abs(row.sum() - 1.0) for row in rows) <= 1e-13
     assert np.abs(rows[-1] - 1.0 / s.order).max() <= 1e-15
 
 
 def test_classical_rejects_negative_time(pipe):
     with pytest.raises(ValueError):
-        classical_probability(pipe.spectrum(1), 1, -0.5)
+        classical_probability(pipe.projections(1, 1), -0.5)
     with pytest.raises(ValueError):
-        classical_probability(pipe.spectrum(1), 1, float("nan"))
+        classical_probability(pipe.projections(1, 1), float("nan"))
 
 
 def test_classical_matches_series_oracle(pipe):
     for g in (0, 1, 2):
         h = laplacian(pipe.net(g))
-        s = pipe.spectrum(g)
         for j in range(1, h.shape[0] + 1):
             for t in (0.1, 0.5, 1.0):
-                spectral = classical_probability(s, j, t)
+                spectral = classical_probability(pipe.projections(g, j), t)
                 assert np.abs(spectral - taylor_heat_column(h, j, t)).max() <= 1e-8
 
 
@@ -145,15 +153,14 @@ def test_classical_spectral_relaxation_bound(pipe, rng):
         gap = s.eigenvalues[1]
         for t in rng.uniform(0.0, 50.0, size=5):
             j = int(rng.integers(1, n + 1))
-            dev = np.abs(classical_probability(s, j, float(t)) - 1.0 / n).max()
+            dev = np.abs(classical_probability(pipe.projections(g, j), float(t)) - 1.0 / n).max()
             assert dev <= np.exp(-gap * t) * np.sqrt(n) + 1e-13
 
 
 # -- coherent walk ------------------------------------------------------------
 
 def test_amplitude_at_t0(pipe):
-    s = pipe.spectrum(2)
-    row = quantum_probability(s, 3, 0.0)
+    row = quantum_probability(pipe.projections(2, 3), 0.0)
     assert row[2] == pytest.approx(1.0, abs=1e-12)
     assert row[4] == pytest.approx(0.0, abs=1e-12)
 
@@ -163,14 +170,14 @@ def test_amplitude_squares_to_probability(pipe, rng):
     for _ in range(5):
         j, k = (int(v) for v in rng.integers(1, 17, size=2))
         t = float(rng.uniform(0.0, 10.0))
-        row = quantum_probability(s, j, t)
+        row = quantum_probability(pipe.projections(3, j), t)
         phases = np.exp(-1j * t * s.eigenvalues)
         amplitude = np.sum(phases * s.eigenvectors[j - 1, :] * s.eigenvectors[k - 1, :])
         assert abs(abs(amplitude) ** 2 - row[k - 1]) <= 1e-12
 
 
 def test_quantum_indicator_at_t0(pipe):
-    row = quantum_probability(pipe.spectrum(2), 6, 0.0)
+    row = quantum_probability(pipe.projections(2, 6), 0.0)
     expected = np.zeros(7)
     expected[5] = 1.0
     assert np.abs(row - expected).max() <= 1e-12
@@ -178,12 +185,12 @@ def test_quantum_indicator_at_t0(pipe):
 
 def test_quantum_uniform_at_quarter_period_g1(pipe):
     # cos(4t) = -1 at t = pi/4 makes all four entries 1/4
-    row = quantum_probability(pipe.spectrum(1), 2, np.pi / 4.0)
+    row = quantum_probability(pipe.projections(1, 2), np.pi / 4.0)
     assert np.abs(row - 0.25).max() <= 1e-12
 
 
 def test_quantum_g2_values_at_pi_over_7(pipe):
-    row = quantum_probability(pipe.spectrum(2), 4, np.pi / 7.0)
+    row = quantum_probability(pipe.projections(2, 4), np.pi / 7.0)
     assert row[3] == pytest.approx(25.0 / 49.0, abs=1e-12)
     for k in (1, 2, 3, 5, 6, 7):
         assert row[k - 1] == pytest.approx(4.0 / 49.0, abs=1e-12)
@@ -202,27 +209,25 @@ def test_closed_form_g2_values():
 
 
 def test_numerics_match_closed_form_g1(pipe):
-    s = pipe.spectrum(1)
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
         for j in range(1, 5):
-            row = quantum_probability(s, j, float(t))
+            row = quantum_probability(pipe.projections(1, j), float(t))
             for k in range(1, 5):
                 assert abs(row[k - 1] - closed_form_g1(j, k, float(t))) <= 1e-10
 
 
 def test_numerics_match_closed_form_g2(pipe):
-    s = pipe.spectrum(2)
     for t in np.linspace(0.0, 4.0 * np.pi, 1000):
-        row = quantum_probability(s, 4, float(t))
+        row = quantum_probability(pipe.projections(2, 4), float(t))
         for k in range(1, 8):
             assert abs(row[k - 1] - closed_form_g2(k, float(t))) <= 1e-10
 
 
 def test_quantum_rejects_bad_node(pipe):
     with pytest.raises(ValueError):
-        quantum_probability(pipe.spectrum(1), 5, 1.0)
+        quantum_probability(pipe.projections(1, 5), 1.0)
     with pytest.raises(ValueError):
-        quantum_probability(pipe.spectrum(1), 0, 1.0)
+        quantum_probability(pipe.projections(1, 0), 1.0)
 
 
 # -- the distribution checks ----------------------------------------------------
@@ -245,8 +250,8 @@ def test_snapshot_rejects_nan():
 
 
 def test_snapshot_values_read_only(pipe):
-    series = evolve_series(pipe.spectrum(1), 1, "classical", TimeGrid(0.0, 1.0, 3))
-    for row in (quantum_probability(pipe.spectrum(1), 1, 0.3), *series):
+    series = evolve_series(pipe.projections(1, 1), "classical", TimeGrid(0.0, 1.0, 3))
+    for row in (quantum_probability(pipe.projections(1, 1), 0.3), *series):
         with pytest.raises(ValueError):
             row[0] = 0.0
 
@@ -256,7 +261,7 @@ def test_node_accessors_reject_nodes_outside_1_to_n(pipe, node):
     # At G=2 (N=7) an index of node - 1 would read node 7 for 0 and node 6 for -1.
     chi = pipe.chi(2)
     reads = (chi.column, lambda k: chi.value(k, 1), lambda j: chi.value(1, j),
-             lambda j: quantum_probability(pipe.spectrum(2), j, 1.0))
+             lambda j: pipe.projections(2, j))
     for read in reads:
         with pytest.raises(ValueError, match="node index"):
             read(node)
@@ -269,7 +274,8 @@ def test_unitarity_and_stochasticity(pipe, rng, g):
     for _ in range(6):
         j = int(rng.integers(1, n + 1))
         t = float(rng.uniform(0.0, 50.0))
-        for row in (quantum_probability(s, j, t), classical_probability(s, j, t)):
+        p = pipe.projections(g, j)
+        for row in (quantum_probability(p, t), classical_probability(p, t)):
             assert abs(float(row.sum()) - 1.0) <= 1e-10
             assert row.min() >= -1e-12
 
@@ -282,25 +288,24 @@ def test_pair_symmetry(pipe, rng, g):
         j, k = (int(v) for v in rng.integers(1, n + 1, size=2))
         t = float(rng.uniform(0.0, 25.0))
         assert abs(
-            quantum_probability(s, j, t)[k - 1]
-            - quantum_probability(s, k, t)[j - 1]
+            quantum_probability(pipe.projections(g, j), t)[k - 1]
+            - quantum_probability(pipe.projections(g, k), t)[j - 1]
         ) <= 1e-12
         assert abs(
-            classical_probability(s, j, t)[k - 1]
-            - classical_probability(s, k, t)[j - 1]
+            classical_probability(pipe.projections(g, j), t)[k - 1]
+            - classical_probability(pipe.projections(g, k), t)[j - 1]
         ) <= 1e-12
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_automorphism_equivariance(pipe, rng, g):
     net = pipe.net(g)
-    s = pipe.spectrum(g)
     n = net.node_count
     for sigma in corner_group(net):
         j = int(rng.integers(1, n + 1))
         for t in (0.4, 3.7, 17.0):
-            row = quantum_probability(s, j, t)
-            mapped = quantum_probability(s, sigma(j), t)
+            row = quantum_probability(pipe.projections(g, j), t)
+            mapped = quantum_probability(pipe.projections(g, sigma(j)), t)
             for k in range(1, n + 1):
                 assert abs(row[k - 1] - mapped[sigma(k) - 1]) <= 1e-10
 
@@ -461,7 +466,7 @@ def test_one_point_grid_is_its_start(spacing):
 
 def test_single_point_grid(pipe):
     grid = TimeGrid(start=0.0, end=0.0, steps=1)
-    series = evolve_series(pipe.spectrum(2), 4, "quantum", grid)
+    series = evolve_series(pipe.projections(2, 4), "quantum", grid)
     assert len(series) == 1
     (row,) = series
     assert row[3] == pytest.approx(1.0, abs=1e-12)
@@ -469,7 +474,7 @@ def test_single_point_grid(pipe):
 
 def test_series_matches_closed_form_g1(pipe):
     grid = TimeGrid(start=0.0, end=4.0 * np.pi, steps=200)
-    series = evolve_series(pipe.spectrum(1), 2, "quantum", grid)
+    series = evolve_series(pipe.projections(1, 2), "quantum", grid)
     for t, row in zip(series.times, series, strict=True):
         for k in range(1, 5):
             assert abs(row[k - 1] - closed_form_g1(2, k, t)) <= 1e-10
@@ -477,7 +482,7 @@ def test_series_matches_closed_form_g1(pipe):
 
 def test_series_classical_ends_uniform_g3(pipe):
     grid = TimeGrid(start=0.01, end=100.0, steps=50, spacing="logarithmic")
-    *_, last = evolve_series(pipe.spectrum(3), 4, "classical", grid)
+    *_, last = evolve_series(pipe.projections(3, 4), "classical", grid)
     assert np.abs(last - 1.0 / 16.0).max() <= 1e-6
 
 
@@ -486,7 +491,7 @@ def test_series_matches_per_time_reference_across_blocks(pipe, kind):
     s = pipe.spectrum(4)
     rows = dynamics._BLOCK_ENTRIES // s.order
     grid = TimeGrid(start=0.0, end=30.0, steps=rows + rows // 2)
-    series = evolve_series(s, 7, kind, grid)
+    series = evolve_series(pipe.projections(4, 7), kind, grid)
     assert len(series) > rows
     q, e = s.eigenvectors, s.eigenvalues
     w = q[6, :]
@@ -505,9 +510,10 @@ def test_series_matches_per_time_reference_across_blocks(pipe, kind):
 
 def test_series_rejects_nan_values():
     broken = Spectrum(eigenvalues=np.array([0.0, np.nan]),
-                      eigenvectors=np.eye(2))
+                      eigenvectors=np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    p = source_projections(broken, EigenspaceGrouping(groups=((0, 1), (1, 2))), 1)
     for kind in ("classical", "quantum"):
-        series = evolve_series(broken, 1, kind, TimeGrid(0.5, 1.0, 3))
+        series = evolve_series(p, kind, TimeGrid(0.5, 1.0, 3))
         with pytest.raises(NumericError, match="t=0.5"):
             list(series)
 
@@ -515,39 +521,38 @@ def test_series_rejects_nan_values():
 def test_series_rejects_unknown_kind(pipe):
     # Refused when called, before any row is read or any output opened.
     with pytest.raises(ValueError, match="kind"):
-        evolve_series(pipe.spectrum(1), 1, "ballistic", TimeGrid(0.0, 1.0, 3))
+        evolve_series(pipe.projections(1, 1), "ballistic", TimeGrid(0.0, 1.0, 3))
     with pytest.raises(ValueError, match="node index"):
-        evolve_series(pipe.spectrum(1), 5, "quantum", TimeGrid(0.0, 1.0, 3))
+        source_projections(pipe.spectrum(1), pipe.grouping(1), 5)
 
 
 # -- revivals ---------------------------------------------------------------------
 
 def test_perfect_revivals_g1_g2(pipe):
-    s1, s2 = pipe.spectrum(1), pipe.spectrum(2)
     for n_cycle in range(1, 6):
         for j in range(1, 5):
             t = 2.0 * np.pi * n_cycle / 4.0
-            assert quantum_probability(s1, j, t)[j - 1] >= 1.0 - 1e-9
+            assert quantum_probability(pipe.projections(1, j), t)[j - 1] >= 1.0 - 1e-9
         t = 2.0 * np.pi * n_cycle / 7.0
-        assert quantum_probability(s2, 4, t)[3] >= 1.0 - 1e-9
+        assert quantum_probability(pipe.projections(2, 4), t)[3] >= 1.0 - 1e-9
 
 
 def test_max_return_probability_g1(pipe):
     window = TimeGrid(start=0.5, end=3.0, steps=100_001)
-    t_star, p_star = max_return_probability(pipe.spectrum(1), 3, window)
+    t_star, p_star = max_return_probability(pipe.projections(1, 3), window)
     assert p_star >= 1.0 - 1e-8
     assert abs(t_star - np.pi / 2.0) <= 2.5e-5
 
 
 def test_max_return_probability_g2(pipe):
     window = TimeGrid(start=0.5, end=1.5, steps=100_001)
-    t_star, p_star = max_return_probability(pipe.spectrum(2), 4, window)
+    t_star, p_star = max_return_probability(pipe.projections(2, 4), window)
     assert p_star >= 1.0 - 1e-8
     assert abs(t_star - 2.0 * np.pi / 7.0) <= 1e-5
 
 
 def test_partial_revival_g3(pipe):
-    t_star, p_star = max_return_probability(pipe.spectrum(3), 4, default_revival_window())
+    t_star, p_star = max_return_probability(pipe.projections(3, 4), default_revival_window())
     assert p_star < 1.0 - 1e-6
     # regression baseline observed on the default 1e5-point window
     assert p_star == pytest.approx(0.9987483113182943, abs=1e-6)
@@ -556,32 +561,65 @@ def test_partial_revival_g3(pipe):
 
 def test_revival_window_must_exclude_zero(pipe):
     with pytest.raises(ValueError):
-        max_return_probability(pipe.spectrum(1), 1, TimeGrid(0.0, 10.0, 100))
+        max_return_probability(pipe.projections(1, 1), TimeGrid(0.0, 10.0, 100))
 
 
 def test_revival_rejects_bad_source(pipe):
     with pytest.raises(ValueError, match="node index"):
-        max_return_probability(pipe.spectrum(1), 0, TimeGrid(0.5, 3.0, 100))
+        max_return_probability(pipe.projections(1, 0), TimeGrid(0.5, 3.0, 100))
 
 
 @pytest.mark.parametrize("j", [4, 17, 43])
 def test_max_return_probability_matches_reference_across_blocks(pipe, j):
     s = pipe.spectrum(4)
-    # The scan's blocks are as wide as the modes that reach j.
-    rows = dynamics._BLOCK_ENTRIES // len(dynamics._source_modes(s, j))
+    # The scan's blocks are as wide as the eigenspaces that reach j.
+    rows = dynamics._BLOCK_ENTRIES // pipe.projections(4, j).weights.shape[1]
     window = TimeGrid(0.05, 60.0, rows + rows // 2)
     times = window.times()
     w2 = s.eigenvectors[j - 1, :] ** 2
     reference = np.abs(np.exp(-1j * np.outer(times, s.eigenvalues)) @ w2) ** 2
     i = int(np.argmax(reference))
-    t_star, p_star = max_return_probability(s, j, window)
+    t_star, p_star = max_return_probability(pipe.projections(4, j), window)
     assert t_star == times[i]
     assert abs(p_star - reference[i]) <= 1e-13
 
 
-# -- modes that reach the source ----------------------------------------------------
+# -- eigenspaces that reach the source --------------------------------------------
 
 EPS = np.finfo(float).eps
+
+
+def phase_spread(s, grouping):
+    """The largest distance of an eigenvalue from its eigenspace's value: the mean, 0 for the ground."""
+    e = s.eigenvalues
+    return max(float(np.abs(e[a:b] - (e[a:b].mean() if a else 0.0)).max())
+               for a, b in grouping.groups)
+
+
+def eigenspace_values(s, grouping):
+    """Each mode's eigenspace value: the mean eigenvalue of its group, 0 for the ground."""
+    means = [s.eigenvalues[a:b].mean() for a, b in grouping.groups[1:]]
+    return np.repeat([0.0, *means], grouping.sizes)
+
+
+def mode_sum_rows(s, j, times, kind, eigenvalues=None):
+    """Rows from node j summed over every eigenpair, 200 times at a time: no grouping, no W_j."""
+    v = s.eigenvectors
+    e = s.eigenvalues if eigenvalues is None else eigenvalues
+    rows = []
+    for lo in range(0, len(times), 200):
+        arg = np.outer(times[lo:lo + 200], e)
+        if kind == "classical":
+            rows.append((np.exp(-arg) * v[j - 1]) @ v.T)
+        else:
+            rows.append(np.abs((np.exp(-1j * arg) * v[j - 1]) @ v.T) ** 2)
+    return np.vstack(rows)
+
+
+def phase_bound(t, spread, n):
+    """The module docstring's bound on an entry's distance from the sum over modes, with
+    ``verify.check_unitarity_stochasticity``'s 16 N eps for rounding."""
+    return 2.0 * t * spread + (t * spread) ** 2 + 16.0 * n * EPS
 
 
 @st.composite
@@ -590,22 +628,80 @@ def sources(draw, max_generation):
     return g, draw(st.integers(1, node_count_for_generation(g)))
 
 
+def kept_groups(pipe, g, p):
+    """Indices of the eigenspaces ``p`` keeps, found by their values: each lies between its gaps."""
+    e, grouping = pipe.spectrum(g).eigenvalues, pipe.grouping(g)
+    edges = [(e[stop - 1] + e[stop]) / 2.0 for _, stop in grouping.groups[:-1]]
+    return np.searchsorted(edges, p.theta)
+
+
 @given(sources(max_generation=5))
-def test_source_modes_drop_at_most_the_weight_floor(pipe, source):
+def test_source_projections_drop_at_most_the_weight_floor(pipe, source):
     g, j = source
-    s = pipe.spectrum(g)
-    modes = dynamics._source_modes(s, j)
-    assert np.all(np.diff(modes) > 0)
-    weights = s.eigenvectors[j - 1] ** 2
-    assert np.delete(weights, modes).sum() <= (s.order * EPS) ** 2
+    s, grouping, p = pipe.spectrum(g), pipe.grouping(g), pipe.projections(g, j)
+    kept = kept_groups(pipe, g, p)
+    assert np.all(np.diff(kept) > 0)
+    row = s.eigenvectors[j - 1]
+    reach = np.array([row[a:b] @ row[a:b] for a, b in grouping.groups])
+    assert np.delete(reach, kept).sum() <= (s.order * EPS) ** 2
     # Only the smallest weights are dropped.
-    assert np.delete(weights, modes).max(initial=0.0) <= weights[modes].min()
+    assert np.delete(reach, kept).max(initial=0.0) <= reach[kept].min()
+    # Column g is P_g e_j, and row j its weight ||P_g e_j||^2.
+    for column, index in enumerate(kept):
+        block = s.eigenvectors[:, slice(*grouping.groups[index])]
+        assert np.abs(p.weights[:, column] - block @ block[j - 1]).max() <= s.order * EPS
+    assert np.abs(p.weights[j - 1] - reach[kept]).max() <= s.order * EPS
 
 
 @pytest.mark.parametrize("g, kept", [(3, 5), (7, 65)])
 def test_central_node_reaches_few_modes(pipe, g, kept):
-    s = pipe.spectrum(g)
-    assert len(dynamics._source_modes(s, 4)) == kept
+    # 2**(G-1) + 1 eigenspaces, each of one mode, reach the central node.
+    assert pipe.projections(g, 4).weights.shape[1] == kept
+
+
+@given(sources(max_generation=5), st.floats(0.0, 100.0))
+def test_rows_equal_the_sums_over_modes(pipe, source, t):
+    g, j = source
+    s, p = pipe.spectrum(g), pipe.projections(g, j)
+    bound = phase_bound(t, phase_spread(s, pipe.grouping(g)), s.order)
+    for kind, propagate in (("quantum", quantum_probability), ("classical", classical_probability)):
+        reference = mode_sum_rows(s, j, np.array([t]), kind)[0]
+        assert np.abs(propagate(p, t) - reference).max() <= bound
+
+
+@pytest.mark.parametrize("g", range(0, 6))
+def test_revival_column_is_the_diagonal_of_the_full_rows(pipe, g):
+    times = TimeGrid(0.05, 100.0, 500).times()
+    for j in range(1, node_count_for_generation(g) + 1, 7):
+        p = pipe.projections(g, j)
+        full = dynamics._propagate(p.theta, p.weights, times, "quantum")[:, j - 1]
+        column = dynamics._propagate(p.theta, p.weights[j - 1 : j], times, "quantum")[:, 0]
+        assert np.abs(column - full).max() <= 4 * EPS, (g, j)
+
+
+@pytest.mark.parametrize("g, j", [(6, 4), (6, 64), (6, 77), (7, 4), (7, 64), (7, 77)])
+def test_series_at_g6_and_g7_match_the_sums_over_modes(pipe, g, j):
+    # Against every mode at its eigenspace's value within 1e-13; against the
+    # eigenvalues as computed within the phase bound on top (module docstring).
+    s, grouping = pipe.spectrum(g), pipe.grouping(g)
+    grid = TimeGrid(0.01, 100.0, 2000, "logarithmic")
+    values, spread = eigenspace_values(s, grouping), phase_spread(s, grouping)
+    for kind in ("quantum", "classical"):
+        series = evolve_series(pipe.projections(g, j), kind, grid)
+        rows = np.vstack(list(series))
+        assert np.abs(rows - mode_sum_rows(s, j, series.times, kind, values)).max() <= 1e-13
+        deviation = np.abs(rows - mode_sum_rows(s, j, series.times, kind)).max(axis=1)
+        assert np.all(deviation <= 1e-13 + 2.0 * series.times * spread)
+
+
+def test_series_holds_no_spectrum():
+    s = eigendecompose(laplacian(generate_apollonian(3)))
+    grouping = group_degenerate(s, default_degeneracy_tolerance(s))
+    series = evolve_series(source_projections(s, grouping, 4), "quantum", TimeGrid(0.01, 1.0, 5))
+    gone = weakref.ref(s), weakref.ref(s.eigenvectors)
+    del s, grouping
+    assert [ref() for ref in gone] == [None, None]
+    assert len(list(series)) == 5
 
 
 def _sampled_sources():
@@ -620,38 +716,40 @@ def _sampled_sources():
 SOURCES = _sampled_sources()
 
 
+# The two restricted sums against every mode, each mode at its eigenspace's
+# value: they differ by the dropped eigenspaces and rounding alone.
 def test_restricted_revival_scan_matches_every_mode_scan(pipe):
     window = TimeGrid(0.05, 200.0, 4000)
     times = window.times()
     for g, j in SOURCES:
         s = pipe.spectrum(g)
-        reference = dynamics._propagate(s, j, times, "quantum", target=j)[:, 0]
+        w2 = s.eigenvectors[j - 1] ** 2
+        values = eigenspace_values(s, pipe.grouping(g))
+        reference = np.abs(np.exp(-1j * np.outer(times, values)) @ w2) ** 2
         i = int(np.argmax(reference))
-        t_star, p_star = max_return_probability(s, j, window)
+        t_star, p_star = max_return_probability(pipe.projections(g, j), window)
         assert t_star == times[i], (g, j)
         assert abs(p_star - reference[i]) <= 4 * s.order * EPS, (g, j)
 
 
 def test_restricted_time_average_matches_every_mode_average(pipe):
     for g, j in SOURCES:
-        s = pipe.spectrum(g)
+        s, p = pipe.spectrum(g), pipe.projections(g, j)
         # The trapezoid on the grid the function derives from the horizon and
-        # the spectrum, summed over every mode, 1000 times at a time.
-        fastest = float(s.eigenvalues[-1] - s.eigenvalues[0])
+        # the eigenspace values.
+        fastest = float(p.theta[-1] - p.theta[0])
         samples = max(1000, int(40.0 * max(fastest, 1.0) * 4))
         times = np.linspace(0.0, 40.0, samples)
         weights = np.ones(samples)
         weights[[0, -1]] = 0.5
-        reference = sum(
-            weights[lo:lo + 1000] @ dynamics._propagate(s, j, times[lo:lo + 1000], "quantum")
-            for lo in range(0, samples, 1000)
-        ) / (samples - 1)
-        average = finite_time_average(s, j, 40.0)
+        values = eigenspace_values(s, pipe.grouping(g))
+        reference = weights @ mode_sum_rows(s, j, times, "quantum", values) / (samples - 1)
+        average = finite_time_average(p, 40.0)
         assert np.abs(average - reference).max() <= 4 * s.order * EPS, (g, j)
 
 
 def test_revival_scan_at_g7_keeps_its_maximum(pipe):
-    t_star, p_star = max_return_probability(pipe.spectrum(7), 4, default_revival_window())
+    t_star, p_star = max_return_probability(pipe.projections(7, 4), default_revival_window())
     assert t_star == pytest.approx(0.1959529595295953, abs=1e-12)
     assert p_star == pytest.approx(0.9976519358432645, abs=1e-12)
 
@@ -660,22 +758,21 @@ def test_revival_scan_at_g7_keeps_its_maximum(pipe):
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
 def test_finite_time_average_converges_to_limit(pipe, g):
-    s = pipe.spectrum(g)
     chi = pipe.chi(g)
     j = 4 if g >= 1 else 2
-    avg = finite_time_average(s, j, 2000.0)
+    avg = finite_time_average(pipe.projections(g, j), 2000.0)
     assert np.abs(avg - chi.column(j)).max() <= 0.01
 
 
 def test_finite_time_average_validation(pipe):
     with pytest.raises(ValueError):
-        finite_time_average(pipe.spectrum(1), 1, 0.0)
+        finite_time_average(pipe.projections(1, 1), 0.0)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan])
 def test_finite_time_average_rejects_non_finite_horizon(pipe, horizon):
     with pytest.raises(ValueError, match="finite"):
-        finite_time_average(pipe.spectrum(1), 1, horizon)
+        finite_time_average(pipe.projections(1, 1), horizon)
 
 
 def test_eigenbasis_rotation_invariance(pipe):
@@ -690,9 +787,10 @@ def test_eigenbasis_rotation_invariance(pipe):
         assert np.abs(chi - chi_alt).max() <= 1e-10
         for t in (0.7, 5.3):
             for j in (1, n):
-                a = quantum_probability(s, j, t)
-                b = quantum_probability(alt, j, t)
+                p, p_alt = pipe.projections(g, j), source_projections(alt, grouping, j)
+                a = quantum_probability(p, t)
+                b = quantum_probability(p_alt, t)
                 assert np.abs(a - b).max() <= 1e-10
-                c = classical_probability(s, j, t)
-                d = classical_probability(alt, j, t)
+                c = classical_probability(p, t)
+                d = classical_probability(p_alt, t)
                 assert np.abs(c - d).max() <= 1e-10

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import apwalks
-from apwalks import serialize, verify
+from apwalks import dynamics, serialize, verify
 from apwalks.dynamics import TimeGrid, evolve_series, limiting_matrix
 from apwalks.network import node_count_for_generation
 from apwalks.verify import check_reconstruction, run_verification
@@ -106,14 +106,16 @@ def _import_peak_kb() -> int:
 # Peaks above import in N x N matrices (9.2 MiB at G=7), measured on one BLAS
 # thread with import at 29.6 MiB: spectrum 2.09 (the G=7 eigenvectors, which
 # hold the projected basis while it is built, and the complement solve),
-# evolve 2.20 (one block of times, not a series: 17.5 MB at the default 2000
-# times), verify 3.02 (the reconstruction check's residual) and limit 3.34
-# (chi and its pair columns). Every budget is below the 61.4 MiB that each of
+# evolve 2.10 (the build of W_j, then W_j and one block of times with the
+# spectra dropped, not a series: 17.5 MB at the default 2000 times; 2.22
+# when it kept the spectrum and propagated over every mode), verify 3.02
+# (the reconstruction check's residual) and limit 3.34 (chi and its pair
+# columns). Every budget is below the 61.4 MiB that each of
 # them read when G=7 came from one dense solve of its Laplacian.
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 @pytest.mark.parametrize("argv, budget", [
     (("spectrum", "-g", "7", "-o", os.devnull), 2.3),
-    (("evolve", "-g", "7", "-s", "77", "--kind", "both", "-o", "s.csv"), 2.4),
+    (("evolve", "-g", "7", "-s", "77", "--kind", "both", "-o", "s.csv"), 2.3),
     (("verify", "--max-generation", "7"), 3.25),
     (("limit", "-g", "7", "-s", "77", "--report", os.devnull), 3.45),
 ], ids=["spectrum", "evolve", "verify", "limit"])
@@ -140,12 +142,38 @@ def test_evolve_peak_grows_only_by_its_times_at_small_n(tmp_path, fmt, steps, bo
     assert (long - short) * 1024 < bound * (steps[1] - steps[0])
 
 def test_chi_csv_is_formatted_one_block_at_a_time(pipe):
-    # A block of rows (``serialize._FORMAT_VALUES``) is formatted at once;
-    # a first call also builds the kernel's tables (0.08 N x N here).
-    chi = pipe.chi(G)
-    rows = serialize.limiting_matrix_to_csv(chi)
-    peak = _peak_matrices(lambda: sum(map(len, rows)), chi.order)
-    assert peak < 0.25
+    # A block of rows (``serialize._format_values``) is formatted at once: one
+    # row at G=6, four at G=7. A first call also builds the kernel's tables
+    # (0.08 N x N at G=6).
+    for g in (G, 7):
+        chi = pipe.chi(g)
+        rows = serialize.limiting_matrix_to_csv(chi)
+        peak = _peak_matrices(lambda: sum(map(len, rows)), chi.order)
+        assert peak < 0.25, g
+
+
+def test_chi_csv_at_g7_calls_the_kernel_once_per_four_rows(pipe, monkeypatch):
+    calls = []
+    real = serialize._format17
+
+    def format17(x, out):
+        calls.append(len(x))
+        real(x, out)
+
+    monkeypatch.setattr(serialize, "_format17", format17)
+    n = node_count_for_generation(7)
+    sum(map(len, serialize.limiting_matrix_to_csv(pipe.chi(7))))
+    assert len(calls) == 274 and set(calls) == {4 * n}
+
+
+def test_pair_columns_hold_no_second_array_of_their_size(pipe):
+    # Forming chi's pair columns (3.1 MB at G=7) holds them and one row stripe
+    # of the factor v[:, b] (``dynamics._CHECK_ENTRIES``): 1.13 of their size.
+    # A whole copy of v[:, b], or of the off-diagonal columns, read 2.01.
+    s, grouping = pipe.spectrum(7), pipe.grouping(7)
+    small = [group for group in grouping.groups if group[1] - group[0] <= dynamics._PAIR_MAX_DIM]
+    size = dynamics._pair_columns(s.eigenvectors, small).nbytes
+    assert _peak_bytes(lambda: dynamics._pair_columns(s.eigenvectors, small)) < 1.5 * size
 
 
 def test_series_csv_holds_a_block_not_the_series(pipe):
@@ -153,11 +181,11 @@ def test_series_csv_holds_a_block_not_the_series(pipe):
     # one block and the kernel's temporaries, about three blocks at most. The
     # quantum kernel holds more than the classical one; the wide layout reads
     # the same rows as the long one in less time under tracemalloc.
-    s = pipe.spectrum(7)
+    p = pipe.projections(7, 77)
     grid = TimeGrid(0.01, 100.0, 2000, "logarithmic")
-    one_series = grid.steps * s.order * 8
+    one_series = grid.steps * p.order * 8
     peak = _peak_bytes(lambda: sum(map(len, serialize.series_to_csv(
-        evolve_series(s, 77, "quantum", grid), wide=True))))
+        evolve_series(p, "quantum", grid), wide=True))))
     assert peak / one_series < 0.25
 
 

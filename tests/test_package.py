@@ -266,12 +266,12 @@ def test_only_stripes_cuts_an_axis_into_chunks():
 
 BUILDERS = {"generate_apollonian", "laplacian", "eigendecompose", "copy_map",
             "spectrum_from_copies", "group_degenerate", "default_degeneracy_tolerance",
-            "limiting_matrix"}
+            "limiting_matrix", "source_projections"}
 
 
 def test_cli_builds_only_through_the_verify_pipeline():
     # verify.Pipeline is the one place a generation becomes a network, a
-    # spectrum, a grouping and chi; a builder the CLI binds would be a second.
+    # spectrum, a grouping, chi and W_j; a builder the CLI binds would be a second.
     assert BUILDERS <= set(vars(verify))
     assert BUILDERS & set(vars(cli)) == set()
 
@@ -303,6 +303,7 @@ def test_verify_names_the_builders_only_inside_pipeline_methods():
         ("Pipeline.grouping", "group_degenerate"),
         ("Pipeline.grouping", "default_degeneracy_tolerance"),
         ("Pipeline.chi", "limiting_matrix"),
+        ("Pipeline.projections", "source_projections"),
         ("check_taylor_oracle", "laplacian"),
     }
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apwalks import dynamics, serialize
-from apwalks.dynamics import LimitingMatrix, Series, TimeGrid, evolve_series
+from apwalks.dynamics import LimitingMatrix, Series, SourceProjections, TimeGrid, evolve_series
 from apwalks.network import orbits
 from apwalks.spectral import Spectrum
 from apwalks.symmetry import cluster_equal_limits, orbit_consistency
@@ -68,7 +68,7 @@ def test_eigenvector_csv_round_trip(pipe):
 
 
 def test_series_csv_round_trip_long_and_wide(pipe):
-    series = evolve_series(pipe.spectrum(2), 4, "quantum", TimeGrid(0.0, 5.0, 7))
+    series = evolve_series(pipe.projections(2, 4), "quantum", TimeGrid(0.0, 5.0, 7))
     long_text = "".join(serialize.series_to_csv(series, wide=False))
     wide_text = "".join(serialize.series_to_csv(series, wide=True))
     # Long rows are (t, k, p), one block of 7 nodes per time.
@@ -81,7 +81,7 @@ def test_series_csv_round_trip_long_and_wide(pipe):
 
 
 def test_series_json_round_trip(pipe):
-    series = evolve_series(pipe.spectrum(1), 2, "classical", TimeGrid(0.0, 2.0, 5))
+    series = evolve_series(pipe.projections(1, 2), "classical", TimeGrid(0.0, 2.0, 5))
     doc = json.loads("".join(serialize.series_to_json(series)))
     assert doc["source"] == 2 and doc["kind"] == "classical"
     probs = np.array([snap["p"] for snap in doc["snapshots"]])
@@ -123,7 +123,8 @@ def test_writers_are_deterministic(pipe):
     net = pipe.net(3)
     s = pipe.spectrum(3)
     chi = pipe.chi(3)
-    series = evolve_series(s, 4, "quantum", TimeGrid(0.01, 10.0, 20, "logarithmic"))
+    series = evolve_series(pipe.projections(3, 4), "quantum",
+                           TimeGrid(0.01, 10.0, 20, "logarithmic"))
     assert serialize.network_to_edge_list(net) == serialize.network_to_edge_list(net)
     assert "".join(serialize.spectrum_to_csv(s)) == "".join(serialize.spectrum_to_csv(s))
     assert "".join(serialize.series_to_csv(series)) == "".join(serialize.series_to_csv(series))
@@ -156,6 +157,11 @@ class GivenSeries(Series):
 
     def block(self, rows):
         return self.values[rows]
+
+
+def given_series(source, times, values, block_rows=0):
+    """A ``GivenSeries`` of quantum rows from ``source``; it reads no W_j."""
+    return GivenSeries(SourceProjections(source, None, None), "quantum", times, values, block_rows)
 
 
 def reference_series_csv(series, wide):
@@ -231,7 +237,7 @@ def test_series_csv_matches_per_value_writer(wide):
         np.array([1.0 / 3.0] * 3 + [0.0] * (len(ADVERSARIAL) - 3)),
         random_row,
     ]
-    series = GivenSeries(None, 1, "quantum", np.array([0.0, 1.0 / 3.0, 5e-324]), np.array(rows))
+    series = given_series(1, np.array([0.0, 1.0 / 3.0, 5e-324]), np.array(rows))
     assert "".join(serialize.series_to_csv(series, wide=wide)) == reference_series_csv(series, wide)
 
 
@@ -280,7 +286,7 @@ def test_csv_writers_match_per_value_writers_across_block_edges(monkeypatch, wri
     else:
         # Series blocks of four rows, each formatted in blocks of the budget.
         times = np.array([0.0, 1.0 / 3.0, 5e-324, 1e-300, 2.0, 1e300])
-        series = GivenSeries(None, 1, "quantum", times, values, block_rows=4)
+        series = given_series(1, times, values, block_rows=4)
         wide = writer == "wide"
         assert "".join(serialize.series_to_csv(series, wide=wide)) == reference_series_csv(series, wide)
 
@@ -395,12 +401,13 @@ def reference_chi_json(chi):
 
 
 def test_series_json_matches_json_dumps(pipe):
-    values = np.array(list(evolve_series(pipe.spectrum(4), 4, "quantum", TimeGrid(0.5, 5.0, 6))))
+    values = np.array(list(evolve_series(pipe.projections(4, 4), "quantum",
+                                         TimeGrid(0.5, 5.0, 6))))
     for k, v in ((0, -0.0), (1, -1e-12), (2, -5e-13), (3, 5e-324)):
         values[:, 41] += values[:, k] - v
         values[:, k] = v
     times = np.array([-0.0, 0.0, 1e-300, 1.0 / 3.0, 2.0, 5.0])
-    series = GivenSeries(None, 4, "quantum", times, values)
+    series = given_series(4, times, values)
     chunks = list(serialize.series_to_json(series))
     assert len(chunks) == len(series) + 2
     assert "".join(chunks) == reference_series_json(series)
@@ -463,7 +470,7 @@ def test_json_writers_match_json_dumps_across_part_edges(monkeypatch, writer, bu
         rows, expected = serialize.limiting_matrix_to_json(chi), reference_chi_json(chi)
     else:
         times = np.array([0.0, 1.0 / 3.0, 5e-324, 1e-300, 2.0, 1e300])
-        series = GivenSeries(None, 1, "quantum", times, values, block_rows=4)
+        series = given_series(1, times, values, block_rows=4)
         rows, expected = serialize.series_to_json(series), reference_series_json(series)
     assert "".join(rows) == expected
     # The parts from any one on, as a forked child formats its share, start

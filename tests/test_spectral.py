@@ -394,7 +394,8 @@ def test_copied_spectrum_matches_the_dense_one(pipe, dense, g, groups):
     assert len(pipe.grouping(g).groups) == groups
     assert np.abs(pipe.chi(g).entries - dense.chi(g).entries).max() <= 64 * n * EPS
     grid = TimeGrid(0.01, 100.0, 2000, "logarithmic")
-    series = [np.vstack(list(evolve_series(t, 77, "quantum", grid))) for t in (s, d)]
+    series = [np.vstack(list(evolve_series(route.projections(g, 77), "quantum", grid)))
+              for route in (pipe, dense)]
     assert np.abs(series[0] - series[1]).max() <= 16 * n * EPS
 
 
